@@ -35,11 +35,18 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _float(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SpdError(f"{what} must be a number, got {text!r}") from None
+
+
 def _tolerance(args) -> float:
     raw = args.tol
     if raw is None:
         raw = os.environ.get("SPD_ORDER_TOL")
-    tol = DEFAULT_TOL if raw is None else float(raw)
+    tol = DEFAULT_TOL if raw is None else _float(raw, "SPD_ORDER_TOL")
     if not (1e-14 <= tol <= 1e-4):
         raise SpdError(f"tolerance {tol:g} outside [1e-14, 1e-4]")
     return tol
@@ -49,9 +56,9 @@ def _parse_map(text: str):
     if text == "inv":
         return inversion_map()
     if text.startswith("power:"):
-        return power_map(float(text.split(":", 1)[1]))
+        return power_map(_float(text.split(":", 1)[1], "power exponent"))
     if text.startswith("scale:"):
-        return scaling_map(float(text.split(":", 1)[1]))
+        return scaling_map(_float(text.split(":", 1)[1], "scale factor"))
     if text.startswith("translate:"):
         return translation_map(docio.read_matrix_file(text.split(":", 1)[1]))
     raise SpdError(f"unknown map {text!r}; use power:<r>, inv, scale:<l>, translate:<c.json>")

@@ -93,7 +93,12 @@ class MembershipReport:
 
     inside: bool
     margin: float
-    binding_constraint: str  # trace_sign | quadratic_form | eigenvalue_min | ray_deviation
+    binding_constraint: str  # one of BINDINGS
+
+
+# binding constraints, indexed by the codes cone_margins returns
+BINDINGS = ("trace_sign", "quadratic_form", "eigenvalue_min", "ray_deviation")
+_TRACE_SIGN, _QUADRATIC_FORM, _EIGENVALUE_MIN, _RAY_DEVIATION = range(len(BINDINGS))
 
 
 class SpectralCone:
@@ -119,100 +124,105 @@ class SpectralCone:
         return f"SpectralCone(mu={self.mu}, n={self.n})"
 
 
-def _zero_report() -> MembershipReport:
-    # cones contain 0; report the tie-breaking quadratic constraint
-    return MembershipReport(inside=True, margin=1.0, binding_constraint="quadratic_form")
-
-
-def _quad_report(t: float, quad: float, magnitude: float, tol: float) -> MembershipReport:
+def _quad_margins(t, tr2, magnitude, mu: float):
+    """The quadratic-cone rule: the smaller of the normalized trace margin and
+    quadratic margin (t^2 - mu tr2) / magnitude^2, ties going to the quadratic
+    constraint."""
     t_margin = t / magnitude
-    q_margin = quad / magnitude**2
-    if q_margin <= t_margin:
-        margin, binding = q_margin, "quadratic_form"
-    else:
-        margin, binding = t_margin, "trace_sign"
-    return MembershipReport(inside=margin >= -tol, margin=margin, binding_constraint=binding)
+    q_margin = (t * t - mu * tr2) / magnitude**2
+    quad_binds = q_margin <= t_margin
+    return np.where(quad_binds, q_margin, t_margin), np.where(quad_binds, _QUADRATIC_FORM, _TRACE_SIGN)
 
 
-def _invariant_magnitude(w: np.ndarray) -> float:
-    # sqrt(tr(W^2)) for W = S^-1 X: this equals the Frobenius norm of the
-    # symmetrized conjugate S^-1/2 X S^-1/2 and is congruence invariant,
-    # which keeps margins stable under the group action.
-    return math.sqrt(max(float(np.sum(w * w.T)), 0.0))
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    flat = a.reshape(len(a), a.shape[1] * a.shape[2])  # -1 is ambiguous for an empty stack
+    return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
+
+
+def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Membership margins of a stack of tangents, each against the cone at
+    its own base point.
+
+    sigmas and xs are (k, n, n) stacks of SPD points and symmetric
+    tangents that passed SpdMatrix's and SymTangent's guards.  Returns the
+    k margins and the k binding constraints as integer codes into
+    BINDINGS; row i is inside iff its margin is >= -tol.  Margins are
+    invariant under rescaling of the tangent (and, for the affine
+    families, under congruence), so one tolerance works across
+    magnitudes.  A tangent whose norm or invariant magnitude is zero (or
+    underflows to zero) is inside every cone with margin +1, reported
+    against the tie-breaking quadratic constraint.  An empty stack gives
+    empty results.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or sigmas.shape != xs.shape or xs.shape[1:] != (spec.n, spec.n):
+        raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
+    affine = spec.kind not in (LOEWNER, QUAD_TRANSLATE)
+    xnorm = _row_norms(xs)
+    zero = xnorm == 0.0
+    if affine:
+        w = np.linalg.solve(sigmas, xs)
+        t = w.diagonal(0, 1, 2).sum(axis=1)
+        tr2 = (w * w.swapaxes(1, 2)).sum(axis=(1, 2))
+        # sqrt(tr(W^2)) for W = S^-1 X: this equals the Frobenius norm of
+        # the symmetrized conjugate S^-1/2 X S^-1/2 and is congruence
+        # invariant, which keeps margins stable under the group action.
+        magnitude = np.sqrt(np.maximum(tr2, 0.0))
+        zero |= magnitude == 0.0
+    # zero rows get the +1 convention at the end; unit norms keep them
+    # from dividing by zero meanwhile
+    any_zero = zero.any()
+    if any_zero:
+        xnorm = np.where(zero, 1.0, xnorm)
+        if affine:
+            magnitude = np.where(zero, 1.0, magnitude)
+    if spec.kind == LOEWNER:
+        margin = np.linalg.eigvalsh(xs)[:, 0] / xnorm
+        binding = np.full(len(xs), _EIGENVALUE_MIN)
+    elif spec.kind == QUAD_TRANSLATE:
+        margin, binding = _quad_margins(xs.diagonal(0, 1, 2).sum(axis=1), xnorm**2, xnorm, spec.mu)
+    elif spec.kind == QUAD_AFFINE:
+        margin, binding = _quad_margins(t, tr2, magnitude, spec.mu)
+    elif spec.kind == HALF_SPACE:
+        margin = t / magnitude
+        binding = np.full(len(xs), _TRACE_SIGN)
+    else:  # ray: X must be a nonnegative multiple of sigma
+        deviation = _row_norms(xs - (t / spec.n)[:, None, None] * sigmas) / xnorm
+        t_margin = t / magnitude
+        ray_binds = -deviation <= t_margin
+        margin = np.where(ray_binds, -deviation, t_margin)
+        binding = np.where(ray_binds, _RAY_DEVIATION, _TRACE_SIGN)
+    if any_zero:
+        margin, binding = np.where(zero, 1.0, margin), np.where(zero, _QUADRATIC_FORM, binding)
+    return margin, binding
+
+
+def _row_report(margins: np.ndarray, binding: np.ndarray, tol: float) -> MembershipReport:
+    margin = float(margins[0])
+    return MembershipReport(inside=margin >= -tol, margin=margin, binding_constraint=BINDINGS[binding[0]])
 
 
 def cone_membership(spec: ConeSpec, sigma: SpdMatrix, x, tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Pointwise membership of tangent x in the cone at sigma.
-
-    Margins are normalized to be invariant under rescaling of x (and,
-    for the affine families, under congruence transformations), so the
-    single default tolerance works across magnitudes.
-    """
+    """Pointwise membership of tangent x in the cone at sigma: the one-row
+    view of cone_margins."""
     x = as_tangent(x)
     if x.n != sigma.n or spec.n != sigma.n:
         raise DimensionMismatch(f"cone n={spec.n}, point n={sigma.n}, tangent n={x.n}")
-    xmat = x.entries
-    xnorm = float(np.linalg.norm(xmat))
-    if xnorm == 0.0:
-        return _zero_report()
-
-    if spec.kind == QUAD_AFFINE:
-        w = sigma.inv_apply(xmat)
-        t = float(np.trace(w))
-        tr2 = float(np.sum(w * w.T))
-        magnitude = _invariant_magnitude(w)
-        if magnitude == 0.0:
-            return _zero_report()
-        return _quad_report(t, t * t - spec.mu * tr2, magnitude, tol)
-
-    if spec.kind == QUAD_TRANSLATE:
-        t = float(np.trace(xmat))
-        tr2 = xnorm**2
-        return _quad_report(t, t * t - spec.mu * tr2, xnorm, tol)
-
-    if spec.kind == LOEWNER:
-        wmin = float(np.linalg.eigvalsh(xmat)[0])
-        margin = wmin / xnorm
-        return MembershipReport(inside=margin >= -tol, margin=margin, binding_constraint="eigenvalue_min")
-
-    if spec.kind == HALF_SPACE:
-        w = sigma.inv_apply(xmat)
-        t = float(np.trace(w))
-        magnitude = _invariant_magnitude(w)
-        if magnitude == 0.0:
-            return _zero_report()
-        margin = t / magnitude
-        return MembershipReport(inside=margin >= -tol, margin=margin, binding_constraint="trace_sign")
-
-    # ray: X must be a nonnegative multiple of sigma
-    w = sigma.inv_apply(xmat)
-    t = float(np.trace(w))
-    magnitude = _invariant_magnitude(w)
-    if magnitude == 0.0:
-        return _zero_report()
-    deviation = float(np.linalg.norm(xmat - (t / spec.n) * sigma.entries)) / xnorm
-    t_margin = t / magnitude
-    if -deviation <= t_margin:
-        margin, binding = -deviation, "ray_deviation"
-    else:
-        margin, binding = t_margin, "trace_sign"
-    return MembershipReport(inside=margin >= -tol, margin=margin, binding_constraint=binding)
+    return _row_report(*cone_margins(spec, sigma.entries[None], x.entries[None]), tol)
 
 
 def spectral_membership(cone: SpectralCone, lam, tol: float = DEFAULT_TOL) -> MembershipReport:
-    """Membership of an eigenvalue vector in the spectral cone.
+    """Membership of an eigenvalue vector in the spectral cone: the
+    quadratic translation cone tested on diag(lam).
 
     Permuting the entries of lam never changes the verdict.
     """
     v = np.asarray(lam, dtype=float)
     if v.shape != (cone.n,):
         raise DimensionMismatch(f"expected a vector of length {cone.n}, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return _zero_report()
-    s = float(np.sum(v))
-    quad = s * s - cone.mu * float(np.sum(v * v))
-    return _quad_report(s, quad, norm, tol)
+    spec = ConeSpec(QUAD_TRANSLATE, cone.n, cone.mu)
+    return _row_report(*cone_margins(spec, np.eye(cone.n)[None], np.diag(v)[None]), tol)
 
 
 def dual_spectral_cone(cone: SpectralCone) -> SpectralCone:

@@ -20,6 +20,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularTransform,
+    SpdError,
 )
 
 SYM_RTOL = 1e-12          # symmetry acceptance, relative to 1 + max|entry|
@@ -38,19 +39,66 @@ def _as_square(raw) -> np.ndarray:
         raise DimensionMismatch("dimension must be >= 1")
     if a.shape[0] > MAX_DIM:
         raise InvalidParameters(f"dimension {a.shape[0]} above desk-scale cap {MAX_DIM}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameters("matrix entries must be finite")
     return a
 
 
-def _check_symmetry(a: np.ndarray) -> np.ndarray:
-    scale = 1.0 + np.max(np.abs(a)) if a.size else 1.0
-    gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if gap > SYM_RTOL * scale:
-        raise NotSymmetric(f"asymmetry {gap:.3e} exceeds tolerance {SYM_RTOL * scale:.3e}")
-    sym = 0.5 * (a + a.T)
+def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
+    """Finite-entry and symmetry guards over a (k, n, n) stack, row by row.
+
+    A row is accepted when its asymmetry max|a - a^T| is within
+    SYM_RTOL * (1 + max|a|).  Returns the exactly symmetrized (read-only)
+    rows before the first failing row, and the error that row fails
+    with, or None when every row passes.
+    """
+    err = None
+    amax = np.abs(a).max(axis=(1, 2), initial=0.0)
+    finite = np.isfinite(amax)
+    if not finite.all():
+        bad = int(finite.argmin())
+        a, amax, err = a[:bad], amax[:bad], InvalidParameters("matrix entries must be finite")
+    at = a.swapaxes(1, 2)
+    tolerance = SYM_RTOL * (1.0 + amax)
+    gap = np.abs(a - at).max(axis=(1, 2), initial=0.0)
+    symmetric = gap <= tolerance
+    if not symmetric.all():
+        bad = int(symmetric.argmin())
+        err = NotSymmetric(f"asymmetry {gap[bad]:.3e} exceeds tolerance {tolerance[bad]:.3e}")
+        a, at = a[:bad], at[:bad]
+    sym = 0.5 * (a + at)
     sym.flags.writeable = False
-    return sym
+    return sym, err
+
+
+def _validate_spd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpdError | None]:
+    """SpdMatrix's guards over a (k, n, n) stack, row by row: the guards of
+    _validate_sym_stack, then lambda_min > n * PD_RTOL * lambda_max.
+
+    Returns the symmetrized rows before the first failing row, their
+    ascending eigenvalues and eigenvectors, and the error that row fails
+    with, or None when every row passes.  An eigensolver failure, which
+    numpy reports for the stack as a whole, raises ConvergenceFailure.
+    """
+    sym, err = _validate_sym_stack(a)
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    # w ascends, so a row with lambda_max <= 0 fails here as well
+    positive = w[:, 0] > a.shape[-1] * PD_RTOL * w[:, -1]
+    if not positive.all():
+        bad = int(positive.argmin())
+        err = NotPositiveDefinite(
+            f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}] fails positivity test"
+        )
+        sym, w, v = sym[:bad], w[:bad], v[:bad]
+    return sym, w, v, err
+
+
+def _check_symmetry(a: np.ndarray) -> np.ndarray:
+    sym, err = _validate_sym_stack(a[None])
+    if err is not None:
+        raise err
+    return sym[0]
 
 
 class Spectrum:
@@ -109,19 +157,11 @@ class SpdMatrix:
     """
 
     def __init__(self, raw):
-        a = _as_square(raw)
-        sym = _check_symmetry(a)
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(str(exc)) from exc
-        n = sym.shape[0]
-        if w[0] <= n * PD_RTOL * max(w[-1], 0.0):
-            raise NotPositiveDefinite(
-                f"eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}] fails positivity test"
-            )
-        self.entries = sym
-        self._eig = (w, v)
+        sym, w, v, err = _validate_spd_stack(_as_square(raw)[None])
+        if err is not None:
+            raise err
+        self.entries = sym[0]
+        self._eig = (w[0], v[0])
 
     @property
     def n(self) -> int:
@@ -136,11 +176,6 @@ class SpdMatrix:
         # Cholesky keeps the computation stable across the full dynamic range.
         chol = np.linalg.cholesky(self.entries)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-    @property
-    def cond(self) -> float:
-        w = self._eig[0]
-        return float(w[-1] / w[0])
 
     def inv_apply(self, x: np.ndarray) -> np.ndarray:
         """Solve self @ y = x."""
@@ -227,6 +262,8 @@ def congruence(a, sigma: SpdMatrix) -> SpdMatrix:
     definite by Sylvester's law of inertia.
     """
     amat = _as_square(a)
+    if not np.all(np.isfinite(amat)):
+        raise InvalidParameters("matrix entries must be finite")
     if amat.shape[0] != sigma.n:
         raise DimensionMismatch(f"transform is {amat.shape[0]}x{amat.shape[0]}, point is {sigma.n}x{sigma.n}")
     sign, logabsdet = np.linalg.slogdet(amat)

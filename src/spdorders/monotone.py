@@ -27,7 +27,7 @@ from .core import (
     random_spd,
     random_sym,
 )
-from .errors import DimensionMismatch, InvalidParameters
+from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .orders import EQUAL, LESS_EQUAL, _conal_step, order_compare
 
 POWER = "power"
@@ -360,7 +360,7 @@ def find_order_counterexample(
         for size in (1.0, 0.5, 0.2, 0.05):
             try:
                 sigma2 = _conal_step(spec, sigma, x, size)
-            except Exception:
+            except SpdError:
                 continue
             if order_compare(spec, sigma, sigma2, tol=tol).relation not in (LESS_EQUAL, EQUAL):
                 continue

@@ -20,11 +20,18 @@ from .cones import (
     QUAD_TRANSLATE,
     RAY,
     ConeSpec,
-    cone_membership,
+    cone_margins,
     sample_cone_tangent,
 )
-from .core import SpdMatrix, SymTangent, derive_rng, random_spd
-from .errors import DimensionMismatch, InvalidParameters, NotOrdered
+from .core import (
+    SpdMatrix,
+    SymTangent,
+    derive_rng,
+    random_spd,
+    _validate_spd_stack,
+    _validate_sym_stack,
+)
+from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
 from .geometry import relative_eigenframe, relative_eigenvalues, riemannian_exp
 
 LESS_EQUAL = "less_equal"
@@ -119,31 +126,38 @@ def conal_path_oracle(
     Affine-invariant specs use the invariant geodesic; translation
     specs use the straight line (their cone field is constant, so the
     segment is conal exactly when the order holds).  True iff every
-    membership margin is >= -10*tol.
+    membership margin is >= -10*tol.  All samples are built and tested
+    as one stack, with SpdMatrix's and SymTangent's guards on every
+    point and velocity; the first sample that fails decides, so an
+    invalid point raises only when no earlier sample is outside the cone.
     """
     if samples < 2:
         raise InvalidParameters("need at least two path samples")
 
     ts = np.linspace(0.0, 1.0, samples)
     if spec.kind in _TRANSLATION_KINDS:
-        velocity = SymTangent(sigma2.entries - sigma1.entries)
-        for t in ts:
-            point = _straight_line_point(sigma1, sigma2, t)
-            if cone_membership(spec, point, velocity, tol=tol).margin < -10.0 * tol:
-                return False
-        return True
+        t = ts[:, None, None]
+        points = (1.0 - t) * sigma1.entries + t * sigma2.entries
+        velocities = np.broadcast_to(sigma2.entries - sigma1.entries, points.shape)
+    else:
+        root, u, w = relative_eigenframe(sigma1, sigma2)
+        b = root @ u
+        logw = np.log(w)
+        if np.linalg.norm(logw) <= 1e-10:
+            return True  # numerically constant path: zero velocity everywhere
+        powers = w ** ts[:, None]
+        points = (b * powers[:, None, :]) @ b.T
+        velocities = (b * (logw * powers)[:, None, :]) @ b.T
 
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
-    logw = np.log(w)
-    if np.linalg.norm(logw) <= 1e-10:
-        return True  # numerically constant path: zero velocity everywhere
-    for t in ts:
-        powers = w**t
-        point = SpdMatrix(b @ np.diag(powers) @ b.T)
-        velocity = SymTangent(b @ np.diag(logw * powers) @ b.T)
-        if cone_membership(spec, point, velocity, tol=tol).margin < -10.0 * tol:
-            return False
+    points, _, _, err = _validate_spd_stack(points)
+    velocities, verr = _validate_sym_stack(velocities[: len(points)])
+    if verr is not None:
+        points, err = points[: len(velocities)], verr
+    margins, _ = cone_margins(spec, points, velocities)
+    if np.any(margins < -10.0 * tol):
+        return False
+    if err is not None:
+        raise err
     return True
 
 
@@ -215,7 +229,7 @@ def order_interval_sample(
             for _ in range(6):
                 try:
                     candidate = _conal_step(spec, base, direction, size)
-                except Exception:
+                except SpdError:
                     break
                 if valid(candidate):
                     chosen = candidate

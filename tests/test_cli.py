@@ -142,6 +142,14 @@ class TestMonotone:
         code, _, err = run(capsys, "monotone", "--map", "cube", "--cone", spec)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("bad_map", ["power:abc", "scale:abc"])
+    def test_unparsable_map_parameter_is_input_error(self, files, capsys, bad_map):
+        _, _, _, cone = files
+        spec = cone("cone.json", kind="loewner", n=2)
+        code, out, err = run(capsys, "monotone", "--map", bad_map, "--cone", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFlow:
     def test_diagonal_input_constant_trajectory(self, files, capsys, tmp_path):
@@ -216,6 +224,15 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("SPD_ORDER_TOL", "1e-8")
         code, out, _ = run(capsys, "order", "--cone", spec, a, a)
         assert code == 0 and json.loads(out)["relation"] == "equal"
+
+    def test_unparsable_env_tolerance_is_input_error(self, files, capsys, monkeypatch):
+        _, _, matrix, cone = files
+        a = matrix("a.json", np.eye(2))
+        spec = cone("cone.json", kind="loewner", n=2)
+        monkeypatch.setenv("SPD_ORDER_TOL", "abc")
+        code, out, err = run(capsys, "order", "--cone", spec, a, a)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "SPD_ORDER_TOL" in err
 
 
 class TestDeterminism:

@@ -18,8 +18,14 @@ from spdorders import (
     spectral_membership,
     traceless_projection,
 )
-from spdorders.cones import ConeSpec, sample_cone_tangent, sample_spectral_boundary
-from spdorders.core import derive_rng, random_sym
+from spdorders.cones import (
+    BINDINGS,
+    ConeSpec,
+    cone_margins,
+    sample_cone_tangent,
+    sample_spectral_boundary,
+)
+from spdorders.core import as_tangent, derive_rng, random_sym
 from spdorders.errors import DimensionMismatch, InvalidParameters
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -71,11 +77,15 @@ class TestMembership:
         assert rep.binding_constraint == "eigenvalue_min"
 
     def test_zero_tangent_inside_every_cone(self):
-        sigma = random_spd(3, 1)
-        for spec in (quadratic_affine(1.0, 3), quadratic_translation(2.0, 3),
-                     loewner(3), half_space_affine(3), ray_affine(3)):
-            rep = cone_membership(spec, sigma, np.zeros((3, 3)))
-            assert rep.inside and rep.margin == 1.0
+        # exact zero, and a tangent whose squared entries underflow to zero,
+        # also at a small base point where S^-1 X does not underflow
+        for sigma in (random_spd(3, 1), spd_validate(np.diag([1e-10, 2e-10, 3e-10]))):
+            for spec in (quadratic_affine(1.0, 3), quadratic_translation(2.0, 3),
+                         loewner(3), half_space_affine(3), ray_affine(3)):
+                for x in (np.zeros((3, 3)), 1e-170 * random_sym(3, 2)):
+                    rep = cone_membership(spec, sigma, x)
+                    assert rep.inside and rep.margin == 1.0
+                    assert rep.binding_constraint == "quadratic_form"
 
     def test_ray_membership(self):
         sigma = random_spd(3, 9, 0.6)
@@ -94,6 +104,47 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cone_membership(quadratic_affine(1.0, 3), random_spd(3, 0), np.eye(2))
+
+    @pytest.mark.parametrize("kind", ["quad-affine", "quad-translate", "loewner", "half-space", "ray"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_stacked_rows_match_single_membership(self, kind, n):
+        # every row of one stacked call equals the scalar call on that row, bit for bit
+        spec = ConeSpec(kind, n, 0.4 * n if kind.startswith("quad") else None)
+        sigmas, xs = [], []
+        for i in range(40):
+            rng = derive_rng(2024, n, i)
+            sigma = random_spd(n, rng, 0.8)
+            x = random_sym(n, rng)
+            if i % 5 == 1:
+                x = np.zeros((n, n))
+            elif i % 5 == 2:
+                x = x * (1e-160 if i % 2 else 1e-170)  # squares go subnormal or vanish
+            elif i % 5 == 3:
+                x = rng.uniform(-1.0, 2.0) * sigma.entries
+            elif i % 5 == 4:
+                x = sample_cone_tangent(spec, sigma, rng).entries
+            sigmas.append(sigma)
+            xs.append(as_tangent(x).entries)
+        margins, binding = cone_margins(spec, np.stack([s.entries for s in sigmas]), np.stack(xs))
+        tol = 1e-10
+        for sigma, x, margin, bound in zip(sigmas, xs, margins, binding):
+            rep = cone_membership(spec, sigma, x, tol=tol)
+            assert float(margin).hex() == rep.margin.hex()
+            assert (margin >= -tol) == rep.inside
+            assert BINDINGS[bound] == rep.binding_constraint
+
+    @pytest.mark.parametrize("kind", ["quad-affine", "quad-translate", "loewner", "half-space", "ray"])
+    def test_empty_stack(self, kind):
+        margins, binding = cone_margins(ConeSpec(kind, 3, 1.0 if kind.startswith("quad") else None),
+                                        np.empty((0, 3, 3)), np.empty((0, 3, 3)))
+        assert margins.shape == binding.shape == (0,)
+
+    def test_stacked_dimension_mismatch(self):
+        sigmas = np.stack([np.eye(3)] * 2)
+        with pytest.raises(DimensionMismatch):
+            cone_margins(loewner(3), sigmas, sigmas[:1])
+        with pytest.raises(DimensionMismatch):
+            cone_margins(loewner(2), sigmas, sigmas)
 
     @pytest.mark.parametrize("n,mu", GRID)
     def test_affine_invariance_of_margins(self, n, mu):

@@ -24,6 +24,7 @@ from spdorders.errors import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 
 
 def eig2x2(a, b, c):
@@ -67,6 +68,12 @@ class TestValidation:
         with pytest.raises(InvalidParameters):
             spd_validate(np.eye(65))
 
+    @non_finite
+    def test_non_finite_rejected(self, bad):
+        for raw in ([[1.0, bad], [bad, 1.0]], [[1.0, 0.0], [0.0, bad]]):
+            with pytest.raises(InvalidParameters, match="finite"):
+                spd_validate(raw)
+
 
 class TestSymEig:
     def test_diagonal(self):
@@ -82,6 +89,11 @@ class TestSymEig:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_identity(self, n):
         assert np.allclose(sym_eig(np.eye(n)).eigenvalues, 1.0)
+
+    @non_finite
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameters, match="finite"):
+            sym_eig(np.array([[bad, 1.0], [1.0, 0.0]]))
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -180,6 +192,11 @@ class TestCongruence:
         with pytest.raises(SingularTransform):
             congruence(np.array([[1.0, 1.0], [1.0, 1.0]]), sigma)
 
+    @non_finite
+    def test_non_finite_transform_rejected(self, bad):
+        with pytest.raises(InvalidParameters, match="finite"):
+            congruence(np.array([[1.0, bad], [0.0, 1.0]]), random_spd(2, 0))
+
 
 class TestRandomSpd:
     def test_deterministic(self):
@@ -208,3 +225,8 @@ class TestTangent:
     def test_base_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             SymTangent(np.zeros((2, 2)), base=random_spd(3, 0))
+
+    @non_finite
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParameters, match="finite"):
+            SymTangent([[0.0, bad], [bad, 0.0]])

@@ -26,6 +26,7 @@ from spdorders import (
 )
 from spdorders.core import derive_rng, random_sym
 from spdorders.errors import InvalidParameters
+from spdorders import monotone
 from spdorders.monotone import sylvester_residual
 
 MAPS = [
@@ -246,6 +247,15 @@ class TestOrderLevelMonotonicity:
         sq1 = matrix_function(s1, "power", 2.0)
         sq2 = matrix_function(s2, "power", 2.0)
         assert order_compare(loewner(2), sq1, sq2).relation not in ("less_equal", "equal")
+
+    def test_unexpected_step_errors_propagate(self, monkeypatch):
+        # only SpdError means "step rejected"; anything else is a defect
+        def broken_step(*args):
+            raise TypeError("broken step")
+
+        monkeypatch.setattr(monotone, "_conal_step", broken_step)
+        with pytest.raises(TypeError, match="broken step"):
+            find_order_counterexample(power_map(2.0), loewner(2), seed=0, budget=20)
 
     def test_translation_breaks_strictly_conal_orders(self):
         # non-translation-invariant fields admit an order-breaking shift

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdorders import (
+    ConeSpec,
+    SpdMatrix,
+    SymTangent,
+    cone_membership,
     conal_path_oracle,
     half_space_affine,
     loewner,
@@ -16,8 +22,10 @@ from spdorders import (
     ray_affine,
     spd_validate,
 )
+from spdorders import orders
 from spdorders.core import derive_rng, matrix_function
-from spdorders.errors import IllConditioned, NotOrdered
+from spdorders.errors import IllConditioned, InvalidParameters, NotOrdered, NotPositiveDefinite, SpdError
+from spdorders.geometry import relative_eigenframe
 
 E = math.e
 GRID = [(2, 0.5), (2, 1.0), (3, 1.5), (3, 2.5), (5, 2.5), (5, 4.5)]
@@ -186,6 +194,122 @@ class TestConalPathOracle:
         assert not conal_path_oracle(loewner(3), sigma, spd_validate(dent), 20)
 
 
+def reference_oracle(spec, sigma1, sigma2, samples, tol=1e-10):
+    """The path oracle as a per-sample loop: one SpdMatrix, one SymTangent
+    and one cone_membership call per sample, stopping at the first sample
+    that fails."""
+    ts = np.linspace(0.0, 1.0, samples)
+    if spec.kind in ("quad-translate", "loewner"):
+        velocity = SymTangent(sigma2.entries - sigma1.entries)
+        for t in ts:
+            point = SpdMatrix((1.0 - t) * sigma1.entries + t * sigma2.entries)
+            if cone_membership(spec, point, velocity, tol=tol).margin < -10.0 * tol:
+                return False
+        return True
+    root, u, w = relative_eigenframe(sigma1, sigma2)
+    b = root @ u
+    logw = np.log(w)
+    if np.linalg.norm(logw) <= 1e-10:
+        return True
+    for t in ts:
+        powers = w**t
+        point = SpdMatrix(b @ np.diag(powers) @ b.T)
+        velocity = SymTangent(b @ np.diag(logw * powers) @ b.T)
+        if cone_membership(spec, point, velocity, tol=tol).margin < -10.0 * tol:
+            return False
+    return True
+
+
+def outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except SpdError as exc:
+        return type(exc)
+
+
+def unvalidated_point(entries):
+    """An SpdMatrix endpoint that skipped validation, so that the path
+    reaches points the oracle must reject."""
+    fake = object.__new__(SpdMatrix)
+    fake.entries = np.array(entries, dtype=float)
+    return fake
+
+
+class TestBatchedOracleMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["quad-affine", "quad-translate", "loewner", "half-space", "ray"]),
+        n=st.integers(2, 4),
+        mu_frac=st.floats(0.05, 0.95),
+        pair=st.sampled_from(["random", "forward", "reverse", "equal"]),
+        seed=st.integers(0, 2**31 - 1),
+        samples=st.integers(2, 40),
+    )
+    def test_same_verdict_as_per_sample_loop(self, kind, n, mu_frac, pair, seed, samples):
+        mu = mu_frac * n if kind.startswith("quad") else None
+        spec = ConeSpec(kind, n, mu)
+        if pair == "random":
+            a, b = random_spd(n, derive_rng(seed, 0), 0.8), random_spd(n, derive_rng(seed, 1), 0.8)
+        elif pair == "equal":
+            a = b = random_spd(n, seed, 0.8)
+        else:
+            a, b = random_ordered_pair(spec, n, seed)
+            if pair == "reverse":
+                a, b = b, a
+        expected = outcome(reference_oracle, spec, a, b, samples)
+        assert outcome(conal_path_oracle, spec, a, b, samples) == expected
+        if pair in ("forward", "equal"):
+            assert expected is True
+
+    def test_margin_failure_before_an_invalid_point_decides(self):
+        # the velocity diag(0, -2) leaves the Loewner cone at the first
+        # sample; the path diag(1, 1 - 2t) stops being SPD past t = 1/2
+        sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag([1.0, -1.0]))
+        assert reference_oracle(loewner(2), sigma1, sigma2, 11) is False
+        assert conal_path_oracle(loewner(2), sigma1, sigma2, 11) is False
+
+    def test_invalid_point_before_any_margin_failure_raises(self):
+        # the velocity diag(3, -1) is inside the quadratic cone (mu = 0.3);
+        # only the last point diag(4, 0) fails, on positive definiteness
+        spec = quadratic_translation(0.3, 2)
+        sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag([4.0, 0.0]))
+        with pytest.raises(NotPositiveDefinite):
+            reference_oracle(spec, sigma1, sigma2, 11)
+        with pytest.raises(NotPositiveDefinite):
+            conal_path_oracle(spec, sigma1, sigma2, 11)
+
+    def test_overflowing_velocity_after_margin_failure_decides(self):
+        # the geodesic from I to diag(M/2, M/4) leaves the ray at the first
+        # sample; its velocity overflows to inf only at the last one
+        huge = np.finfo(float).max
+        sigma1, sigma2 = spd_validate(np.eye(2)), spd_validate(np.diag([huge / 2, huge / 4]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert reference_oracle(ray_affine(2), sigma1, sigma2, 11) is False
+            assert conal_path_oracle(ray_affine(2), sigma1, sigma2, 11) is False
+
+    def test_overflowing_velocity_before_any_margin_failure_raises(self):
+        # along the geodesic from I to (M/2) I the velocity is a positive
+        # multiple of the point, inside the cone, until it overflows to inf
+        huge = np.finfo(float).max
+        sigma1, sigma2 = spd_validate(np.eye(2)), spd_validate(huge / 2 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidParameters, match="finite"):
+                reference_oracle(quadratic_affine(1.0, 2), sigma1, sigma2, 11)
+            with pytest.raises(InvalidParameters, match="finite"):
+                conal_path_oracle(quadratic_affine(1.0, 2), sigma1, sigma2, 11)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("spec", [loewner(2), quadratic_translation(0.5, 2)], ids=lambda s: s.kind)
+    def test_non_finite_endpoint_raises(self, spec, bad):
+        # every sample, the first included, is non-finite
+        sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point([[1.0, bad], [bad, 1.0]])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidParameters, match="finite"):
+                reference_oracle(spec, sigma1, sigma2, 11)
+            with pytest.raises(InvalidParameters, match="finite"):
+                conal_path_oracle(spec, sigma1, sigma2, 11)
+
+
 class TestIntervalSampling:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_samples_revalidate(self, spec):
@@ -220,3 +344,14 @@ class TestIntervalSampling:
             pytest.skip("random pair unexpectedly ordered")
         with pytest.raises(NotOrdered):
             order_interval_sample(spec, a, b, seed=0, count=2)
+
+    def test_unexpected_step_errors_propagate(self, monkeypatch):
+        # only SpdError means "no candidate"; anything else is a defect
+        def broken_step(*args):
+            raise TypeError("broken step")
+
+        spec = quadratic_affine(1.2, 3)
+        s1, s2 = random_ordered_pair(spec, 3, 21)
+        monkeypatch.setattr(orders, "_conal_step", broken_step)
+        with pytest.raises(TypeError, match="broken step"):
+            order_interval_sample(spec, s1, s2, seed=5, count=3)
