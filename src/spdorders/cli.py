@@ -152,6 +152,8 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_viz2(args) -> int:
+    if args.what == "section" and (args.cone is None or args.at is None):
+        raise SpdError("viz2 section needs --cone and --at")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.what == "section":

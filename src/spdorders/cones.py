@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpdMatrix, SymTangent, as_tangent, random_sym
+from .core import MAX_DIM, SpdMatrix, SymTangent, _validate_sym_stack, as_tangent, random_sym
 from .errors import DimensionMismatch, InvalidParameters
 
 DEFAULT_TOL = 1e-10
@@ -48,6 +48,8 @@ class ConeSpec:
             raise InvalidParameters(f"unknown cone kind {self.kind!r}")
         if self.n < 1:
             raise InvalidParameters("dimension must be >= 1")
+        if self.n > MAX_DIM:
+            raise InvalidParameters(f"dimension {self.n} above desk-scale cap {MAX_DIM}")
         if self.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
             if self.mu is None:
                 raise InvalidParameters(f"{self.kind} requires mu")
@@ -260,79 +262,87 @@ def traceless_projection(x) -> SymTangent:
 # ---------------------------------------------------------------------------
 
 
-def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm vector on the boundary of the spectral cone (quadratic margin zero)."""
+def _boundary_ray(mu: float, n: int, draw, trace, axis) -> np.ndarray:
+    """Unit-norm point on the boundary of the quadratic cone: mixes a
+    Gaussian draw with the cone axis by the root of the scalar quadratic
+    that zeroes the quadratic margin, redrawing on degenerate draws."""
     while True:
-        v = rng.standard_normal(n)
-        tau = float(np.sum(v))
-        s = float(np.sum(v * v))
-        disc = mu * (n - mu) * (n * s - tau * tau)
-        if disc <= 0:
-            continue
-        c = (-tau * (n - mu) + math.sqrt(disc)) / (n * (n - mu))
-        lam = v + c
-        norm = np.linalg.norm(lam)
-        if norm > 1e-8:
-            return lam / norm
-
-
-def _boundary_at_identity(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix on the boundary of the quadratic cone at the identity."""
-    while True:
-        g = random_sym(n, rng)
-        tau = float(np.trace(g))
+        g = draw()
+        tau = float(trace(g))
         s = float(np.sum(g * g))
         disc = mu * (n - mu) * (n * s - tau * tau)
         if disc <= 0:
             continue
         c = (-tau * (n - mu) + math.sqrt(disc)) / (n * (n - mu))
-        y = g + c * np.eye(n)
+        y = g + c * axis
         norm = np.linalg.norm(y)
         if norm > 1e-8:
             return y / norm
 
 
-def sample_cone_tangent(
-    spec: ConeSpec,
-    sigma: SpdMatrix,
-    rng: np.random.Generator,
-    boundary: bool = True,
-) -> SymTangent:
-    """Random unit-Frobenius tangent inside K(sigma): a boundary ray when
-    `boundary` is set, otherwise a strictly interior ray."""
+def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm vector on the boundary of the spectral cone (quadratic margin zero)."""
+    return _boundary_ray(mu, n, lambda: rng.standard_normal(n), np.sum, 1.0)
+
+
+def _boundary_at_identity(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric matrix on the boundary of the quadratic cone at the identity."""
+    return _boundary_ray(mu, n, lambda: random_sym(n, rng), np.trace, np.eye(n))
+
+
+def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:
+    """Random unit-Frobenius tangents inside K(sigma), one row per generator:
+    a boundary ray where boundary[i] is set, else a strictly interior ray.
+    Row i draws only from rngs[i], so rows are independent; the linear
+    algebra runs once over the stack.  Returns a read-only (k, n, n) stack
+    that passed SymTangent's guards."""
     n = spec.n
     if spec.n != sigma.n:
         raise DimensionMismatch(f"cone n={spec.n}, point n={sigma.n}")
-    if n == 1:
-        # every 1x1 cone here degenerates to the nonnegative ray
-        return SymTangent(np.ones((1, 1)), base=sigma)
-
-    if spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
-        y = _boundary_at_identity(spec.mu, n, rng)
-        if not boundary:
-            y = y + rng.uniform(0.2, 1.0) * np.eye(n)
-        if spec.kind == QUAD_AFFINE:
-            root = sigma.spectrum.apply(np.sqrt)
-            y = root @ y @ root
+    rows = list(enumerate(zip(rngs, boundary, strict=True)))
+    ys = np.empty((len(rows), n, n))
+    if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
+        ys[:] = 1.0
+    elif spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
+        for row, (rng, on_boundary) in rows:
+            y = _boundary_at_identity(spec.mu, n, rng)
+            ys[row] = y if on_boundary else y + rng.uniform(0.2, 1.0) * np.eye(n)
     elif spec.kind == LOEWNER:
-        w, v = np.linalg.eigh(random_sym(n, rng))
-        w = w - w[0]
-        if not boundary:
-            w = w + rng.uniform(0.1, 1.0) * (1.0 + w[-1])
-        y = v @ np.diag(w) @ v.T
+        shift = np.zeros(len(rows))
+        for row, (rng, on_boundary) in rows:
+            ys[row] = random_sym(n, rng)
+            shift[row] = 0.0 if on_boundary else rng.uniform(0.1, 1.0)
+        w, v = np.linalg.eigh(ys)
+        w = w - w[:, :1]
+        # boundary rows add an exact +0.0 to their nonnegative w
+        w = w + (shift * (1.0 + w[:, -1]))[:, None]
+        ys = (v * w[:, None, :]) @ v.swapaxes(1, 2)  # v * w is v @ diag(w): one product per entry
     elif spec.kind == HALF_SPACE:
-        g = random_sym(n, rng)
-        y = g - (np.trace(g) / n) * np.eye(n)
-        if not boundary:
-            y = y + rng.uniform(0.2, 1.0) * np.linalg.norm(y) * np.eye(n)
-        root = sigma.spectrum.apply(np.sqrt)
-        y = root @ y @ root
+        for row, (rng, on_boundary) in rows:
+            g = random_sym(n, rng)
+            y = g - (np.trace(g) / n) * np.eye(n)
+            ys[row] = y if on_boundary else y + rng.uniform(0.2, 1.0) * np.linalg.norm(y) * np.eye(n)
     else:  # ray: the cone is the single ray spanned by sigma
-        y = rng.uniform(0.2, 2.0) * sigma.entries
+        for row, (rng, _) in rows:
+            ys[row] = rng.uniform(0.2, 2.0) * sigma.entries
+    if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
+        root = sigma.spectrum.apply(np.sqrt)
+        ys = root @ ys @ root
 
-    y = 0.5 * (y + y.T)
-    norm = np.linalg.norm(y)
-    if norm < 1e-12:  # degenerate draw (e.g. constant spectrum); fall back to the axis
-        y = sigma.entries
-        norm = np.linalg.norm(y)
-    return SymTangent(y / norm, base=sigma)
+    ys = 0.5 * (ys + ys.swapaxes(1, 2))
+    norms = _row_norms(ys)
+    degenerate = norms < 1e-12
+    if degenerate.any():  # degenerate draw (e.g. constant spectrum); fall back to the axis
+        ys[degenerate] = sigma.entries
+        norms[degenerate] = np.linalg.norm(sigma.entries)
+    sym, err = _validate_sym_stack(ys / norms[:, None, None])
+    if err is not None:
+        raise err
+    return sym
+
+
+def sample_cone_tangent(spec: ConeSpec, sigma: SpdMatrix, rng: np.random.Generator,
+                        boundary: bool = True) -> SymTangent:
+    """Random unit-Frobenius tangent inside K(sigma): the one-row view of
+    sample_cone_tangents."""
+    return SymTangent(sample_cone_tangents(spec, sigma, [rng], [boundary])[0], base=sigma, checked=True)

@@ -190,10 +190,11 @@ class SpdMatrix:
 
 class SymTangent:
     """A symmetric matrix used as a tangent vector, optionally anchored at
-    an SpdMatrix base point."""
+    an SpdMatrix base point.  checked=True wraps a row of a stack that
+    already passed _validate_sym_stack without repeating the guards."""
 
-    def __init__(self, raw, base: SpdMatrix | None = None):
-        sym = _check_symmetry(_as_square(raw))
+    def __init__(self, raw, base: SpdMatrix | None = None, checked: bool = False):
+        sym = raw if checked else _check_symmetry(_as_square(raw))
         if base is not None and base.n != sym.shape[0]:
             raise DimensionMismatch(f"tangent is {sym.shape[0]}x{sym.shape[0]}, base is {base.n}x{base.n}")
         self.entries = sym

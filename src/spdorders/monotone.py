@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ConeSpec, cone_membership, sample_cone_tangent
+from .cones import DEFAULT_TOL, ConeSpec, cone_margins, cone_membership, sample_cone_tangent, sample_cone_tangents
 from .core import (
     SpdMatrix,
     SymTangent,
+    _validate_sym_stack,
     as_tangent,
     congruence,
     derive_rng,
@@ -115,31 +116,43 @@ def _power_divided_differences(w: np.ndarray, r: float) -> np.ndarray:
     return np.where(close, r * mid ** (r - 1.0), quotient)
 
 
-def map_differential(m: SmoothMap, sigma: SpdMatrix, x) -> SymTangent:
-    """Analytic differential of the map at sigma applied to tangent x.
+def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
+    """Analytic differential of the map at sigma on a (k, n, n) stack of
+    tangents that passed SymTangent's guards; returns a read-only stack
+    that passed them too.
 
-    power(r) is computed in the eigenbasis of sigma through first
-    divided differences; inversion is -S^-1 X S^-1; congruence, scaling
-    and translation are linear.
-    """
-    x = as_tangent(x)
-    if x.n != sigma.n:
+    power(r) is computed in the eigenbasis of sigma through first divided
+    differences, evaluated once per stack; inversion is -S^-1 X S^-1;
+    congruence, scaling and translation are linear."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1:] != (sigma.n, sigma.n):
         raise DimensionMismatch("tangent dimension differs from base point")
     if m.kind == POWER:
         spec = sigma.spectrum
         v = spec.eigenvectors
-        xprime = v.T @ x.entries @ v
+        xprime = v.T @ xs @ v
         out = v @ (_power_divided_differences(spec.eigenvalues, m.exponent) * xprime) @ v.T
-        return SymTangent(0.5 * (out + out.T))
-    if m.kind == INVERSION:
-        w = sigma.inv_apply(x.entries)
-        out = -sigma.inv_apply(w.T).T
-        return SymTangent(0.5 * (out + out.T))
-    if m.kind == CONGRUENCE:
-        return SymTangent(m.matrix @ x.entries @ m.matrix.T)
-    if m.kind == SCALING:
-        return SymTangent(m.factor * x.entries)
-    return SymTangent(x.entries.copy())
+    elif m.kind == INVERSION:
+        w = sigma.inv_apply(xs)
+        out = -sigma.inv_apply(w.swapaxes(1, 2)).swapaxes(1, 2)
+    elif m.kind == CONGRUENCE:
+        out = m.matrix @ xs @ m.matrix.T
+    elif m.kind == SCALING:
+        out = m.factor * xs
+    else:
+        out = xs
+    if m.kind in (POWER, INVERSION):
+        out = 0.5 * (out + out.swapaxes(1, 2))
+    sym, err = _validate_sym_stack(out)
+    if err is not None:
+        raise err
+    return sym
+
+
+def map_differential(m: SmoothMap, sigma: SpdMatrix, x) -> SymTangent:
+    """Analytic differential of the map at sigma applied to tangent x: the
+    one-row view of map_differentials."""
+    return SymTangent(map_differentials(m, sigma, as_tangent(x).entries[None])[0], checked=True)
 
 
 def sylvester_residual(p: int, sigma: SpdMatrix, x) -> float:
@@ -207,23 +220,25 @@ def check_differential_positivity(
     Directions alternate between boundary rays (where violations
     concentrate) and interior rays.  Each sample's random stream is
     derived from (seed, point index, direction index), so the aggregate
-    is independent of execution order.
+    is independent of execution order.  Each base point samples, maps
+    and tests its directions as one stack.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
+    boundary = [j % 2 == 0 for j in range(n_directions)]
     for i in range(n_points):
         sigma = random_spd(spec.n, derive_rng(seed, i), scale=point_scale)
         image = m.apply(sigma)
-        for j in range(n_directions):
-            rng = derive_rng(seed, i, j + 1)
-            x = sample_cone_tangent(spec, sigma, rng, boundary=(j % 2 == 0))
-            out = map_differential(m, sigma, x)
-            margin = cone_membership(spec, image, out, tol=tol).margin
+        rngs = [derive_rng(seed, i, j + 1) for j in range(n_directions)]
+        xs = sample_cone_tangents(spec, sigma, rngs, boundary)
+        outs = map_differentials(m, sigma, xs)
+        margins, _ = cone_margins(spec, np.broadcast_to(image.entries, outs.shape), outs)
+        for j, margin in enumerate(margins.tolist()):
             if margin < report.min_output_margin:
                 report.min_output_margin = margin
             if margin < -tol:
-                report.violations.append((sigma, x, margin))
+                report.violations.append((sigma, SymTangent(xs[j], base=sigma, checked=True), margin))
     return report
 
 

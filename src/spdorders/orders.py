@@ -205,11 +205,13 @@ def order_interval_sample(
     if pre.relation not in (LESS_EQUAL, EQUAL):
         raise NotOrdered(f"endpoints compare as {pre.relation}")
 
+    if spec.kind not in _TRANSLATION_KINDS and count > 0:
+        root, u, w = relative_eigenframe(sigma1, sigma2)
+        b = root @ u
+
     def path_point(t: float) -> SpdMatrix:
         if spec.kind in _TRANSLATION_KINDS:
             return _straight_line_point(sigma1, sigma2, t)
-        root, u, w = relative_eigenframe(sigma1, sigma2)
-        b = root @ u
         return SpdMatrix(b @ np.diag(w**t) @ b.T)
 
     def valid(candidate: SpdMatrix) -> bool:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ class TestMonotone:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestMonotoneGolden:
+    """stdout of `monotone` for every CLI map kind x cone kind at two seeds,
+    pinned byte for byte against tests/data/monotone_golden.json."""
+
+    CASES = json.loads((GOLDEN / "monotone_golden.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c['map']}-{c['cone']['kind']}-seed{c['seed']}")
+    def test_stdout_is_byte_identical(self, files, capsys, case):
+        _, write, _, _ = files
+        cone = write("cone.json", json.dumps(case["cone"]))
+        smap = f"translate:{GOLDEN / 'translate_shift.json'}" if case["map"] == "translate" else case["map"]
+        code, out, _ = run(capsys, "monotone", "--map", smap, "--cone", cone, "--seed", str(case["seed"]),
+                           "--points", "20", "--dirs", "6")
+        assert (code, out) == (case["exit"], case["stdout"])
+
+
 class TestFlow:
     def test_diagonal_input_constant_trajectory(self, files, capsys, tmp_path):
         _, _, matrix, _ = files
@@ -196,6 +216,18 @@ class TestViz2Command:
         path = outdir / "leaf_2.csv"
         assert path.exists()
         assert path.read_text().splitlines()[0] == "x,y,z"
+
+    @pytest.mark.parametrize("missing", ["--cone", "--at"])
+    def test_section_without_input_flag_is_input_error(self, files, capsys, tmp_path, missing):
+        _, _, matrix, cone = files
+        flags = {"--cone": cone("cone.json", kind="loewner", n=2), "--at": matrix("s.json", np.eye(2))}
+        del flags[missing]
+        outdir = tmp_path / "viz"
+        code, out, err = run(capsys, "viz2", "section", *[v for kv in flags.items() for v in kv],
+                             "--outdir", str(outdir))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not outdir.exists()
 
     def test_ray_section_is_input_error(self, files, capsys, tmp_path):
         _, _, matrix, cone = files

@@ -23,12 +23,15 @@ from spdorders.cones import (
     ConeSpec,
     cone_margins,
     sample_cone_tangent,
+    sample_cone_tangents,
     sample_spectral_boundary,
 )
-from spdorders.core import as_tangent, derive_rng, random_sym
+from spdorders.core import MAX_DIM, as_tangent, derive_rng, random_sym
 from spdorders.errors import DimensionMismatch, InvalidParameters
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+KINDS = ["quad-affine", "quad-translate", "loewner", "half-space", "ray"]
 
 GRID = [(2, 0.5), (2, 1.0), (2, 1.5), (3, 0.5), (3, 1.5), (3, 2.5), (5, 2.5), (5, 4.5)]
 
@@ -51,6 +54,15 @@ class TestConeSpec:
     def test_serialization_roundtrip(self):
         for spec in (quadratic_affine(0.7, 4), loewner(2), half_space_affine(3), ray_affine(5)):
             assert ConeSpec.from_dict(spec.to_dict()) == spec
+
+    def test_dimension_above_cap_rejected(self):
+        # only the constructor runs: nothing of size n is ever allocated
+        assert ConeSpec("loewner", MAX_DIM).n == MAX_DIM
+        for n in (MAX_DIM + 1, 100000):
+            with pytest.raises(InvalidParameters):
+                ConeSpec("loewner", n)
+            with pytest.raises(InvalidParameters):
+                ConeSpec.from_dict({"kind": "quad-affine", "n": n, "mu": 1.0})
 
 
 class TestMembership:
@@ -351,3 +363,26 @@ class TestSampling:
                 sigma = random_spd(3, derive_rng(7, i), 0.7)
                 x = sample_cone_tangent(kind_spec, sigma, derive_rng(8, i), boundary=False)
                 assert cone_membership(kind_spec, sigma, x).inside
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacked_rows_match_single_view(self, kind, n):
+        # every row of one stacked call equals the one-row view, bit for bit
+        spec = ConeSpec(kind, n, 0.4 * n if kind.startswith("quad") else None)
+        sigma = random_spd(n, derive_rng(9, n), 0.7)
+        boundary = [bool(b) for b in derive_rng(10, n).integers(0, 2, size=12)]
+        stack = sample_cone_tangents(spec, sigma, [derive_rng(11, j) for j in range(12)], boundary)
+        assert stack.shape == (12, n, n) and not stack.flags.writeable
+        for j, row in enumerate(stack):
+            single = sample_cone_tangent(spec, sigma, derive_rng(11, j), boundary=boundary[j])
+            assert single.base is sigma
+            assert [v.hex() for v in row.ravel().tolist()] == [v.hex() for v in single.entries.ravel().tolist()]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_stack(self, kind):
+        spec = ConeSpec(kind, 3, 1.0 if kind.startswith("quad") else None)
+        assert sample_cone_tangents(spec, random_spd(3, 1), [], []).shape == (0, 3, 3)
+
+    def test_boundary_flags_must_match_generators(self):
+        with pytest.raises(ValueError):
+            sample_cone_tangents(loewner(3), random_spd(3, 1), [derive_rng(1), derive_rng(2)], [True])

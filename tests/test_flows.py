@@ -73,6 +73,21 @@ class TestIntegration:
         for state in traj.states[:: len(traj.states) // 20]:
             assert np.linalg.eigvalsh(state)[0] > 0
 
+    @pytest.mark.parametrize("kind", ["toda", "qr"])
+    def test_drift_is_the_running_maximum_over_states(self, kind):
+        x0 = random_sym(4, 3) if kind == "toda" else random_spd(4, 3, scale=0.6)
+        traj = integrate_flow(kind, x0, t_end=0.3, step=1e-2)
+        drift = 0.0
+        for state in traj.states:  # the per-state eigenvalue pass, bit for bit
+            drift = max(drift, float(np.max(np.abs(np.linalg.eigvalsh(state) - traj.initial_spectrum))))
+        assert traj.spectrum_drift().hex() == drift.hex()
+        assert drift > 0.0
+
+    def test_drift_without_steps_is_zero(self):
+        traj = integrate_flow("toda", random_sym(3, 1), t_end=1e-13, step=1e-3)
+        assert len(traj.times) == 1
+        assert traj.spectrum_drift() == 0.0
+
     def test_oversized_step_raises_drift(self):
         x0 = 10.0 * random_sym(4, 2)
         with pytest.raises(SpectrumDrift):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from spdorders import (
     check_differential_positivity,
@@ -24,10 +27,11 @@ from spdorders import (
     trace_inequality_fuzz,
     translation_map,
 )
-from spdorders.core import derive_rng, random_sym
-from spdorders.errors import InvalidParameters
+from spdorders.cones import DEFAULT_TOL, ConeSpec
+from spdorders.core import SpdMatrix, SymTangent, derive_rng, random_sym
+from spdorders.errors import DimensionMismatch, InvalidParameters
 from spdorders import monotone
-from spdorders.monotone import sylvester_residual
+from spdorders.monotone import map_differentials, sylvester_residual
 
 MAPS = [
     power_map(0.5),
@@ -229,6 +233,164 @@ class TestDifferentialPositivity:
         assert doc["violation_count"] == len(report.violations) > 5
         assert len(doc["witnesses"]) == 5
         assert doc["min_output_margin"] == report.min_output_margin
+
+
+def hexes(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+# Per-sample reference: the scalar draw and differential rules written out
+# once more, independent of the stacked kernels, one sample at a time.
+
+
+def reference_boundary_at_identity(mu, n, rng):
+    while True:
+        g = random_sym(n, rng)
+        tau = float(np.trace(g))
+        s = float(np.sum(g * g))
+        disc = mu * (n - mu) * (n * s - tau * tau)
+        if disc <= 0:
+            continue
+        c = (-tau * (n - mu) + math.sqrt(disc)) / (n * (n - mu))
+        y = g + c * np.eye(n)
+        norm = np.linalg.norm(y)
+        if norm > 1e-8:
+            return y / norm
+
+
+def reference_tangent(spec, sigma, rng, boundary):
+    n = spec.n
+    if n == 1:
+        return SymTangent(np.ones((1, 1)), base=sigma)
+    if spec.kind in ("quad-affine", "quad-translate"):
+        y = reference_boundary_at_identity(spec.mu, n, rng)
+        if not boundary:
+            y = y + rng.uniform(0.2, 1.0) * np.eye(n)
+        if spec.kind == "quad-affine":
+            root = sigma.spectrum.apply(np.sqrt)
+            y = root @ y @ root
+    elif spec.kind == "loewner":
+        w, v = np.linalg.eigh(random_sym(n, rng))
+        w = w - w[0]
+        if not boundary:
+            w = w + rng.uniform(0.1, 1.0) * (1.0 + w[-1])
+        y = v @ np.diag(w) @ v.T
+    elif spec.kind == "half-space":
+        g = random_sym(n, rng)
+        y = g - (np.trace(g) / n) * np.eye(n)
+        if not boundary:
+            y = y + rng.uniform(0.2, 1.0) * np.linalg.norm(y) * np.eye(n)
+        root = sigma.spectrum.apply(np.sqrt)
+        y = root @ y @ root
+    else:
+        y = rng.uniform(0.2, 2.0) * sigma.entries
+    y = 0.5 * (y + y.T)
+    norm = np.linalg.norm(y)
+    if norm < 1e-12:
+        y = sigma.entries
+        norm = np.linalg.norm(y)
+    return SymTangent(y / norm, base=sigma)
+
+
+def reference_differential(m, sigma, x):
+    if m.kind == "power":
+        spec = sigma.spectrum
+        v = spec.eigenvectors
+        xprime = v.T @ x.entries @ v
+        out = v @ (monotone._power_divided_differences(spec.eigenvalues, m.exponent) * xprime) @ v.T
+        return SymTangent(0.5 * (out + out.T))
+    if m.kind == "inversion":
+        w = sigma.inv_apply(x.entries)
+        out = -sigma.inv_apply(w.T).T
+        return SymTangent(0.5 * (out + out.T))
+    if m.kind == "congruence":
+        return SymTangent(m.matrix @ x.entries @ m.matrix.T)
+    if m.kind == "scaling":
+        return SymTangent(m.factor * x.entries)
+    return SymTangent(x.entries.copy())
+
+
+def reference_positivity(m, spec, seed, n_points, n_directions, tol=DEFAULT_TOL):
+    min_margin, violations = math.inf, []
+    for i in range(n_points):
+        sigma = random_spd(spec.n, derive_rng(seed, i), scale=0.7)
+        image = m.apply(sigma)
+        for j in range(n_directions):
+            x = reference_tangent(spec, sigma, derive_rng(seed, i, j + 1), boundary=(j % 2 == 0))
+            margin = cone_membership(spec, image, reference_differential(m, sigma, x), tol=tol).margin
+            if margin < min_margin:
+                min_margin = margin
+            if margin < -tol:
+                violations.append((sigma, x, margin))
+    return n_points * n_directions, min_margin, violations
+
+
+def outcome(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # non-psd translation shifts warn
+        try:
+            return fn()
+        except Exception as exc:  # the exception type is what gets compared
+            return type(exc)
+
+
+@st.composite
+def map_and_cone(draw):
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["quad-affine", "quad-translate", "loewner", "half-space", "ray"]))
+    mu = draw(st.floats(0.05, 0.95)) * n if kind.startswith("quad") else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([
+        lambda: power_map(draw(st.floats(-3.0, 3.0))),
+        inversion_map,
+        lambda: congruence_map(rng.standard_normal((n, n)) + draw(st.floats(0.0, 3.0)) * np.eye(n)),
+        lambda: scaling_map(draw(st.floats(0.1, 10.0))),
+        lambda: translation_map(draw(st.floats(-0.5, 1.0)) * random_sym(n, rng)),
+    ]))
+    return outcome(m), ConeSpec(kind, n, mu)
+
+
+class TestBatchedPositivityMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(map_and_cone(), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 7))
+    def test_same_report_as_per_sample_loop(self, case, seed, n_points, n_directions):
+        m, spec = case
+        if isinstance(m, type):  # the map's own constructor rejected its parameters
+            event("map rejected")
+            return
+        got = outcome(lambda: check_differential_positivity(m, spec, seed, n_points, n_directions))
+        want = outcome(lambda: reference_positivity(m, spec, seed, n_points, n_directions))
+        if isinstance(want, type) or isinstance(got, type):
+            event(f"raises {getattr(want, '__name__', want)}")
+            assert got is want
+            return
+        samples, min_margin, violations = want
+        event("violations" if violations else "clean")
+        assert got.samples_tested == samples
+        assert got.min_output_margin.hex() == float(min_margin).hex()
+        assert len(got.violations) == len(violations)
+        for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
+            assert hexes(sig.entries) == hexes(ref_sig.entries)
+            assert hexes(tan.entries) == hexes(ref_tan.entries)
+            assert tan.base is sig and margin.hex() == ref_margin.hex()
+
+    @pytest.mark.parametrize("m", MAPS + [congruence_map(np.diag([1.0, -2.0, 0.5])), translation_map(np.eye(3))],
+                             ids=lambda m: m.label)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacked_rows_match_single_view(self, m, n):
+        # every row of one stacked call equals the one-row view, bit for bit
+        if m.matrix is not None and m.matrix.shape[0] != n:
+            m = type(m)(m.kind, matrix=np.eye(n) * np.linspace(0.5, 2.0, n)[:, None])
+        sigma = random_spd(n, derive_rng(30, n), 0.7)
+        xs = np.stack([SymTangent(random_sym(n, derive_rng(31, j))).entries for j in range(9)])
+        stack = map_differentials(m, sigma, xs)
+        assert stack.shape == (9, n, n) and not stack.flags.writeable
+        for x, row in zip(xs, stack):
+            assert hexes(row) == hexes(map_differential(m, sigma, x).entries)
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            map_differentials(power_map(0.5), random_spd(3, 1), np.zeros((2, 2, 2)))
 
 
 class TestOrderLevelMonotonicity:

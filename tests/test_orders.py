@@ -320,6 +320,20 @@ class TestIntervalSampling:
             assert order_compare(spec, s1, p).relation in ("less_equal", "equal")
             assert order_compare(spec, p, s2).relation in ("less_equal", "equal")
 
+    def test_relative_frame_computed_once_per_interval(self, monkeypatch):
+        calls = []
+
+        def counting(sigma1, sigma2):
+            calls.append(1)
+            return relative_eigenframe(sigma1, sigma2)
+
+        monkeypatch.setattr(orders, "relative_eigenframe", counting)
+        spec = quadratic_affine(1.2, 3)
+        s1, s2 = random_ordered_pair(spec, 3, 11)
+        assert len(order_interval_sample(spec, s1, s2, seed=0, count=6)) == 6
+        assert len(calls) == 1
+        assert order_interval_sample(spec, s1, s2, seed=0, count=0) == [] and len(calls) == 1
+
     def test_first_sample_is_the_midpoint(self):
         from spdorders.geometry import geodesic
 
