@@ -281,7 +281,14 @@ def _boundary_ray(mu: float, n: int, draw, trace, axis) -> np.ndarray:
 
 
 def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm vector on the boundary of the spectral cone (quadratic margin zero)."""
+    """Unit-norm vector on the boundary of the spectral cone (quadratic margin zero).
+
+    Needs n >= 2 and 0 < mu < n: otherwise the discriminant of the ray
+    quadratic is never positive (at n = 1 the cone is the ray [0, inf),
+    with no unit vector on its boundary), so no draw would be accepted.
+    """
+    if n < 2 or not 0.0 < mu < n:
+        raise InvalidParameters(f"no spectral cone boundary to sample at n={n}, mu={mu}")
     return _boundary_ray(mu, n, lambda: rng.standard_normal(n), np.sum, 1.0)
 
 

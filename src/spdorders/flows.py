@@ -7,6 +7,8 @@ step.  Each state is re-symmetrized after every step.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ TODA = "toda"
 QR = "qr"
 
 DRIFT_LIMIT = 1e-5  # absolute drift of any sorted eigenvalue before bailing out
+MAX_STATE_ENTRIES = 10_000_000  # (steps + 1) * n^2 stored floats, 80 MB of states
 
 SCALAR_FUNCTIONS = {
     "identity": lambda w: w,
@@ -32,11 +35,18 @@ SCALAR_FUNCTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _strict_lower(rows: int, cols: int) -> np.ndarray:
+    mask = np.tri(rows, cols, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def skew_projection(x) -> np.ndarray:
     """Skew-symmetric part used by both Lax fields: lower triangle kept,
     diagonal zeroed, upper triangle negated."""
     a = np.asarray(x, dtype=float)
-    lower = np.tril(a, k=-1)
+    lower = np.where(_strict_lower(*a.shape[-2:]), a, 0.0)  # np.tril(a, k=-1), mask built once per shape
     return lower - lower.T
 
 
@@ -52,7 +62,7 @@ def _qr_field(x: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(x)
     if w[0] <= 0:
         raise SpectrumDrift("state left the positive definite cone; step too large")
-    logx = v @ np.diag(np.log(w)) @ v.T
+    logx = (v * np.log(w)) @ v.T  # v * l is v @ diag(l): one product per entry
     return _commutator(x, skew_projection(logx))
 
 
@@ -77,46 +87,65 @@ class FlowTrajectory:
         return self.max_drift
 
 
+def _check_state_budget(t_end: float, step: float, n: int) -> None:
+    """Reject a run whose (ceil(t_end / step) + 1) * n^2 stored state
+    entries would exceed MAX_STATE_ENTRIES, before anything is allocated."""
+    ratio = t_end / step
+    if not ratio <= MAX_STATE_ENTRIES or (math.ceil(ratio) + 1) * n * n > MAX_STATE_ENTRIES:
+        raise InvalidParameters(
+            f"t_end/step = {ratio:.3g} steps at n={n} would store more than {MAX_STATE_ENTRIES} state entries"
+        )
+
+
 def integrate_flow(kind: str, x0, t_end: float, step: float, drift_limit: float = DRIFT_LIMIT) -> FlowTrajectory:
     """Integrate the Toda flow X' = [X, skew(X)] or the QR flow
     S' = [S, skew(log S)] with fixed-step RK4.
 
-    The initial matrix must be symmetric (SPD for the QR flow).  Raises
-    SpectrumDrift as soon as any sorted eigenvalue deviates from the
-    initial spectrum by more than drift_limit, which signals that the
-    step is too large.
+    The initial matrix must be symmetric (SPD for the QR flow).  step and
+    t_end must be finite and positive, and the trajectory may store at
+    most MAX_STATE_ENTRIES floats, (ceil(t_end / step) + 1) * n^2; both
+    are checked before the first step.  Raises SpectrumDrift as soon as
+    any sorted eigenvalue deviates from the initial spectrum by more than
+    drift_limit, or a step leaves the finite numbers, which signals that
+    the step is too large.
     """
-    if step <= 0 or t_end <= 0:
-        raise InvalidParameters("step and t_end must be positive")
+    if not (0.0 < step < math.inf and 0.0 < t_end < math.inf):
+        raise InvalidParameters("step and t_end must be finite and positive")
     if kind == TODA:
         field = _toda_field
-        x = _check_symmetry(_as_square(x0)).copy()
+        x = _check_symmetry(_as_square(x0))
     elif kind == QR:
         field = _qr_field
-        x = SpdMatrix(x0).entries.copy() if not isinstance(x0, SpdMatrix) else x0.entries.copy()
+        x = (x0 if isinstance(x0, SpdMatrix) else SpdMatrix(x0)).entries
     else:
         raise InvalidParameters(f"unknown flow kind {kind!r}")
+    _check_state_budget(t_end, step, x.shape[0])
 
     initial_spectrum = np.linalg.eigvalsh(x)
     max_drift = 0.0
     times = [0.0]
-    states = [x.copy()]
+    states = [x]  # every step below builds a fresh array, and np.array copies at the end
     t = 0.0
-    while t < t_end - 1e-12 * max(t_end, 1.0):
-        h = min(step, t_end - t)
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = 0.5 * (x + x.T)
-        t = t + h
-        drift = np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum))
-        if drift > drift_limit:
-            raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {drift_limit:.1e} at t={t:.6g}")
-        max_drift = max(max_drift, float(drift))
-        times.append(t)
-        states.append(x.copy())
+    # An overflowing step ends in SpectrumDrift below, so numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-12 * max(t_end, 1.0):
+            h = min(step, t_end - t)
+            try:
+                k1 = field(x)
+                k2 = field(x + 0.5 * h * k1)
+                k3 = field(x + 0.5 * h * k2)
+                k4 = field(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = 0.5 * (x + x.T)
+                drift = np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum))
+            except np.linalg.LinAlgError:  # LAPACK may reject a non-finite state outright
+                drift = math.nan
+            t = t + h
+            if not drift <= drift_limit:  # a non-finite state gives a NaN drift
+                raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {drift_limit:.1e} at t={t:.6g}")
+            max_drift = max(max_drift, float(drift))
+            times.append(t)
+            states.append(x)
 
     return FlowTrajectory(
         times=np.array(times),
@@ -132,7 +161,7 @@ def projected_eigenvalues(traj: FlowTrajectory, r: int) -> np.ndarray:
     """Sorted eigenvalues of the leading r x r principal block of every state."""
     if not (1 <= r <= traj.n):
         raise DimensionMismatch(f"projection rank {r} outside 1..{traj.n}")
-    return np.array([np.linalg.eigvalsh(state[:r, :r]) for state in traj.states])
+    return np.linalg.eigvalsh(traj.states[:, :r, :r])
 
 
 def projected_monotonicity(traj: FlowTrajectory, r: int, tol: float = 1e-8) -> tuple[bool, float]:
@@ -156,17 +185,15 @@ def _resolve_scalar(f):
 
 def projected_trace_curve(traj: FlowTrajectory, r: int, f, alpha: float = 1.0) -> np.ndarray:
     """Curve t -> tr f(E_r^T X(t)^alpha E_r).  alpha != 1 requires SPD
-    states (QR flow); f is a nondecreasing scalar tag or callable."""
+    states (QR flow); f is a nondecreasing scalar tag or callable, applied
+    entrywise to the (states, r) array of block eigenvalues."""
     if not (1 <= r <= traj.n):
         raise DimensionMismatch(f"projection rank {r} outside 1..{traj.n}")
     func = _resolve_scalar(f)
-    out = np.empty(len(traj.times))
-    for idx, state in enumerate(traj.states):
-        if alpha != 1.0:
-            state = sym_eig(state).apply(lambda w: w**alpha)
-        w = np.linalg.eigvalsh(state[:r, :r])
-        out[idx] = float(np.sum(func(w)))
-    return out
+    states = traj.states
+    if alpha != 1.0:  # sym_eig checks each state's eigenframe before the power is taken
+        states = np.array([sym_eig(state).apply(lambda w: w**alpha) for state in states])
+    return np.sum(func(np.linalg.eigvalsh(states[:, :r, :r])), axis=1)
 
 
 def preorder_monitor(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +193,48 @@ class TestFlow:
         x0 = matrix("x0.json", 10.0 * np.array([[1.0, 0.9], [0.9, -1.0]]))
         code, _, err = run(capsys, "flow", "--kind", "toda", "--t-end", "5", "--step", "1.0", x0)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("t_end, step", [("1", "nan"), ("1", "inf"), ("nan", "0.1"), ("inf", "0.1")])
+    def test_non_finite_step_or_horizon_is_input_error(self, files, capsys, t_end, step):
+        _, _, matrix, _ = files
+        x0 = matrix("x0.json", np.diag([3.0, 1.0]))
+        code, out, err = run(capsys, "flow", "--kind", "toda", "--t-end", t_end, "--step", step, x0)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["toda", "qr"])
+    def test_overflowing_step_is_one_line_drift_error(self, files, capsys, kind):
+        _, _, matrix, _ = files
+        x0 = matrix("x0.json", random_spd(3, 5, scale=0.5).entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "flow", "--kind", kind, "--t-end", "1e150", "--step", "1e150", x0)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_step_cap_exits_before_integrating(self, files, capsys):
+        _, _, matrix, _ = files
+        x0 = matrix("x0.json", np.diag([3.0, 1.0]))
+        code, out, err = run(capsys, "flow", "--kind", "toda", "--t-end", "1e9", "--step", "1e-9", x0)
+        assert (code, out) == (2, "")
+        assert "state entries" in err and err.count("\n") == 1
+
+
+class TestFlowGolden:
+    """stdout and the --out CSV of `flow` for both kinds at n in {2, 3, 5, 8}
+    and two starts each, pinned byte for byte against
+    tests/data/flow_golden.json."""
+
+    CASES = json.loads((GOLDEN / "flow_golden.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c['kind']}-n{c['n']}-seed{c['seed']}")
+    def test_stdout_and_csv_are_byte_identical(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)  # stdout names the --out path as given
+        Path("x0.json").write_text(case["x0"])
+        code, out, _ = run(capsys, "flow", "--kind", case["kind"], "--t-end", "0.3", "--step", "1e-3",
+                           "--r", str(case["r"]), "--out", "traj.csv", "x0.json")
+        assert (code, out) == (case["exit"], case["stdout"])
+        assert hashlib.sha256(Path("traj.csv").read_bytes()).hexdigest() == case["csv_sha256"]
 
 
 class TestViz2Command:

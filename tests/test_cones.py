@@ -307,6 +307,12 @@ class TestDualCone:
         pairings = np.array(primal) @ np.array(dual).T
         assert pairings.min() >= -1e-9
 
+    @pytest.mark.parametrize("mu, n", [(0.5, 1), (0.0, 3), (3.0, 3), (-1.0, 2), (np.nan, 2)])
+    def test_boundary_sampler_rejects_cones_without_boundary_rays(self, mu, n):
+        # at n = 1, or mu outside (0, n), no draw has a positive discriminant
+        with pytest.raises(InvalidParameters):
+            sample_spectral_boundary(mu, n, derive_rng(0))
+
 
 class TestClassifier:
     def test_examples(self):

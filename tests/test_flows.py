@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from spdorders.errors import (
     MismatchedTrajectories,
     SpectrumDrift,
 )
-from spdorders.flows import projected_trace_curve, trajectory_csv
+from spdorders.flows import (
+    MAX_STATE_ENTRIES,
+    SCALAR_FUNCTIONS,
+    _check_state_budget,
+    projected_trace_curve,
+    trajectory_csv,
+)
 
 
 def tridiagonal(diag, off):
@@ -25,6 +33,51 @@ def tridiagonal(diag, off):
     for i in range(n - 1):
         m[i, i + 1] = m[i + 1, i] = off[i]
     return m
+
+
+def start(kind, n, seed):
+    return random_sym(n, seed, scale=0.5) if kind == "toda" else random_spd(n, seed, scale=0.35).entries
+
+
+def reference_rk4(kind, x0, t_end, step):
+    """The RK4 loop with the field code as it stood before the skew mask was
+    cached and log S was formed as (v * log w) @ v.T: per-call np.tril,
+    an explicit diagonal matrix, and a copy of every state."""
+
+    def skew(a):
+        lower = np.tril(a, k=-1)
+        return lower - lower.T
+
+    def field(x):
+        if kind == "qr":
+            w, v = np.linalg.eigh(x)
+            x_log = v @ np.diag(np.log(w)) @ v.T
+            return x @ skew(x_log) - skew(x_log) @ x
+        return x @ skew(x) - skew(x) @ x
+
+    x = np.array(x0, dtype=float)
+    initial_spectrum = np.linalg.eigvalsh(x)
+    max_drift = 0.0
+    times, states = [0.0], [x.copy()]
+    t = 0.0
+    while t < t_end - 1e-12 * max(t_end, 1.0):
+        h = min(step, t_end - t)
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = 0.5 * (x + x.T)
+        t = t + h
+        max_drift = max(max_drift, float(np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum))))
+        times.append(t)
+        states.append(x.copy())
+    return np.array(times), np.array(states), max_drift
+
+
+def hexes(a):
+    a = np.asarray(a)
+    return a.shape, [float(v).hex() for v in a.ravel()]
 
 
 class TestSkewProjection:
@@ -99,6 +152,22 @@ class TestIntegration:
         with pytest.raises(NotPositiveDefinite):
             integrate_flow("qr", np.diag([1.0, -1.0]), t_end=0.1, step=0.01)
 
+    @pytest.mark.parametrize(
+        "t_end, step", [(1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf), (1.0, -np.inf)]
+    )
+    def test_non_finite_parameters_rejected(self, t_end, step):
+        with pytest.raises(InvalidParameters):
+            integrate_flow("toda", np.eye(2), t_end=t_end, step=step)
+
+    @pytest.mark.parametrize("kind, n", [("toda", 2), ("toda", 3), ("qr", 2), ("qr", 3)])
+    def test_overflowing_step_raises_drift_without_warnings(self, kind, n):
+        # toda at n=2 used to end with a NaN drift that passed the monitor,
+        # at n=3 with LAPACK rejecting the non-finite state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumDrift):
+                integrate_flow(kind, start(kind, n, 0), t_end=1e150, step=1e150)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameters):
             integrate_flow("toda", np.eye(2), t_end=0.0, step=0.1)
@@ -123,6 +192,63 @@ class TestIntegration:
         e1 = np.linalg.norm(coarse - reference)
         e2 = np.linalg.norm(medium - reference)
         assert 8.0 <= e1 / e2 <= 32.0
+
+
+class TestStateBudget:
+    def test_unbounded_horizon_rejected_before_any_step(self):
+        with pytest.raises(InvalidParameters, match="state entries"):
+            integrate_flow("toda", np.eye(2), t_end=1e9, step=1e-9)
+
+    def test_admits_criterion_09(self):
+        _check_state_budget(10.0, 1e-3, 8)  # 10,001 states at n=8
+
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_cap_is_exact(self, n):
+        steps = MAX_STATE_ENTRIES // (n * n) - 1
+        _check_state_budget(float(steps), 1.0, n)
+        with pytest.raises(InvalidParameters):
+            _check_state_budget(float(steps + 1), 1.0, n)
+
+    @pytest.mark.parametrize("t_end, step", [(1e300, 1e-300), (1.0, 5e-324)])
+    def test_overflowing_ratio_rejected(self, t_end, step):
+        with pytest.raises(InvalidParameters):
+            _check_state_budget(t_end, step, 1)
+
+
+CASES = [(kind, n, seed) for kind in ("toda", "qr") for n in (1, 2, 3, 5, 8) for seed in (0, 1)]
+
+
+class TestBitIdentity:
+    """The lean step and the stacked monitors against the loops they replaced."""
+
+    @pytest.mark.parametrize("kind, n, seed", CASES)
+    def test_states_match_reference_loop(self, kind, n, seed):
+        x0 = start(kind, n, seed)
+        traj = integrate_flow(kind, x0, t_end=0.1, step=1e-3)
+        times, states, max_drift = reference_rk4(kind, x0, 0.1, 1e-3)
+        assert hexes(traj.times) == hexes(times)
+        assert hexes(traj.states) == hexes(states)
+        assert traj.max_drift.hex() == max_drift.hex()
+
+    @pytest.mark.parametrize("kind, n, seed", CASES)
+    def test_projected_eigenvalues_match_per_state_loop(self, kind, n, seed):
+        traj = integrate_flow(kind, start(kind, n, seed), t_end=0.1, step=1e-3)
+        for r in range(1, n + 1):
+            loop = np.array([np.linalg.eigvalsh(state[:r, :r]) for state in traj.states])
+            assert hexes(projected_eigenvalues(traj, r)) == hexes(loop)
+
+    @pytest.mark.parametrize("kind, n, seed", CASES)
+    def test_projected_trace_curve_matches_per_state_loop(self, kind, n, seed):
+        traj = integrate_flow(kind, start(kind, n, seed), t_end=0.03, step=1e-3)
+        for tag, func in SCALAR_FUNCTIONS.items():
+            for alpha in (1.0, 0.5, 2.0) if kind == "qr" else (1.0,):
+                for r in sorted({1, (n + 1) // 2, n}):
+                    loop = np.empty(len(traj.times))
+                    for idx, state in enumerate(traj.states):
+                        if alpha != 1.0:
+                            state = sym_eig(state).apply(lambda w: w**alpha)
+                        loop[idx] = float(np.sum(func(np.linalg.eigvalsh(state[:r, :r]))))
+                    assert hexes(projected_trace_curve(traj, r, tag, alpha=alpha)) == hexes(loop)
 
 
 class TestProjections:
