@@ -154,18 +154,18 @@ def _cmd_flow(args) -> int:
 def _cmd_viz2(args) -> int:
     if args.what == "section" and (args.cone is None or args.at is None):
         raise SpdError("viz2 section needs --cone and --at")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.what == "section":
         spec = docio.read_cone_spec_file(args.cone)
         sigma = spd_validate(docio.read_matrix_file(args.at))
-        polyline = cone_cross_section(spec, phi(sigma), args.resolution)
-        path = outdir / docio.section_filename(spec)
-        docio.write_rows_csv(path, polyline, header=("dx", "dy", "dz"))
+        rows = cone_cross_section(spec, phi(sigma), args.resolution)
+        name, header = docio.section_filename(spec), ("dx", "dy", "dz")
     else:
-        grid = hyperboloid_leaf(args.c, args.resolution)
-        path = outdir / docio.leaf_filename(args.c)
-        docio.write_rows_csv(path, grid.reshape(-1, 3), header=("x", "y", "z"))
+        rows = hyperboloid_leaf(args.c, args.resolution).reshape(-1, 3)
+        name, header = docio.leaf_filename(args.c), ("x", "y", "z")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)  # only once the export has succeeded
+    path = outdir / name
+    docio.write_rows_csv(path, rows, header=header)
     _emit({"written": str(path)})
     return 0
 

@@ -126,7 +126,7 @@ class Spectrum:
     def apply(self, f) -> np.ndarray:
         """Return V f(w) V^T with f applied entrywise to the eigenvalues."""
         v = self.eigenvectors
-        return v @ np.diag(f(self.eigenvalues)) @ v.T
+        return (v * f(self.eigenvalues)) @ v.T  # v * d is v @ diag(d): one product per entry
 
 
 def sym_eig(a) -> Spectrum:

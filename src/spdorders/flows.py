@@ -25,7 +25,8 @@ TODA = "toda"
 QR = "qr"
 
 DRIFT_LIMIT = 1e-5  # absolute drift of any sorted eigenvalue before bailing out
-MAX_STATE_ENTRIES = 10_000_000  # (steps + 1) * n^2 stored floats, 80 MB of states
+MAX_STATE_ENTRIES = 10_000_000  # (ceil(t_end / step) + 2) * n^2 stored floats, 80 MB of states
+MONOTONE_TOL = 1e-8  # per-step decrease the projection monitors still accept as nondecreasing
 
 SCALAR_FUNCTIONS = {
     "identity": lambda w: w,
@@ -87,26 +88,30 @@ class FlowTrajectory:
         return self.max_drift
 
 
-def _check_state_budget(t_end: float, step: float, n: int) -> None:
-    """Reject a run whose (ceil(t_end / step) + 1) * n^2 stored state
-    entries would exceed MAX_STATE_ENTRIES, before anything is allocated."""
+def _check_state_budget(t_end: float, step: float, n: int) -> int:
+    """Return ceil(t_end / step) + 2, the most states a run stores (the
+    rounded sum of t can fall short of t_end by one tiny step: t_end=1,
+    step=1e-5 takes 100,001 steps), or reject the run when they would
+    hold more than MAX_STATE_ENTRIES entries."""
     ratio = t_end / step
-    if not ratio <= MAX_STATE_ENTRIES or (math.ceil(ratio) + 1) * n * n > MAX_STATE_ENTRIES:
+    if not ratio <= MAX_STATE_ENTRIES or (math.ceil(ratio) + 2) * n * n > MAX_STATE_ENTRIES:
         raise InvalidParameters(
             f"t_end/step = {ratio:.3g} steps at n={n} would store more than {MAX_STATE_ENTRIES} state entries"
         )
+    return math.ceil(ratio) + 2
 
 
-def integrate_flow(kind: str, x0, t_end: float, step: float, drift_limit: float = DRIFT_LIMIT) -> FlowTrajectory:
+def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     """Integrate the Toda flow X' = [X, skew(X)] or the QR flow
     S' = [S, skew(log S)] with fixed-step RK4.
 
     The initial matrix must be symmetric (SPD for the QR flow).  step and
     t_end must be finite and positive, and the trajectory may store at
-    most MAX_STATE_ENTRIES floats, (ceil(t_end / step) + 1) * n^2; both
-    are checked before the first step.  Raises SpectrumDrift as soon as
-    any sorted eigenvalue deviates from the initial spectrum by more than
-    drift_limit, or a step leaves the finite numbers, which signals that
+    most MAX_STATE_ENTRIES floats, (ceil(t_end / step) + 2) * n^2; both
+    are checked before the first step, and the states are written into
+    one array of that size.  Raises SpectrumDrift as soon as any sorted
+    eigenvalue deviates from the initial spectrum by more than
+    DRIFT_LIMIT, or a step leaves the finite numbers, which signals that
     the step is too large.
     """
     if not (0.0 < step < math.inf and 0.0 < t_end < math.inf):
@@ -119,12 +124,13 @@ def integrate_flow(kind: str, x0, t_end: float, step: float, drift_limit: float 
         x = (x0 if isinstance(x0, SpdMatrix) else SpdMatrix(x0)).entries
     else:
         raise InvalidParameters(f"unknown flow kind {kind!r}")
-    _check_state_budget(t_end, step, x.shape[0])
+    capacity = _check_state_budget(t_end, step, x.shape[0])
 
     initial_spectrum = np.linalg.eigvalsh(x)
     max_drift = 0.0
-    times = [0.0]
-    states = [x]  # every step below builds a fresh array, and np.array copies at the end
+    times = np.empty(capacity)
+    states = np.empty((capacity,) + x.shape)
+    times[0], states[0], count = 0.0, x, 1
     t = 0.0
     # An overflowing step ends in SpectrumDrift below, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,15 +147,15 @@ def integrate_flow(kind: str, x0, t_end: float, step: float, drift_limit: float 
             except np.linalg.LinAlgError:  # LAPACK may reject a non-finite state outright
                 drift = math.nan
             t = t + h
-            if not drift <= drift_limit:  # a non-finite state gives a NaN drift
-                raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {drift_limit:.1e} at t={t:.6g}")
+            if not drift <= DRIFT_LIMIT:  # a non-finite state gives a NaN drift
+                raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {DRIFT_LIMIT:.1e} at t={t:.6g}")
             max_drift = max(max_drift, float(drift))
-            times.append(t)
-            states.append(x)
+            times[count], states[count] = t, x
+            count += 1
 
     return FlowTrajectory(
-        times=np.array(times),
-        states=np.array(states),
+        times=times[:count],
+        states=states[:count],
         flow_kind=kind,
         step=float(step),
         initial_spectrum=initial_spectrum,
@@ -164,14 +170,18 @@ def projected_eigenvalues(traj: FlowTrajectory, r: int) -> np.ndarray:
     return np.linalg.eigvalsh(traj.states[:, :r, :r])
 
 
-def projected_monotonicity(traj: FlowTrajectory, r: int, tol: float = 1e-8) -> tuple[bool, float]:
-    """Whether every ordered eigenvalue curve of the leading r x r block is
-    nondecreasing, plus the worst per-step decrease observed."""
-    curves = projected_eigenvalues(traj, r)
+def _worst_step(curves: np.ndarray) -> float:
+    """Smallest change between consecutive states, 0.0 for a single state."""
     if len(curves) < 2:
-        return True, 0.0
-    worst = float(np.min(np.diff(curves, axis=0)))
-    return worst >= -tol, worst
+        return 0.0
+    return float(np.min(np.diff(curves, axis=0)))
+
+
+def projected_monotonicity(traj: FlowTrajectory, r: int) -> tuple[bool, float]:
+    """Whether every ordered eigenvalue curve of the leading r x r block is
+    nondecreasing up to MONOTONE_TOL, plus the worst per-step decrease."""
+    worst = _worst_step(projected_eigenvalues(traj, r))
+    return worst >= -MONOTONE_TOL, worst
 
 
 def _resolve_scalar(f):
@@ -201,14 +211,14 @@ def preorder_monitor(
     traj2: FlowTrajectory,
     f,
     r: int,
-    tol: float = 1e-8,
     alpha: float = 1.0,
 ) -> bool:
     """Check the half-space preorder behaviour of two projected flows.
 
     Both projected trace curves tr f(X_r(t)) must be nondecreasing, and
     when the initial full traces satisfy tr(X(0) - Xhat(0)) >= 0 the gap
-    between the curves must stay above that initial trace difference.
+    between the curves must stay above that initial trace difference,
+    both up to MONOTONE_TOL.
     """
     if traj1.times.shape != traj2.times.shape or not np.allclose(traj1.times, traj2.times, atol=1e-12):
         raise MismatchedTrajectories("time grids differ")
@@ -216,10 +226,10 @@ def preorder_monitor(
         raise MismatchedTrajectories("dimensions differ")
     c1 = projected_trace_curve(traj1, r, f, alpha=alpha)
     c2 = projected_trace_curve(traj2, r, f, alpha=alpha)
-    if np.min(np.diff(c1)) < -tol or np.min(np.diff(c2)) < -tol:
+    if _worst_step(c1) < -MONOTONE_TOL or _worst_step(c2) < -MONOTONE_TOL:
         return False
     delta0 = float(np.trace(traj1.states[0]) - np.trace(traj2.states[0]))
-    if delta0 >= 0.0 and np.min(c1 - c2) < delta0 - tol:
+    if delta0 >= 0.0 and np.min(c1 - c2) < delta0 - MONOTONE_TOL:
         return False
     return True
 

@@ -43,37 +43,28 @@ def inner_product(metric: MetricSpec, sigma: SpdMatrix, x, y) -> float:
     return float(np.sum(wx * wy.T) + metric.mu_metric * np.trace(wx) * np.trace(wy))
 
 
-def _sqrt_factors(sigma: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    spec = sigma.spectrum
-    root = np.sqrt(spec.eigenvalues)
-    v = spec.eigenvectors
-    return v @ np.diag(root) @ v.T, v @ np.diag(1.0 / root) @ v.T
-
-
-def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix):
-    """Square root factor of sigma1 and the eigendecomposition of the
-    relative matrix sigma1^{-1/2} sigma2 sigma1^{-1/2}.
-
-    Returns (root, u, w) with root = sigma1^{1/2}, columns of u the
-    eigenvectors and w the ascending eigenvalues of the relative matrix.
+def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The frame (b, w) that diagonalizes a pair: sigma1 = b b^T and
+    sigma2 = b diag(w) b^T, with w the ascending eigenvalues and u the
+    eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2}, and b = sigma1^{1/2} u.
     Raises IllConditioned when the relative spectrum spans more than 1e12.
     """
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
-    root, inv_root = _sqrt_factors(sigma1)
+    spec = sigma1.spectrum
+    inv_root = spec.apply(lambda w: 1.0 / np.sqrt(w))
     rel = inv_root @ sigma2.entries @ inv_root
     rel = 0.5 * (rel + rel.T)
     w, u = np.linalg.eigh(rel)
     require_well_conditioned(w, "relative matrix of the pair")
-    return root, u, w
+    return spec.apply(np.sqrt) @ u, w
 
 
 def relative_eigenvalues(sigma1: SpdMatrix, sigma2: SpdMatrix) -> np.ndarray:
     """Ascending eigenvalues of sigma2 sigma1^{-1}, computed through the
     symmetric similar matrix sigma1^{-1/2} sigma2 sigma1^{-1/2} so the
     output is guaranteed real and positive."""
-    _, _, w = relative_eigenframe(sigma1, sigma2)
-    return w
+    return relative_eigenframe(sigma1, sigma2)[1]
 
 
 def geodesic(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SpdMatrix:
@@ -82,17 +73,14 @@ def geodesic(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SpdMatrix:
 
     Defined for every real t; t=0 and t=1 reproduce the endpoints.
     """
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
-    return SpdMatrix(b @ np.diag(w**t) @ b.T)
+    b, w = relative_eigenframe(sigma1, sigma2)
+    return SpdMatrix((b * w**t) @ b.T)
 
 
 def geodesic_velocity(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SymTangent:
     """Analytic velocity of the geodesic at parameter t."""
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
-    logw = np.log(w)
-    return SymTangent(b @ np.diag(logw * w**t) @ b.T)
+    b, w = relative_eigenframe(sigma1, sigma2)
+    return SymTangent((b * (np.log(w) * w**t)) @ b.T)
 
 
 def riemannian_exp(sigma: SpdMatrix, x) -> SpdMatrix:
@@ -100,29 +88,27 @@ def riemannian_exp(sigma: SpdMatrix, x) -> SpdMatrix:
     x = as_tangent(x)
     if x.n != sigma.n:
         raise DimensionMismatch("tangent dimension differs from base point")
-    root, inv_root = _sqrt_factors(sigma)
+    inv_root = sigma.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
     s = inv_root @ x.entries @ inv_root
     spec = sym_eig(0.5 * (s + s.T))
     w = spec.eigenvalues
     if w[-1] - w[0] > np.log(1e12):
         raise IllConditioned("exponential image would exceed the condition cap")
+    root = sigma.spectrum.apply(np.sqrt)
     return SpdMatrix(root @ spec.apply(np.exp) @ root)
 
 
 def riemannian_log(sigma1: SpdMatrix, sigma2: SpdMatrix) -> SymTangent:
     """Inverse of riemannian_exp: the initial velocity of the geodesic
     from sigma1 to sigma2."""
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
-    return SymTangent(b @ np.diag(np.log(w)) @ b.T, base=sigma1)
+    b, w = relative_eigenframe(sigma1, sigma2)
+    return SymTangent((b * np.log(w)) @ b.T, base=sigma1)
 
 
 def geometric_mean(sigma1: SpdMatrix, sigma2: SpdMatrix) -> SpdMatrix:
     """Geometric mean sigma1^{1/2} (sigma1^{-1/2} sigma2 sigma1^{-1/2})^{1/2} sigma1^{1/2},
     the midpoint of the invariant geodesic."""
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
-    return SpdMatrix(b @ np.diag(np.sqrt(w)) @ b.T)
+    return geodesic(sigma1, sigma2, 0.5)
 
 
 def det_leaf(sigma: SpdMatrix) -> float:

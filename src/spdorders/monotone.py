@@ -70,9 +70,6 @@ class SmoothMap:
             return SpdMatrix(self.factor * sigma.entries)
         return SpdMatrix(sigma.entries + self.matrix)
 
-    def differential(self, sigma: SpdMatrix, x) -> SymTangent:
-        return map_differential(self, sigma, x)
-
 
 def power_map(r: float) -> SmoothMap:
     return SmoothMap(POWER, exponent=float(r))
@@ -187,7 +184,8 @@ class PositivityReport:
     def is_positive(self) -> bool:
         return not self.violations
 
-    def to_dict(self, max_witnesses: int = 5) -> dict:
+    def to_dict(self) -> dict:
+        """JSON-ready summary; violation_count is exact, witnesses lists the first five."""
         return {
             "map": self.map_label,
             "cone": self.cone.to_dict(),
@@ -200,7 +198,7 @@ class PositivityReport:
                     "direction": tan.entries.tolist(),
                     "output_margin": margin,
                 }
-                for sig, tan, margin in self.violations[:max_witnesses]
+                for sig, tan, margin in self.violations[:5]
             ],
         }
 
@@ -212,7 +210,6 @@ def check_differential_positivity(
     n_points: int,
     n_directions: int,
     tol: float = DEFAULT_TOL,
-    point_scale: float = 0.7,
 ) -> PositivityReport:
     """Sample base points and cone rays, push the rays through the map
     differential, and record every landing outside the cone at the image.
@@ -228,7 +225,7 @@ def check_differential_positivity(
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
     boundary = [j % 2 == 0 for j in range(n_directions)]
     for i in range(n_points):
-        sigma = random_spd(spec.n, derive_rng(seed, i), scale=point_scale)
+        sigma = random_spd(spec.n, derive_rng(seed, i), scale=0.7)
         image = m.apply(sigma)
         rngs = [derive_rng(seed, i, j + 1) for j in range(n_directions)]
         xs = sample_cone_tangents(spec, sigma, rngs, boundary)

@@ -109,8 +109,25 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     return OrderVerdict(INCOMPARABLE, fwd, rev)
 
 
-def _straight_line_point(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SpdMatrix:
-    return SpdMatrix((1.0 - t) * sigma1.entries + t * sigma2.entries)
+def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):
+    """The conal path from sigma1 to sigma2, mapping t (a float or a
+    (k, 1, 1) array) to raw point and velocity entries, and whether it is
+    numerically constant.  Translation specs use the straight line (their
+    cone field is constant, so the segment is conal exactly when the order
+    holds), the others the invariant geodesic b diag(w^t) b^T."""
+    if spec.kind in _TRANSLATION_KINDS:
+        def line(t):
+            points = (1.0 - t) * sigma1.entries + t * sigma2.entries
+            return points, np.broadcast_to(sigma2.entries - sigma1.entries, points.shape)
+        return line, False
+    b, w = relative_eigenframe(sigma1, sigma2)
+    logw = np.log(w)
+
+    def curve(t):
+        powers = w**t  # a float t keeps numpy's scalar-exponent path: w**0.5 is sqrt(w)
+        return (b * powers) @ b.T, (b * (logw * powers)) @ b.T
+
+    return curve, bool(np.linalg.norm(logw) <= 1e-10)
 
 
 def conal_path_oracle(
@@ -123,31 +140,19 @@ def conal_path_oracle(
     """Cross-validation oracle: discretize the conal path from sigma1 to
     sigma2 and test the velocity against the cone at every sample.
 
-    Affine-invariant specs use the invariant geodesic; translation
-    specs use the straight line (their cone field is constant, so the
-    segment is conal exactly when the order holds).  True iff every
-    membership margin is >= -10*tol.  All samples are built and tested
-    as one stack, with SpdMatrix's and SymTangent's guards on every
-    point and velocity; the first sample that fails decides, so an
-    invalid point raises only when no earlier sample is outside the cone.
+    True iff every membership margin is >= -10*tol.  All samples are
+    built and tested as one stack, with SpdMatrix's and SymTangent's
+    guards on every point and velocity; the first sample that fails
+    decides, so an invalid point raises only when no earlier sample is
+    outside the cone.
     """
     if samples < 2:
         raise InvalidParameters("need at least two path samples")
 
-    ts = np.linspace(0.0, 1.0, samples)
-    if spec.kind in _TRANSLATION_KINDS:
-        t = ts[:, None, None]
-        points = (1.0 - t) * sigma1.entries + t * sigma2.entries
-        velocities = np.broadcast_to(sigma2.entries - sigma1.entries, points.shape)
-    else:
-        root, u, w = relative_eigenframe(sigma1, sigma2)
-        b = root @ u
-        logw = np.log(w)
-        if np.linalg.norm(logw) <= 1e-10:
-            return True  # numerically constant path: zero velocity everywhere
-        powers = w ** ts[:, None]
-        points = (b * powers[:, None, :]) @ b.T
-        velocities = (b * (logw * powers)[:, None, :]) @ b.T
+    path, constant = _conal_path(spec, sigma1, sigma2)
+    if constant:
+        return True  # numerically constant path: zero velocity everywhere
+    points, velocities = path(np.linspace(0.0, 1.0, samples)[:, None, None])
 
     points, _, _, err = _validate_spd_stack(points)
     velocities, verr = _validate_sym_stack(velocities[: len(points)])
@@ -170,20 +175,13 @@ def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: f
     return riemannian_exp(sigma, SymTangent(size * direction.entries))
 
 
-def random_ordered_pair(
-    spec: ConeSpec,
-    n: int,
-    seed: int,
-    scale: float = 0.6,
-    step: float | None = None,
-) -> tuple[SpdMatrix, SpdMatrix]:
+def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
     """Deterministic ordered pair sigma1 <= sigma2 for the given spec,
     built by stepping from a random point along an interior cone ray."""
     rng = derive_rng(seed)
-    sigma1 = random_spd(n, rng, scale=scale)
+    sigma1 = random_spd(n, rng, scale=0.6)
     direction = sample_cone_tangent(spec, sigma1, rng, boundary=False)
-    size = step if step is not None else float(rng.uniform(0.3, 1.2))
-    return sigma1, _conal_step(spec, sigma1, direction, size)
+    return sigma1, _conal_step(spec, sigma1, direction, float(rng.uniform(0.3, 1.2)))
 
 
 def order_interval_sample(
@@ -205,14 +203,8 @@ def order_interval_sample(
     if pre.relation not in (LESS_EQUAL, EQUAL):
         raise NotOrdered(f"endpoints compare as {pre.relation}")
 
-    if spec.kind not in _TRANSLATION_KINDS and count > 0:
-        root, u, w = relative_eigenframe(sigma1, sigma2)
-        b = root @ u
-
-    def path_point(t: float) -> SpdMatrix:
-        if spec.kind in _TRANSLATION_KINDS:
-            return _straight_line_point(sigma1, sigma2, t)
-        return SpdMatrix(b @ np.diag(w**t) @ b.T)
+    if count > 0:
+        path, _ = _conal_path(spec, sigma1, sigma2)
 
     def valid(candidate: SpdMatrix) -> bool:
         lo = order_compare(spec, sigma1, candidate, tol=tol)
@@ -223,7 +215,7 @@ def order_interval_sample(
     for i in range(count):
         rng = derive_rng(seed, i)
         t = 0.5 if i == 0 else float(rng.uniform(0.05, 0.95))
-        base = path_point(t)
+        base = SpdMatrix(path(t)[0])
         chosen = None
         if i > 0:
             direction = sample_cone_tangent(spec, base, rng, boundary=False)

@@ -20,6 +20,7 @@ from .core import SpdMatrix, as_tangent
 from .errors import DimensionMismatch, EmptySection, InvalidParameters, OutsideCone
 
 _SQRT2 = math.sqrt(2.0)
+MAX_RESOLUTION = 1024  # arcs per section and grid points per leaf axis
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,16 @@ def _interior_axis(spec: ConeSpec, p: ConePoint3) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def cone_cross_section(spec: ConeSpec, p: ConePoint3, resolution: int, theta_tol: float = 1e-10) -> np.ndarray:
+def cone_cross_section(spec: ConeSpec, p: ConePoint3, resolution: int) -> np.ndarray:
     """Boundary curve of the cone at p, as unit tangent directions.
 
-    Sweeps `resolution` great-circle arcs from the interior axis to its
-    antipode and bisects each to the zero crossing of the membership
-    margin.  Raises EmptySection for the ray field.
+    Sweeps `resolution` great-circle arcs (8 to MAX_RESOLUTION) from the
+    interior axis to its antipode and bisects each to within 1e-10 rad of
+    the zero crossing of the membership margin.  Raises EmptySection for
+    the ray field.
     """
-    if resolution < 8:
-        raise InvalidParameters("resolution must be at least 8")
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise InvalidParameters(f"resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
     if spec.kind == RAY:
         raise EmptySection("the ray field has no two-dimensional section")
     if spec.n != 2:
@@ -163,7 +165,7 @@ def cone_cross_section(spec: ConeSpec, p: ConePoint3, resolution: int, theta_tol
         lo, hi = 0.0, math.pi
         # margin is positive at the axis and negative at the antipode;
         # convexity gives a single crossing along the arc
-        while hi - lo > theta_tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             if _section_margin(spec, p, direction(mid)) >= 0.0:
                 lo = mid
@@ -173,21 +175,21 @@ def cone_cross_section(spec: ConeSpec, p: ConePoint3, resolution: int, theta_tol
     return out
 
 
-def hyperboloid_leaf(c: float, resolution: int, rho_max: float | None = None) -> np.ndarray:
+def hyperboloid_leaf(c: float, resolution: int) -> np.ndarray:
     """Parametric grid of the leaf z^2 - x^2 - y^2 = c (c >= 0).
 
     Every grid point with c > 0 maps to an SPD matrix of determinant
     c/2; the limiting c = 0 surface is the boundary of the cone itself,
     so those points are not valid interior ConePoint3 values and raw
-    coordinates are returned instead.  Shape (resolution, resolution, 3).
+    coordinates are returned instead.  The radius rho = sqrt(x^2 + y^2)
+    runs from 0 to 2 sqrt(c + 1).  Shape (resolution, resolution, 3),
+    with resolution from 8 to MAX_RESOLUTION.
     """
     if c < 0:
         raise InvalidParameters("leaf label must be >= 0")
-    if resolution < 8:
-        raise InvalidParameters("resolution must be at least 8")
-    if rho_max is None:
-        rho_max = 2.0 * math.sqrt(c + 1.0)
-    rho = np.linspace(0.0, rho_max, resolution)
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise InvalidParameters(f"resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
+    rho = np.linspace(0.0, 2.0 * math.sqrt(c + 1.0), resolution)
     theta = np.linspace(0.0, 2.0 * math.pi, resolution)
     rr, tt = np.meshgrid(rho, theta, indexing="ij")
     grid = np.empty((resolution, resolution, 3))

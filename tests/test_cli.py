@@ -237,6 +237,34 @@ class TestFlowGolden:
         assert hashlib.sha256(Path("traj.csv").read_bytes()).hexdigest() == case["csv_sha256"]
 
 
+class TestGeometryGolden:
+    """stdout of `order`, `geodesic --t 0.3`, `geodesic --t 0.5` and `mean`
+    for all five cone kinds at n in {2, 3, 5}, on random and ordered pairs
+    at two seeds each, pinned byte for byte against
+    tests/data/geometry_golden.json, which was captured by running
+    `python -m spdorders` as a subprocess on each case's documents."""
+
+    CASES = json.loads((GOLDEN / "geometry_golden.json").read_text())
+    COMMANDS = {
+        "order": ["order", "--cone", "cone.json"],
+        "geodesic_0.3": ["geodesic", "--t", "0.3"],
+        "geodesic_0.5": ["geodesic", "--t", "0.5"],
+        "mean": ["mean"],
+    }
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=lambda c: f"{c['cone']['kind']}-n{c['cone']['n']}-{c['pair']}-seed{c['seed']}"
+    )
+    def test_stdout_is_byte_identical(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        Path("cone.json").write_text(json.dumps(case["cone"]))
+        Path("a.json").write_text(case["a"])
+        Path("b.json").write_text(case["b"])
+        for key, argv in self.COMMANDS.items():
+            code, out, _ = run(capsys, *argv, "a.json", "b.json")
+            assert (code, out) == (case[key]["exit"], case[key]["stdout"]), key
+
+
 class TestViz2Command:
     def test_section_file_naming(self, files, capsys, tmp_path):
         _, _, matrix, cone = files
@@ -271,6 +299,18 @@ class TestViz2Command:
                              "--outdir", str(outdir))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not outdir.exists()
+
+    # without the cap a section runs one bisection per arc, about 12 h at
+    # 10^8, so only the leaf is driven that far
+    @pytest.mark.parametrize("what, resolution", [("section", "1025"), ("leaf", "1025"), ("leaf", "100000000")])
+    def test_resolution_above_cap_is_input_error(self, files, capsys, tmp_path, what, resolution):
+        _, _, matrix, cone = files
+        inputs = ["--cone", cone("cone.json", kind="loewner", n=2), "--at", matrix("s.json", np.eye(2))]
+        outdir = tmp_path / "viz"
+        code, out, err = run(capsys, "viz2", what, *inputs, "--resolution", resolution, "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "resolution" in err
         assert not outdir.exists()
 
     def test_ray_section_is_input_error(self, files, capsys, tmp_path):

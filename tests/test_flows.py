@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from spdorders.flows import (
     MAX_STATE_ENTRIES,
     SCALAR_FUNCTIONS,
     _check_state_budget,
+    projected_monotonicity,
     projected_trace_curve,
     trajectory_csv,
 )
@@ -204,7 +207,7 @@ class TestStateBudget:
 
     @pytest.mark.parametrize("n", [1, 8, 64])
     def test_cap_is_exact(self, n):
-        steps = MAX_STATE_ENTRIES // (n * n) - 1
+        steps = MAX_STATE_ENTRIES // (n * n) - 2  # ceil(t_end / step) + 2 states
         _check_state_budget(float(steps), 1.0, n)
         with pytest.raises(InvalidParameters):
             _check_state_budget(float(steps + 1), 1.0, n)
@@ -213,6 +216,27 @@ class TestStateBudget:
     def test_overflowing_ratio_rejected(self, t_end, step):
         with pytest.raises(InvalidParameters):
             _check_state_budget(t_end, step, 1)
+
+    def test_budget_counts_the_last_tiny_step(self):
+        # replays the loop's arithmetic: the rounded sum of 100,000 steps
+        # of 1e-5 falls short of 1, so the loop takes one more tiny step
+        t_end, step, t, states = 1.0, 1e-5, 0.0, 1
+        while t < t_end - 1e-12 * max(t_end, 1.0):
+            t = t + min(step, t_end - t)
+            states += 1
+        assert states == math.ceil(t_end / step) + 2 == 100_002
+        assert _check_state_budget(t_end, step, 2) == states
+
+    def test_states_are_stored_without_a_second_copy(self):
+        x0 = random_sym(8, 5, scale=0.5)
+        tracemalloc.start()
+        try:
+            traj = integrate_flow("toda", x0, t_end=3.0, step=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (3001, 8, 8)
+        assert peak <= 1.2 * traj.states.nbytes
 
 
 CASES = [(kind, n, seed) for kind in ("toda", "qr") for n in (1, 2, 3, 5, 8) for seed in (0, 1)]
@@ -312,6 +336,18 @@ class TestPreorderMonitor:
             for r in (1, 2, 3):
                 curve = projected_trace_curve(traj, r, "exp", alpha=alpha)
                 assert np.min(np.diff(curve)) >= -1e-8
+
+    def test_single_state_trajectories(self):
+        # t_end below the loop's slack: no step is taken
+        x0 = random_sym(3, 4)
+        one = integrate_flow("toda", x0, t_end=1e-13, step=1e-3)
+        up = integrate_flow("toda", x0 + np.eye(3), t_end=1e-13, step=1e-3)
+        assert len(one.times) == 1
+        assert projected_monotonicity(one, 2) == (True, 0.0)
+        assert preorder_monitor(one, one, "exp", 2)
+        # tr(up - one) = 3 at t = 0, but the leading 2 x 2 traces differ by 2
+        assert not preorder_monitor(up, one, "identity", 2)
+        assert preorder_monitor(up, one, "identity", 3)
 
     def test_mismatched_grids_rejected(self):
         x0 = random_sym(3, 2)

@@ -206,8 +206,7 @@ def reference_oracle(spec, sigma1, sigma2, samples, tol=1e-10):
             if cone_membership(spec, point, velocity, tol=tol).margin < -10.0 * tol:
                 return False
         return True
-    root, u, w = relative_eigenframe(sigma1, sigma2)
-    b = root @ u
+    b, w = relative_eigenframe(sigma1, sigma2)
     logw = np.log(w)
     if np.linalg.norm(logw) <= 1e-10:
         return True
@@ -337,11 +336,13 @@ class TestIntervalSampling:
     def test_first_sample_is_the_midpoint(self):
         from spdorders.geometry import geodesic
 
-        spec = quadratic_affine(1.2, 3)
-        s1, s2 = random_ordered_pair(spec, 3, 21)
-        points = order_interval_sample(spec, s1, s2, seed=5, count=1)
-        mid = geodesic(s1, s2, 0.5)
-        assert np.allclose(points[0].entries, mid.entries, rtol=1e-9)
+        # The ray and half-space cases tell w**0.5, numpy's sqrt, from a
+        # midpoint that shares an array exponent with the other samples.
+        cases = [(quadratic_affine(1.2, 3), 21, 5, 1), (ray_affine(3), 0, 0, 5), (half_space_affine(1), 1, 1, 5)]
+        for spec, pair_seed, seed, count in cases:
+            s1, s2 = random_ordered_pair(spec, spec.n, pair_seed)
+            points = order_interval_sample(spec, s1, s2, seed=seed, count=count)
+            assert np.array_equal(points[0].entries, geodesic(s1, s2, 0.5).entries)
 
     def test_endpoints_are_valid_interval_points(self):
         spec = quadratic_affine(1.2, 3)

@@ -23,7 +23,7 @@ from spdorders import (
 )
 from spdorders.core import random_sym
 from spdorders.errors import DimensionMismatch, EmptySection, InvalidParameters, OutsideCone
-from spdorders.viz2 import coordinate_margins, coords_to_tangent, tangent_to_coords
+from spdorders.viz2 import MAX_RESOLUTION, coordinate_margins, coords_to_tangent, tangent_to_coords
 
 SQRT2 = math.sqrt(2.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -169,6 +169,12 @@ class TestCrossSections:
         with pytest.raises(InvalidParameters):
             cone_cross_section(quadratic_affine(1.0, 2), phi(random_spd(2, 1)), 4)
 
+    def test_resolution_cap(self):
+        p = phi(random_spd(2, 1))
+        assert len(cone_cross_section(quadratic_affine(1.0, 2), p, 256)) == 256
+        with pytest.raises(InvalidParameters, match="resolution"):
+            cone_cross_section(quadratic_affine(1.0, 2), p, MAX_RESOLUTION + 1)
+
 
 class TestHyperboloidLeaves:
     def test_zero_label_gives_the_cone_boundary(self):
@@ -197,3 +203,9 @@ class TestHyperboloidLeaves:
             hyperboloid_leaf(-1.0, 16)
         with pytest.raises(InvalidParameters):
             hyperboloid_leaf(1.0, 4)
+
+    def test_resolution_cap(self):
+        # rejected before the grid is allocated
+        for resolution in (MAX_RESOLUTION + 1, 10**8):
+            with pytest.raises(InvalidParameters, match="resolution"):
+                hyperboloid_leaf(2.0, resolution)
