@@ -66,7 +66,10 @@ class ConeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConeSpec":
-        return cls(kind=d.get("kind"), n=int(d.get("n", 0)), mu=d.get("mu"))
+        n = d.get("n")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvalidParameters(f'"n" must be an integer, got {n!r}')
+        return cls(kind=d.get("kind"), n=n, mu=d.get("mu"))
 
 
 def quadratic_affine(mu: float, n: int) -> ConeSpec:
@@ -151,15 +154,21 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     BINDINGS; row i is inside iff its margin is >= -tol.  Margins are
     invariant under rescaling of the tangent (and, for the affine
     families, under congruence), so one tolerance works across
-    magnitudes.  A tangent whose norm or invariant magnitude is zero (or
-    underflows to zero) is inside every cone with margin +1, reported
-    against the tie-breaking quadratic constraint.  An empty stack gives
-    empty results.
+    magnitudes; a row whose largest |entry| is >= 2^500 is brought into
+    [0.5, 1) by an exact power of two before it is squared, and smaller
+    rows are left untouched.  A tangent whose norm or invariant magnitude
+    is zero (or underflows to zero) is inside every cone with margin +1,
+    reported against the tie-breaking quadratic constraint.  An empty
+    stack gives empty results.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or sigmas.shape != xs.shape or xs.shape[1:] != (spec.n, spec.n):
         raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
+    abs_xs = np.abs(xs)
+    if abs_xs.max(initial=0.0) >= 2.0**500:
+        peak = abs_xs.max(axis=(1, 2))
+        xs = np.ldexp(xs, -np.where(peak >= 2.0**500, np.frexp(peak)[1], 0)[:, None, None])
     affine = spec.kind not in (LOEWNER, QUAD_TRANSLATE)
     xnorm = _row_norms(xs)
     zero = xnorm == 0.0

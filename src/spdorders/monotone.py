@@ -37,6 +37,8 @@ CONGRUENCE = "congruence"
 SCALING = "scaling"
 TRANSLATION = "translation"
 
+MAX_SAMPLES = 10**5  # points x directions per check_differential_positivity call
+
 
 @dataclass(frozen=True)
 class SmoothMap:
@@ -218,10 +220,12 @@ def check_differential_positivity(
     concentrate) and interior rays.  Each sample's random stream is
     derived from (seed, point index, direction index), so the aggregate
     is independent of execution order.  Each base point samples, maps
-    and tests its directions as one stack.
+    and tests its directions as one stack; MAX_SAMPLES caps the total.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
+    if n_points * n_directions > MAX_SAMPLES:
+        raise InvalidParameters(f"{n_points} x {n_directions} samples above the cap of {MAX_SAMPLES}")
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
     boundary = [j % 2 == 0 for j in range(n_directions)]
     for i in range(n_points):

@@ -4,7 +4,9 @@ the constant-determinant hyperboloid foliation.
 
 The bijection phi maps [[a, b], [b, c]] to (sqrt(2) b, (a - c)/sqrt(2),
 (a + c)/sqrt(2)); it is linear in the matrix entries, so tangents
-transport by the same map.  Everything here emits plain coordinate
+transport by the same map.  Each cone field at a point pulls back to
+one linear and one quadratic form in these coordinates, so margins and
+cross-sections are closed-form.  Everything here emits plain coordinate
 arrays; plotting is left to the caller's tooling.
 """
 
@@ -15,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import HALF_SPACE, LOEWNER, QUAD_AFFINE, QUAD_TRANSLATE, RAY, ConeSpec
+from .cones import HALF_SPACE, LOEWNER, QUAD_TRANSLATE, RAY, ConeSpec
 from .core import SpdMatrix, as_tangent
 from .errors import DimensionMismatch, EmptySection, InvalidParameters, OutsideCone
 
 _SQRT2 = math.sqrt(2.0)
 MAX_RESOLUTION = 1024  # arcs per section and grid points per leaf axis
+MAX_LEAF_LABEL = 1e307  # a leaf's rim has z^2 = 5c + 4, which must stay finite
 
 
 @dataclass(frozen=True)
@@ -75,108 +78,86 @@ def coords_to_tangent(delta):
     return as_tangent(np.array([[da, db], [db, dc]]))
 
 
+def _section_forms(spec: ConeSpec, p: ConePoint3):
+    """The cone at p pulled back to the coordinates: (unit interior axis,
+    linear form l, 3x3 quadratic form A or None for the half-space, scale
+    s); membership reads l.delta >= 0 and delta^T A delta >= 0.  For
+    quad-affine, A expands |p|^2 (tr(S^-1 X)^2 - mu tr(S^-1 X S^-1 X));
+    its delta_y^2 coefficient carries (z^2 - x^2 + y^2).
+    """
+    if spec.kind in (QUAD_TRANSLATE, LOEWNER):
+        mu = 1.0 if spec.kind == LOEWNER else spec.mu
+        e3 = np.array([0.0, 0.0, 1.0])
+        return e3, e3, np.diag([-1.0, -1.0, 2.0 / mu - 1.0]), 1.0
+    if spec.kind == RAY:
+        raise EmptySection("the ray field has no two-dimensional section")
+    x, y, z = p.x, p.y, p.z
+    lin = np.array([-x, -y, z])
+    pnorm2 = x * x + y * y + z * z
+    if spec.kind == HALF_SPACE:
+        return lin / np.linalg.norm(lin), lin, None, pnorm2
+    m = np.array([
+        [z * z + x * x - y * y, 2.0 * x * y, -2.0 * x * z],
+        [2.0 * x * y, z * z - x * x + y * y, -2.0 * y * z],
+        [-2.0 * x * z, -2.0 * y * z, pnorm2],
+    ])
+    return p.as_array() / math.sqrt(pnorm2), lin, 2.0 * np.outer(lin, lin) - spec.mu * m, pnorm2
+
+
 def coordinate_margins(spec: ConeSpec, p: ConePoint3, delta) -> tuple[float, float | None]:
     """Normalized (linear, quadratic) coordinate-form margins of a tangent
     direction at p.  The quadratic entry is None for the half-space.
 
     These are the closed-form pullbacks of the membership inequalities;
-    signs agree with `cone_membership` through the coordinate map.  Note
-    the quadratic affine form carries delta_y^2 with coefficient
-    (z^2 - x^2 + y^2); expanding tr(S^-1 X)^2 - mu tr(S^-1 X S^-1 X) in
-    these coordinates confirms the sign of the y^2 term.
+    signs agree with `cone_membership` through the coordinate map.
     """
-    x, y, z = p.x, p.y, p.z
-    dx, dy, dz = np.asarray(delta, dtype=float)
-    dnorm2 = dx * dx + dy * dy + dz * dz
-    pnorm2 = x * x + y * y + z * z
+    delta = np.asarray(delta, dtype=float)
+    dnorm2 = float(delta @ delta)
     if dnorm2 == 0.0:
         return 1.0, 1.0
-
-    if spec.kind == QUAD_AFFINE:
-        lin = (z * dz - x * dx - y * dy) / math.sqrt(pnorm2 * dnorm2)
-        quad = 2.0 * (x * dx + y * dy - z * dz) ** 2 - spec.mu * (
-            (z * z + x * x - y * y) * dx * dx
-            + (z * z - x * x + y * y) * dy * dy
-            + (x * x + y * y + z * z) * dz * dz
-            + 4.0 * x * y * dx * dy
-            - 4.0 * x * z * dx * dz
-            - 4.0 * y * z * dy * dz
-        )
-        return lin, quad / (pnorm2 * dnorm2)
-
-    if spec.kind in (QUAD_TRANSLATE, LOEWNER):
-        mu = 1.0 if spec.kind == LOEWNER else spec.mu
-        lin = dz / math.sqrt(dnorm2)
-        quad = ((2.0 / mu - 1.0) * dz * dz - dx * dx - dy * dy) / dnorm2
-        return lin, quad
-
-    if spec.kind == HALF_SPACE:
-        lin = (z * dz - x * dx - y * dy) / math.sqrt(pnorm2 * dnorm2)
-        return lin, None
-
-    raise EmptySection("the ray field has no two-dimensional section")
-
-
-def _section_margin(spec: ConeSpec, p: ConePoint3, v: np.ndarray) -> float:
-    lin, quad = coordinate_margins(spec, p, v)
-    return lin if quad is None else min(lin, quad)
-
-
-def _interior_axis(spec: ConeSpec, p: ConePoint3) -> np.ndarray:
-    if spec.kind == QUAD_AFFINE:
-        u = p.as_array()
-    elif spec.kind in (QUAD_TRANSLATE, LOEWNER):
-        u = np.array([0.0, 0.0, 1.0])
-    elif spec.kind == HALF_SPACE:
-        u = np.array([-p.x, -p.y, p.z])
-    else:
-        raise EmptySection("the ray field has no two-dimensional section")
-    return u / np.linalg.norm(u)
+    _, lin, form, scale = _section_forms(spec, p)
+    norm2 = scale * dnorm2
+    quad = None if form is None else float(delta @ form @ delta) / norm2
+    return float(lin @ delta) / math.sqrt(norm2), quad
 
 
 def cone_cross_section(spec: ConeSpec, p: ConePoint3, resolution: int) -> np.ndarray:
     """Boundary curve of the cone at p, as unit tangent directions.
 
     Sweeps `resolution` great-circle arcs (8 to MAX_RESOLUTION) from the
-    interior axis to its antipode and bisects each to within 1e-10 rad of
-    the zero crossing of the membership margin.  Raises EmptySection for
-    the ray field.
+    interior axis to its antipode and returns, in closed form, the first
+    zero of the membership margin on each.  Along cos t axis + sin t w
+    the quadratic form reads a cos^2 t + 2b cos t sin t + c sin^2 t with
+    a > 0, so the boundary is the larger root of a u^2 + 2b u + c in
+    u = cot t; the half-space boundary sits at t = pi/2.  Raises
+    EmptySection for the ray field.
     """
     if not 8 <= resolution <= MAX_RESOLUTION:
         raise InvalidParameters(f"resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
-    if spec.kind == RAY:
-        raise EmptySection("the ray field has no two-dimensional section")
+    axis, _, form, _ = _section_forms(spec, p)
     if spec.n != 2:
         raise DimensionMismatch("sections are drawn in the n = 2 picture")
-    axis = _interior_axis(spec, p)
     helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = helper - np.dot(helper, axis) * axis
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
-
-    out = np.empty((resolution, 3))
-    for k in range(resolution):
-        psi = 2.0 * math.pi * k / resolution
-        w = math.cos(psi) * e1 + math.sin(psi) * e2
-
-        def direction(theta: float) -> np.ndarray:
-            return math.cos(theta) * axis + math.sin(theta) * w
-
-        lo, hi = 0.0, math.pi
-        # margin is positive at the axis and negative at the antipode;
-        # convexity gives a single crossing along the arc
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if _section_margin(spec, p, direction(mid)) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        out[k] = direction(0.5 * (lo + hi))
-    return out
+    psi = 2.0 * np.pi * np.arange(resolution) / resolution
+    w = np.cos(psi)[:, None] * e1 + np.sin(psi)[:, None] * e2
+    if form is None:
+        theta = np.full(resolution, 0.5 * np.pi)
+    else:
+        a = axis @ form @ axis
+        b = w @ (form @ axis)
+        c = np.einsum("ki,ij,kj->k", w, form, w)
+        root = np.sqrt(b * b - a * c)
+        # atan2(a, root - b) cancels for b > 0; this is the same angle
+        # with the numerator rationalised
+        theta = np.where(b > 0.0, np.arctan2(b + root, -c), np.arctan2(a, root - b))
+    return np.cos(theta)[:, None] * axis + np.sin(theta)[:, None] * w
 
 
 def hyperboloid_leaf(c: float, resolution: int) -> np.ndarray:
-    """Parametric grid of the leaf z^2 - x^2 - y^2 = c (c >= 0).
+    """Parametric grid of the leaf z^2 - x^2 - y^2 = c, 0 <= c <= MAX_LEAF_LABEL.
 
     Every grid point with c > 0 maps to an SPD matrix of determinant
     c/2; the limiting c = 0 surface is the boundary of the cone itself,
@@ -185,8 +166,8 @@ def hyperboloid_leaf(c: float, resolution: int) -> np.ndarray:
     runs from 0 to 2 sqrt(c + 1).  Shape (resolution, resolution, 3),
     with resolution from 8 to MAX_RESOLUTION.
     """
-    if c < 0:
-        raise InvalidParameters("leaf label must be >= 0")
+    if not 0.0 <= c <= MAX_LEAF_LABEL:  # also rejects nan
+        raise InvalidParameters(f"leaf label must be in [0, {MAX_LEAF_LABEL:g}], got {c}")
     if not 8 <= resolution <= MAX_RESOLUTION:
         raise InvalidParameters(f"resolution must be in [8, {MAX_RESOLUTION}], got {resolution}")
     rho = np.linspace(0.0, 2.0 * math.sqrt(c + 1.0), resolution)

@@ -86,6 +86,15 @@ class TestOrder:
         code, _, err = run(capsys, "order", "--cone", spec, a, a)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("n", ["1e400", "2.7", "2.0", '"2"', "true", "null"])
+    def test_cone_spec_dimension_must_be_a_json_integer(self, files, capsys, n):
+        _, write, matrix, _ = files
+        a = matrix("a.json", np.eye(2))
+        spec = write("cone.json", '{"kind": "loewner", "n": %s}' % n)
+        code, out, err = run(capsys, "order", "--cone", spec, a, a)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and '"n"' in err
+
 
 class TestConeMember:
     def test_inside_and_outside_exit_codes(self, files, capsys):
@@ -98,6 +107,23 @@ class TestConeMember:
         assert code == 0 and json.loads(out)["inside"] is True
         code, out, _ = run(capsys, "cone-member", "--cone", spec, "--at", sigma, "--dir", outside_dir)
         assert code == 1 and json.loads(out)["inside"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, expected", [
+        ("quad-affine", (-1.414213562373095, -0.8)),
+        ("loewner", (-0.7071067811865475, -0.447213595499958)),
+        ("ray", (-1.414213562373095, -0.9486832980505139)),
+    ])
+    def test_huge_outside_tangents_are_outside(self, files, capsys, kind, expected):
+        _, _, matrix, cone = files
+        sigma = matrix("s.json", np.eye(2))
+        spec = cone("cone.json", kind=kind, n=2, **({"mu": 1.0} if kind == "quad-affine" else {}))
+        for x, margin in zip((-1e160 * np.eye(2), 1e160 * np.array([[1.0, 3.0], [3.0, 1.0]])), expected):
+            code, out, err = run(capsys, "cone-member", "--cone", spec, "--at", sigma,
+                                 "--dir", matrix("d.json", x))
+            assert (code, err) == (1, "")
+            doc = json.loads(out)
+            assert doc["inside"] is False and doc["margin"] == pytest.approx(margin, rel=1e-14)
 
 
 class TestGeometryCommands:
@@ -152,6 +178,17 @@ class TestMonotone:
         code, out, err = run(capsys, "monotone", "--map", bad_map, "--cone", spec)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # rejected before the first draw: without the cap, --dirs 10^9 builds a
+    # billion-entry list and then a billion generators
+    @pytest.mark.parametrize("points, dirs", [("1", "1000000000"), ("1000000000000", "1"), ("317", "317")])
+    def test_sample_count_above_cap_is_input_error(self, files, capsys, points, dirs):
+        _, _, _, cone = files
+        spec = cone("cone.json", kind="loewner", n=2)
+        code, out, err = run(capsys, "monotone", "--map", "inv", "--cone", spec,
+                             "--points", points, "--dirs", dirs)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "cap" in err
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -301,8 +338,8 @@ class TestViz2Command:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not outdir.exists()
 
-    # without the cap a section runs one bisection per arc, about 12 h at
-    # 10^8, so only the leaf is driven that far
+    # without the cap a section at 10^8 arcs would allocate several 2.4 GB
+    # arrays, so only the leaf is driven that far
     @pytest.mark.parametrize("what, resolution", [("section", "1025"), ("leaf", "1025"), ("leaf", "100000000")])
     def test_resolution_above_cap_is_input_error(self, files, capsys, tmp_path, what, resolution):
         _, _, matrix, cone = files
@@ -311,6 +348,14 @@ class TestViz2Command:
         code, out, err = run(capsys, "viz2", what, *inputs, "--resolution", resolution, "--outdir", str(outdir))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1 and "resolution" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "4e307", "-1"])
+    def test_unbounded_leaf_label_is_input_error(self, capsys, tmp_path, c):
+        outdir = tmp_path / "viz"
+        code, out, err = run(capsys, "viz2", "leaf", "--c", c, "--resolution", "8", "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "leaf label" in err
         assert not outdir.exists()
 
     def test_ray_section_is_input_error(self, files, capsys, tmp_path):

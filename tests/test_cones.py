@@ -99,6 +99,28 @@ class TestMembership:
                     assert rep.inside and rep.margin == 1.0
                     assert rep.binding_constraint == "quadratic_form"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), quadratic_translation(0.5, 2), loewner(2),
+                                      half_space_affine(2), ray_affine(2)], ids=lambda s: s.kind)
+    def test_huge_tangents_get_their_rescaled_margins(self, spec):
+        sigmas = [np.eye(2), random_spd(2, 4).entries, random_spd(2, 5).entries]
+        tangents = [-np.eye(2), np.array([[1.0, 3.0], [3.0, 1.0]]), random_sym(2, 6), random_sym(2, 7)]
+        xs = np.array([scale * x for x in tangents for scale in (1e160, 1e300, -1e200, 2.0**500)])
+        stack = np.array([s for s in sigmas for _ in xs]), np.tile(xs, (len(sigmas), 1, 1))
+        margins, binding = cone_margins(spec, *stack)
+        small, small_binding = cone_margins(spec, stack[0], stack[1] / 2.0**532)
+        np.testing.assert_array_max_ulp(margins, small, maxulp=4)
+        assert (binding == small_binding).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_rows_below_the_rescale_bound_are_untouched(self):
+        sigma = random_spd(3, 8).entries
+        rows = np.array([random_sym(3, 9), 1e150 * random_sym(3, 10), 1e170 * random_sym(3, 11)])
+        for spec in (quadratic_affine(1.0, 3), loewner(3), ray_affine(3)):
+            together, _ = cone_margins(spec, np.array([sigma] * 3), rows)
+            alone, _ = cone_margins(spec, np.array([sigma] * 2), rows[:2])
+            assert together[0] == alone[0] and together[1] == alone[1]
+
     def test_ray_membership(self):
         sigma = random_spd(3, 9, 0.6)
         spec = ray_affine(3)

@@ -225,6 +225,13 @@ class TestDifferentialPositivity:
             )
             assert report.is_positive
 
+    def test_sample_cap_is_checked_before_the_first_draw(self):
+        # validator only: no size here is ever drawn
+        cap = monotone.MAX_SAMPLES
+        for points, dirs in ((1, cap + 1), (cap + 1, 1), (10**12, 1), (1, 10**9), (10**6, 10**6)):
+            with pytest.raises(InvalidParameters, match="cap"):
+                check_differential_positivity(inversion_map(), loewner(2), seed=0, n_points=points, n_directions=dirs)
+
     def test_report_serialization_caps_witnesses(self):
         report = check_differential_positivity(
             power_map(2.0), loewner(2), seed=1, n_points=30, n_directions=10

@@ -23,7 +23,13 @@ from spdorders import (
 )
 from spdorders.core import random_sym
 from spdorders.errors import DimensionMismatch, EmptySection, InvalidParameters, OutsideCone
-from spdorders.viz2 import MAX_RESOLUTION, coordinate_margins, coords_to_tangent, tangent_to_coords
+from spdorders.viz2 import (
+    MAX_LEAF_LABEL,
+    MAX_RESOLUTION,
+    coordinate_margins,
+    coords_to_tangent,
+    tangent_to_coords,
+)
 
 SQRT2 = math.sqrt(2.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -176,6 +182,58 @@ class TestCrossSections:
             cone_cross_section(quadratic_affine(1.0, 2), p, MAX_RESOLUTION + 1)
 
 
+def bisected_section(spec, p, resolution):
+    """The section as it was drawn before its closed form: bisect each arc
+    to 1e-10 rad on the smaller coordinate margin."""
+    if spec.kind in ("quad-translate", "loewner"):
+        axis = np.array([0.0, 0.0, 1.0])
+    elif spec.kind == "half-space":
+        axis = np.array([-p.x, -p.y, p.z])
+    else:
+        axis = p.as_array()
+    axis = axis / np.linalg.norm(axis)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = helper - np.dot(helper, axis) * axis
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    out = np.empty((resolution, 3))
+    for k in range(resolution):
+        psi = 2.0 * math.pi * k / resolution
+        w = math.cos(psi) * e1 + math.sin(psi) * e2
+        lo, hi = 0.0, math.pi
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            lin, quad = coordinate_margins(spec, p, math.cos(mid) * axis + math.sin(mid) * w)
+            if (lin if quad is None else min(lin, quad)) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+        out[k] = math.cos(theta) * axis + math.sin(theta) * w
+    return out
+
+
+class TestClosedFormSections:
+    SPECS = [quadratic_affine(0.5, 2), quadratic_affine(1.0, 2), quadratic_affine(1.5, 2),
+             quadratic_translation(0.8, 2), loewner(2), half_space_affine(2)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.mu}")
+    def test_matches_the_bisection_reference(self, spec):
+        for seed in (0, 1, 2):
+            p = phi(random_spd(2, seed, 0.8))
+            closed = cone_cross_section(spec, p, 256)
+            assert np.max(np.linalg.norm(closed - bisected_section(spec, p, 256), axis=1)) <= 1e-10
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.mu}")
+    def test_directions_are_unit_and_on_the_boundary(self, spec):
+        # a point far from the identity, where the affine axis leans far from e3
+        p = phi(spd_validate(np.array([[50.0, 7.0], [7.0, 1.0]])))
+        for v in cone_cross_section(spec, p, 64):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            lin, quad = coordinate_margins(spec, p, v)
+            assert abs(lin if quad is None else min(lin, quad)) <= 1e-12
+
+
 class TestHyperboloidLeaves:
     def test_zero_label_gives_the_cone_boundary(self):
         grid = hyperboloid_leaf(0.0, 16)
@@ -209,3 +267,10 @@ class TestHyperboloidLeaves:
         for resolution in (MAX_RESOLUTION + 1, 10**8):
             with pytest.raises(InvalidParameters, match="resolution"):
                 hyperboloid_leaf(2.0, resolution)
+
+    def test_label_cap(self):
+        assert np.isfinite(hyperboloid_leaf(MAX_LEAF_LABEL, 8)).all()
+        # rejected before the grid is allocated
+        for c in (math.nan, math.inf, 4e307, -math.inf):
+            with pytest.raises(InvalidParameters, match="leaf label"):
+                hyperboloid_leaf(c, 8)
