@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import io as docio
@@ -170,8 +171,15 @@ def _cmd_viz2(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as SpdError, so main prints them as one line."""
+
+    def error(self, message):
+        raise SpdError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdorders",
         description="Cone fields, partial orders, monotonicity checks and "
                     "isospectral flows on symmetric positive definite matrices.",
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="membership tolerance override (also via SPD_ORDER_TOL)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a matrix document as SPD")
+    p = sub.add_parser("validate", help="validate a matrix document as SPD")
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_validate)
 
@@ -197,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", dest="direction", required=True)
     p.set_defaults(func=_cmd_cone_member)
 
-    p = sub.add_parser("geodesic", parents=[common], help="point on the invariant geodesic")
+    p = sub.add_parser("geodesic", help="point on the invariant geodesic")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("mean", parents=[common], help="geometric mean of two SPD matrices")
+    p = sub.add_parser("mean", help="geometric mean of two SPD matrices")
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_mean)
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirs", type=int, default=10)
     p.set_defaults(func=_cmd_monotone)
 
-    p = sub.add_parser("flow", parents=[common], help="integrate an isospectral flow")
+    p = sub.add_parser("flow", help="integrate an isospectral flow")
     p.add_argument("--kind", choices=("toda", "qr"), required=True)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x0")
     p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("viz2", parents=[common], help="export the n=2 cone picture as CSV")
+    p = sub.add_parser("viz2", help="export the n=2 cone picture as CSV")
     p.add_argument("what", choices=("section", "leaf"))
     p.add_argument("--cone", help="cone spec document (section)")
     p.add_argument("--at", help="base point matrix document (section)")
@@ -238,12 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SpdError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    """Run one command.  Exit 2 prints only its one error: line; after exit
+    0 or 1, each distinct warning the command raised prints as one line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SpdError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(f"warning: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_DIM, SpdMatrix, SymTangent, _validate_sym_stack, as_tangent, random_sym
+from .core import MAX_DIM, SpdMatrix, SymTangent, _is_json_number, _validate_sym_stack, as_tangent, random_sym
 from .errors import DimensionMismatch, InvalidParameters
 
 DEFAULT_TOL = 1e-10
@@ -33,6 +33,10 @@ HALF_SPACE = "half-space"
 RAY = "ray"
 
 _KINDS = (QUAD_AFFINE, QUAD_TRANSLATE, LOEWNER, HALF_SPACE, RAY)
+
+# Kinds whose cone field is the same at every point: their conal paths are
+# straight lines and their orders compare sigma2 - sigma1.
+TRANSLATION_KINDS = (QUAD_TRANSLATE, LOEWNER)
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,12 @@ class ConeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConeSpec":
-        n = d.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
+        n, mu = d.get("n"), d.get("mu")
+        if not _is_json_number(n, int):
             raise InvalidParameters(f'"n" must be an integer, got {n!r}')
-        return cls(kind=d.get("kind"), n=n, mu=d.get("mu"))
+        if mu is not None and not _is_json_number(mu):
+            raise InvalidParameters(f'"mu" must be a number, got {mu!r}')
+        return cls(kind=d.get("kind"), n=n, mu=mu)
 
 
 def quadratic_affine(mu: float, n: int) -> ConeSpec:
@@ -169,7 +175,7 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     if abs_xs.max(initial=0.0) >= 2.0**500:
         peak = abs_xs.max(axis=(1, 2))
         xs = np.ldexp(xs, -np.where(peak >= 2.0**500, np.frexp(peak)[1], 0)[:, None, None])
-    affine = spec.kind not in (LOEWNER, QUAD_TRANSLATE)
+    affine = spec.kind not in TRANSLATION_KINDS
     xnorm = _row_norms(xs)
     zero = xnorm == 0.0
     if affine:
@@ -223,7 +229,7 @@ def cone_membership(spec: ConeSpec, sigma: SpdMatrix, x, tol: float = DEFAULT_TO
     return _row_report(*cone_margins(spec, sigma.entries[None], x.entries[None]), tol)
 
 
-def spectral_membership(cone: SpectralCone, lam, tol: float = DEFAULT_TOL) -> MembershipReport:
+def spectral_membership(cone: SpectralCone, lam) -> MembershipReport:
     """Membership of an eigenvalue vector in the spectral cone: the
     quadratic translation cone tested on diag(lam).
 
@@ -233,7 +239,7 @@ def spectral_membership(cone: SpectralCone, lam, tol: float = DEFAULT_TOL) -> Me
     if v.shape != (cone.n,):
         raise DimensionMismatch(f"expected a vector of length {cone.n}, got shape {v.shape}")
     spec = ConeSpec(QUAD_TRANSLATE, cone.n, cone.mu)
-    return _row_report(*cone_margins(spec, np.eye(cone.n)[None], np.diag(v)[None]), tol)
+    return _row_report(*cone_margins(spec, np.eye(cone.n)[None], np.diag(v)[None]), DEFAULT_TOL)
 
 
 def dual_spectral_cone(cone: SpectralCone) -> SpectralCone:

@@ -42,6 +42,19 @@ def _as_square(raw) -> np.ndarray:
     return a
 
 
+def _as_finite_square(raw) -> np.ndarray:
+    a = _as_square(raw)
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameters("matrix entries must be finite")
+    return a
+
+
+def _is_json_number(value, types=(int, float)) -> bool:
+    """Whether a decoded JSON value is a number of the given types; JSON
+    true and false decode to bool, which Python counts as an int."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     """Finite-entry and symmetry guards over a (k, n, n) stack, row by row.
 
@@ -211,11 +224,11 @@ class SymTangent:
         return f"SymTangent(n={self.n})"
 
 
-def as_tangent(x, base: SpdMatrix | None = None) -> SymTangent:
+def as_tangent(x) -> SymTangent:
     """Coerce an array-like into a SymTangent (pass-through if it already is one)."""
     if isinstance(x, SymTangent):
         return x
-    return SymTangent(np.asarray(x, dtype=float), base=base)
+    return SymTangent(np.asarray(x, dtype=float))
 
 
 def spd_validate(raw) -> SpdMatrix:
@@ -262,9 +275,7 @@ def congruence(a, sigma: SpdMatrix) -> SpdMatrix:
     Rejects A with |det A| <= 1e-12 * ||A||_2^n.  The result is positive
     definite by Sylvester's law of inertia.
     """
-    amat = _as_square(a)
-    if not np.all(np.isfinite(amat)):
-        raise InvalidParameters("matrix entries must be finite")
+    amat = _as_finite_square(a)
     if amat.shape[0] != sigma.n:
         raise DimensionMismatch(f"transform is {amat.shape[0]}x{amat.shape[0]}, point is {sigma.n}x{sigma.n}")
     sign, logabsdet = np.linalg.slogdet(amat)

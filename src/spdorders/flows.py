@@ -184,22 +184,15 @@ def projected_monotonicity(traj: FlowTrajectory, r: int) -> tuple[bool, float]:
     return worst >= -MONOTONE_TOL, worst
 
 
-def _resolve_scalar(f):
-    if callable(f):
-        return f
-    try:
-        return SCALAR_FUNCTIONS[f]
-    except KeyError:
-        raise InvalidParameters(f"unknown scalar function tag {f!r}") from None
-
-
-def projected_trace_curve(traj: FlowTrajectory, r: int, f, alpha: float = 1.0) -> np.ndarray:
+def projected_trace_curve(traj: FlowTrajectory, r: int, f: str, alpha: float = 1.0) -> np.ndarray:
     """Curve t -> tr f(E_r^T X(t)^alpha E_r).  alpha != 1 requires SPD
-    states (QR flow); f is a nondecreasing scalar tag or callable, applied
-    entrywise to the (states, r) array of block eigenvalues."""
+    states (QR flow); f tags a nondecreasing function in SCALAR_FUNCTIONS,
+    applied entrywise to the (states, r) array of block eigenvalues."""
     if not (1 <= r <= traj.n):
         raise DimensionMismatch(f"projection rank {r} outside 1..{traj.n}")
-    func = _resolve_scalar(f)
+    if f not in SCALAR_FUNCTIONS:
+        raise InvalidParameters(f"unknown scalar function tag {f!r}")
+    func = SCALAR_FUNCTIONS[f]
     states = traj.states
     if alpha != 1.0:  # sym_eig checks each state's eigenframe before the power is taken
         states = np.array([sym_eig(state).apply(lambda w: w**alpha) for state in states])
@@ -209,7 +202,7 @@ def projected_trace_curve(traj: FlowTrajectory, r: int, f, alpha: float = 1.0) -
 def preorder_monitor(
     traj1: FlowTrajectory,
     traj2: FlowTrajectory,
-    f,
+    f: str,
     r: int,
     alpha: float = 1.0,
 ) -> bool:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .cones import ConeSpec
+from .core import _is_json_number
 from .errors import FileFormatError, InvalidParameters
 
 
@@ -33,7 +34,7 @@ def parse_matrix_document(text: str) -> np.ndarray:
         raise FileFormatError('matrix document needs fields "n" and "data"')
     n = doc["n"]
     data = doc["data"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_json_number(n, int) or n < 1:
         raise FileFormatError('"n" must be a positive integer')
     if (
         not isinstance(data, list)
@@ -41,9 +42,11 @@ def parse_matrix_document(text: str) -> np.ndarray:
         or any(not isinstance(row, list) or len(row) != n for row in data)
     ):
         raise FileFormatError(f'"data" must be an {n}x{n} array of numbers')
+    if not all(_is_json_number(v) for row in data for v in row):
+        raise FileFormatError("matrix entries must be numbers")
     try:
         return np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # a JSON integer beyond the float range
         raise FileFormatError(f"matrix entries must be numbers: {exc}") from exc
 
 

@@ -20,6 +20,7 @@ from .cones import DEFAULT_TOL, ConeSpec, cone_margins, cone_membership, sample_
 from .core import (
     SpdMatrix,
     SymTangent,
+    _as_finite_square,
     _validate_sym_stack,
     as_tangent,
     congruence,
@@ -59,9 +60,14 @@ class SmoothMap:
             return "inv"
         return self.kind
 
+    def _check_size(self, n: int) -> None:
+        if self.matrix is not None and self.matrix.shape[0] != n:
+            raise DimensionMismatch(f"map matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]}, point is {n}x{n}")
+
     def apply(self, sigma: SpdMatrix) -> SpdMatrix:
         """Evaluate the map; the result is SPD for every kind except
         translation with a non-psd shift on near-singular inputs."""
+        self._check_size(sigma.n)
         if self.kind == POWER:
             return matrix_function(sigma, "power", self.exponent)
         if self.kind == INVERSION:
@@ -82,7 +88,7 @@ def inversion_map() -> SmoothMap:
 
 
 def congruence_map(a) -> SmoothMap:
-    mat = np.array(a, dtype=float)
+    mat = np.array(_as_finite_square(a))
     mat.flags.writeable = False
     return SmoothMap(CONGRUENCE, matrix=mat)
 
@@ -94,7 +100,7 @@ def scaling_map(factor: float) -> SmoothMap:
 
 
 def translation_map(c) -> SmoothMap:
-    mat = np.array(c, dtype=float)
+    mat = _as_finite_square(c)
     mat = 0.5 * (mat + mat.T)
     if np.linalg.eigvalsh(mat)[0] < 0:
         warnings.warn("translation shift is not positive semidefinite; "
@@ -126,6 +132,7 @@ def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[1:] != (sigma.n, sigma.n):
         raise DimensionMismatch("tangent dimension differs from base point")
+    m._check_size(sigma.n)
     if m.kind == POWER:
         spec = sigma.spectrum
         v = spec.eigenvectors
@@ -352,7 +359,6 @@ def find_order_counterexample(
     spec: ConeSpec,
     seed: int,
     budget: int,
-    tol: float = DEFAULT_TOL,
 ):
     """Search for an ordered pair broken by the map.
 
@@ -371,16 +377,16 @@ def find_order_counterexample(
         x = sample_cone_tangent(spec, sigma, rng, boundary=True)
         out = map_differential(m, sigma, x)
         image = m.apply(sigma)
-        if cone_membership(spec, image, out, tol=tol).margin >= -10.0 * tol:
+        if cone_membership(spec, image, out).margin >= -10.0 * DEFAULT_TOL:
             continue
         for size in (1.0, 0.5, 0.2, 0.05):
             try:
                 sigma2 = _conal_step(spec, sigma, x, size)
             except SpdError:
                 continue
-            if order_compare(spec, sigma, sigma2, tol=tol).relation not in (LESS_EQUAL, EQUAL):
+            if order_compare(spec, sigma, sigma2).relation not in (LESS_EQUAL, EQUAL):
                 continue
-            verdict = order_compare(spec, m.apply(sigma), m.apply(sigma2), tol=tol)
-            if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * tol:
+            verdict = order_compare(spec, m.apply(sigma), m.apply(sigma2))
+            if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * DEFAULT_TOL:
                 return sigma, sigma2, used
     return None

@@ -1,9 +1,10 @@
 """Global order predicates induced by cone fields.
 
-The primary test for the affine-invariant families is the spectral
-criterion on the log-eigenvalues of sigma2 sigma1^{-1}: it is exact,
-square-root free, and O(n^3).  The discretized conal-path oracle exists
-for cross-validation only.
+Every order but the half-space preorder is decided by one spectral rule:
+the eigenvalues of sigma2 - sigma1 (translation kinds) or the
+log-eigenvalues of sigma2 sigma1^{-1} (affine kinds), tested against the
+spectral cone.  It is exact and O(n^3); the discretized conal-path
+oracle exists for cross-validation only.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from .cones import (
     DEFAULT_TOL,
     HALF_SPACE,
     LOEWNER,
-    QUAD_AFFINE,
-    QUAD_TRANSLATE,
     RAY,
+    TRANSLATION_KINDS,
     ConeSpec,
     cone_margins,
     sample_cone_tangent,
@@ -41,10 +41,6 @@ INCOMPARABLE = "incomparable"
 
 EQUALITY_RTOL = 1e-10  # relative Frobenius threshold for the equal short-circuit
 
-# Specs whose cone field is constant across the manifold; their conal
-# paths are straight lines rather than invariant geodesics.
-_TRANSLATION_KINDS = (QUAD_TRANSLATE, LOEWNER)
-
 
 @dataclass(frozen=True)
 class OrderVerdict:
@@ -66,6 +62,8 @@ def _spectral_margins(d: np.ndarray, mu: float | None, kind: str) -> tuple[float
     nrm = float(np.linalg.norm(d))
     if nrm == 0.0:
         return 1.0, 1.0
+    if kind == LOEWNER:
+        return float(d[0]) / nrm, -float(d[-1]) / nrm
     s = float(np.sum(d))
     if kind == RAY:
         deviation = float(np.linalg.norm(d - s / d.shape[0])) / nrm
@@ -83,24 +81,26 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     if sigma1.n != sigma2.n or spec.n != sigma1.n:
         raise DimensionMismatch(f"spec n={spec.n}, points n={sigma1.n}, {sigma2.n}")
 
-    gap = float(np.linalg.norm(sigma2.entries - sigma1.entries))
-    scale = max(float(np.linalg.norm(sigma1.entries)), float(np.linalg.norm(sigma2.entries)))
-    if gap <= EQUALITY_RTOL * scale:
+    e1, e2 = sigma1.entries, sigma2.entries
+    # ||sigma||_F <= sqrt(n) lambda_max: up to lambda_max = 2^500 the squares in the norms stay finite
+    huge = max(sigma1._eig[0][-1], sigma2._eig[0][-1]) > 2.0**500
+    scale = np.inf if huge else max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    if not 2.0**-500 <= scale <= 2.0**500:  # one exact power of two: largest |entry| into [0.5, 1)
+        shift = -np.frexp(max(np.abs(e1).max(), np.abs(e2).max()))[1]
+        e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
+        scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    if float(np.linalg.norm(e2 - e1)) <= EQUALITY_RTOL * scale:
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
-    if spec.kind in (QUAD_AFFINE, RAY):
-        d = np.log(relative_eigenvalues(sigma1, sigma2))
-        fwd, rev = _spectral_margins(d, spec.mu, spec.kind)
-    elif spec.kind == HALF_SPACE:
+    if spec.kind == HALF_SPACE:
         ld = sigma2.log_det - sigma1.log_det
         fwd, rev = ld, -ld
-    elif spec.kind == QUAD_TRANSLATE:
-        w = np.linalg.eigvalsh(sigma2.entries - sigma1.entries)
-        fwd, rev = _spectral_margins(w, spec.mu, spec.kind)
-    else:  # loewner
-        w = np.linalg.eigvalsh(sigma2.entries - sigma1.entries)
-        nrm = float(np.linalg.norm(w))
-        fwd, rev = float(w[0]) / nrm, -float(w[-1]) / nrm
+    else:
+        if spec.kind in TRANSLATION_KINDS:
+            d = np.linalg.eigvalsh(e2 - e1)
+        else:
+            d = np.log(relative_eigenvalues(sigma1, sigma2))
+        fwd, rev = _spectral_margins(d, spec.mu, spec.kind)
 
     if fwd >= -tol:
         return OrderVerdict(LESS_EQUAL, fwd, rev)
@@ -115,7 +115,7 @@ def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):
     numerically constant.  Translation specs use the straight line (their
     cone field is constant, so the segment is conal exactly when the order
     holds), the others the invariant geodesic b diag(w^t) b^T."""
-    if spec.kind in _TRANSLATION_KINDS:
+    if spec.kind in TRANSLATION_KINDS:
         def line(t):
             points = (1.0 - t) * sigma1.entries + t * sigma2.entries
             return points, np.broadcast_to(sigma2.entries - sigma1.entries, points.shape)
@@ -168,7 +168,7 @@ def conal_path_oracle(
 
 def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
     """Move from sigma along a cone direction, staying on a conal path."""
-    if spec.kind in _TRANSLATION_KINDS:
+    if spec.kind in TRANSLATION_KINDS:
         # unit-norm direction: a step below lambda_min keeps the sum SPD
         lam_min = sigma.spectrum.eigenvalues[0]
         return SpdMatrix(sigma.entries + size * 0.5 * lam_min * direction.entries)
@@ -190,7 +190,6 @@ def order_interval_sample(
     sigma2: SpdMatrix,
     seed: int,
     count: int,
-    tol: float = DEFAULT_TOL,
 ) -> list[SpdMatrix]:
     """Sample points of the order interval [sigma1, sigma2].
 
@@ -199,7 +198,7 @@ def order_interval_sample(
     re-verified against both endpoints with order_compare before being
     accepted, falling back to the unperturbed path point.
     """
-    pre = order_compare(spec, sigma1, sigma2, tol=tol)
+    pre = order_compare(spec, sigma1, sigma2)
     if pre.relation not in (LESS_EQUAL, EQUAL):
         raise NotOrdered(f"endpoints compare as {pre.relation}")
 
@@ -207,8 +206,8 @@ def order_interval_sample(
         path, _ = _conal_path(spec, sigma1, sigma2)
 
     def valid(candidate: SpdMatrix) -> bool:
-        lo = order_compare(spec, sigma1, candidate, tol=tol)
-        hi = order_compare(spec, candidate, sigma2, tol=tol)
+        lo = order_compare(spec, sigma1, candidate)
+        hi = order_compare(spec, candidate, sigma2)
         return lo.relation in (LESS_EQUAL, EQUAL) and hi.relation in (LESS_EQUAL, EQUAL)
 
     out: list[SpdMatrix] = []

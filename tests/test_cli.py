@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdorders import random_spd
+from spdorders import check_differential_positivity, loewner, random_spd, translation_map
 from spdorders.cli import main
 from spdorders.io import matrix_document, parse_matrix_document
 
@@ -406,3 +406,121 @@ class TestDeterminism:
                                "--seed", "7", "--points", "15", "--dirs", "6")
             runs.append((code, out))
         assert runs[0] == runs[1]
+
+
+# Documents the diagnostics tests below refer to by name.
+DOCS = {
+    "huge": matrix_document(np.diag([1e308, 1e308])),
+    "eye": matrix_document(np.eye(2)),
+    "d21": matrix_document(np.diag([2.0, 1.0])),
+    "shift_neg": matrix_document(-0.9 * np.eye(2)),
+    "shift_1x1": matrix_document([[2.0]]),
+    "qa2": json.dumps({"kind": "quad-affine", "n": 2, "mu": 1.0}),
+    "loew2": json.dumps({"kind": "loewner", "n": 2}),
+    "mu_true": json.dumps({"kind": "quad-affine", "n": 2, "mu": True}),
+    "n_true": '{"n": true, "data": [[2.0]]}',
+    "entry_true": '{"n": 2, "data": [[true, 0.0], [0.0, 1.0]]}',
+    "entry_string": '{"n": 1, "data": [["2.0"]]}',
+    "entry_int_overflow": '{"n": 1, "data": [[1' + "0" * 400 + ']]}',
+}
+
+
+@pytest.fixture
+def docs(tmp_path):
+    def argv(*words):
+        out = []
+        for word in words:
+            if word == "@tmp":
+                word = str(tmp_path)
+            elif word.startswith("@"):  # @name or translate:@name
+                word = str(tmp_path / f"{word[1:]}.json")
+            elif ":@" in word:
+                prefix, name = word.split(":@")
+                word = f"{prefix}:{tmp_path / name}.json"
+            out.append(word)
+        return out
+
+    for name, text in DOCS.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return argv
+
+
+class TestOneLineDiagnostics:
+    # a warning that reached the warnings machinery would raise here
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("words", [
+        # usage errors
+        ("order",),
+        ("monotone", "--map", "power:2", "--cone", "c", "--points", "x"),
+        ("bogus",),
+        ("geodesic", "--tol", "1e-3", "--t", "0.5", "@eye", "@d21"),
+        # numpy warnings on the way to an error
+        ("monotone", "--map", "power:1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
+        ("monotone", "--map", "scale:1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
+        ("monotone", "--map", "power:-1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
+        ("monotone", "--map", "translate:@huge", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
+        ("order", "--cone", "@qa2", "@huge", "@huge"),
+        ("geodesic", "--t", "0.5", "@huge", "@huge"),
+        ("mean", "@huge", "@huge"),
+        ("cone-member", "--cone", "@qa2", "--at", "@huge", "--dir", "@eye"),
+        # a library warning on the way to an error
+        ("monotone", "--map", "translate:@shift_neg", "--cone", "@loew2", "--points", "20", "--dirs", "2"),
+        # a map matrix of the wrong size
+        ("monotone", "--map", "translate:@shift_1x1", "--cone", "@loew2", "--points", "3", "--dirs", "2"),
+    ])
+    def test_exit_two_prints_one_error_line(self, docs, capsys, words):
+        code, out, err = run(capsys, *docs(*words))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_warning_on_success_is_one_line(self, docs, capsys, tmp_path):
+        shift = np.diag([-0.01, 0.02])
+        (tmp_path / "shift.json").write_text(matrix_document(shift))
+        code, out, err = run(capsys, *docs("monotone", "--map", "translate:@shift", "--cone", "@loew2",
+                                           "--points", "5", "--dirs", "2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = check_differential_positivity(translation_map(shift), loewner(2), seed=0,
+                                                   n_points=5, n_directions=2)
+        assert code == 0
+        assert out == json.dumps(report.to_dict(), sort_keys=True) + "\n"
+        assert err == "warning: translation shift is not positive semidefinite; " \
+                      "images of near-singular points may leave the SPD cone\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["order", "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+    @pytest.mark.parametrize("words", [
+        ("validate", "@eye"),
+        ("geodesic", "--t", "0.5", "@eye", "@d21"),
+        ("mean", "@eye", "@d21"),
+        ("flow", "--kind", "toda", "--t-end", "0.01", "--step", "1e-3", "@d21"),
+        ("viz2", "leaf", "--outdir", "@tmp"),
+    ])
+    def test_tolerance_only_where_it_is_read(self, docs, capsys, words):
+        code, out, err = run(capsys, *docs(*words), "--tol", "1e-8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unrecognized arguments: --tol") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("words", [
+        ("validate", "@n_true"),
+        ("validate", "@entry_true"),
+        ("validate", "@entry_string"),
+        ("validate", "@entry_int_overflow"),
+        ("order", "--cone", "@mu_true", "@eye", "@d21"),
+    ])
+    def test_json_booleans_are_not_numbers(self, docs, capsys, words):
+        code, out, err = run(capsys, *docs(*words))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestOrderMagnitudes:
+    @pytest.mark.parametrize("cone", ["@qa2", "@loew2"])
+    def test_huge_identity_against_a_unit_matrix(self, docs, capsys, tmp_path, cone):
+        (tmp_path / "big.json").write_text(matrix_document(1e200 * np.eye(2)))
+        code, out, err = run(capsys, *docs("order", "--cone", cone, "@big", "@d21"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["relation"] == "greater_equal"

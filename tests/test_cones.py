@@ -64,6 +64,12 @@ class TestConeSpec:
             with pytest.raises(InvalidParameters):
                 ConeSpec.from_dict({"kind": "quad-affine", "n": n, "mu": 1.0})
 
+    @pytest.mark.parametrize("mu", [True, False, "1.0", [1.0]])
+    def test_from_dict_mu_must_be_a_json_number(self, mu):
+        with pytest.raises(InvalidParameters):
+            ConeSpec.from_dict({"kind": "quad-affine", "n": 2, "mu": mu})
+        assert ConeSpec.from_dict({"kind": "quad-affine", "n": 2, "mu": 1}).mu == 1
+
 
 class TestMembership:
     @pytest.mark.parametrize("n,mu", GRID)

@@ -362,6 +362,13 @@ class TestPreorderMonitor:
         with pytest.raises(InvalidParameters):
             projected_trace_curve(t1, 2, "sinh?")
 
+    def test_scalar_function_is_a_tag_not_a_callable(self):
+        t1 = integrate_flow("toda", random_sym(3, 2), t_end=0.1, step=1e-2)
+        with pytest.raises(InvalidParameters):
+            projected_trace_curve(t1, 2, np.exp)
+        with pytest.raises(InvalidParameters):
+            preorder_monitor(t1, t1, np.exp, 2)
+
 
 class TestCsvExport:
     def test_header_and_digits(self):

@@ -460,6 +460,32 @@ class TestOrderLevelMonotonicity:
         with pytest.warns(UserWarning):
             translation_map(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("build", [translation_map, congruence_map])
+    @pytest.mark.parametrize("raw, error", [
+        ([[1.0, 2.0, 3.0]], DimensionMismatch),
+        (np.zeros((2, 2, 2)), DimensionMismatch),
+        (np.eye(65), InvalidParameters),
+        ([[math.nan, 0.0], [0.0, 1.0]], InvalidParameters),
+        ([[1.0, 0.0], [0.0, math.inf]], InvalidParameters),
+    ])
+    def test_map_matrix_must_be_a_finite_square(self, build, raw, error):
+        with pytest.raises(error):
+            build(raw)
+
+    @pytest.mark.parametrize("smap", [translation_map([[2.0]]), congruence_map(np.eye(3))])
+    def test_map_matrix_must_match_the_point(self, smap):
+        sigma = SpdMatrix(np.diag([2.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            smap.apply(sigma)
+        with pytest.raises(DimensionMismatch):
+            map_differential(smap, sigma, np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            map_differentials(smap, sigma, np.eye(2)[None])
+
+    def test_counterexample_search_rejects_a_mismatched_map(self):
+        with pytest.raises(DimensionMismatch):
+            find_order_counterexample(congruence_map(np.eye(3)), quadratic_affine(1.0, 2), seed=0, budget=3)
+
     @pytest.mark.parametrize("r", [0.5, 2.0])
     def test_differential_and_order_routes_agree(self, r):
         # a clean differential report must come with a clean order-level scan,

@@ -167,6 +167,45 @@ class TestSpectralCriterion:
             assert np.allclose(direct, sym_route, rtol=1e-9, atol=1e-12)
 
 
+def kinds_at(n):
+    return [quadratic_affine(0.5 * n, n), quadratic_translation(0.5 * n, n), loewner(n),
+            half_space_affine(n), ray_affine(n)]
+
+
+class TestExtremeMagnitudes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [664, -664])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_power_of_two_scaling_keeps_the_verdict(self, n, k):
+        # 2^664 puts the entries near 1e200, where the squares in a
+        # Frobenius norm overflow; 2^-664 near 1e-200, where they underflow
+        for spec in kinds_at(n):
+            for seed in range(6):
+                s1, s2 = random_ordered_pair(spec, n, seed)
+                r1, r2 = random_spd(n, derive_rng(seed, 1), 0.8), random_spd(n, derive_rng(seed, 2), 0.8)
+                for a, b in ((s1, s2), (s2, s1), (r1, r2)):
+                    want = order_compare(spec, a, b)
+                    got = order_compare(spec, SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k)))
+                    assert got.relation == want.relation
+                    for g, w in ((got.forward_margin, want.forward_margin), (got.reverse_margin, want.reverse_margin)):
+                        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_multiple_of_identity_is_above_a_unit_matrix(self):
+        a, b = SpdMatrix(1e200 * np.eye(2)), SpdMatrix(np.diag([2.0, 1.0]))
+        for spec in kinds_at(2):
+            want = "incomparable" if spec.kind == "ray" else "greater_equal"  # diag(2, 1) is no multiple of I
+            assert order_compare(spec, a, b).relation == want
+        assert order_compare(ConeSpec("quad-affine", 2, 1.0), a, b).relation == "greater_equal"
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_pair_is_ordered_not_equal(self):
+        a, b = SpdMatrix(1e-200 * np.eye(2)), SpdMatrix(np.diag([2e-200, 1e-200]))
+        for spec in (loewner(2), quadratic_translation(1.0, 2), quadratic_affine(1.0, 2)):
+            verdict = order_compare(spec, a, b)
+            assert verdict.relation == "less_equal" and verdict.reverse_margin == -1.0
+
+
 class TestConalPathOracle:
     @pytest.mark.parametrize("n,mu", GRID)
     def test_agrees_with_spectral_criterion(self, n, mu):
