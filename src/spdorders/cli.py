@@ -3,7 +3,9 @@
 Every subcommand is a thin shim over the library: inputs are the shared
 matrix/cone-spec documents, output is deterministic structured text on
 stdout.  Exit codes: 0 success, 1 verdict-level findings (violations
-found, membership failed, validation rejected), 2 malformed input.
+found, membership failed, validation rejected), 2 malformed input or an
+unreadable or unwritable file, 3 an internal error (an exception that is
+not an SpdError, which is a defect to report).
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _cmd_flow(args) -> int:
         summary["projected_monotone"] = monotone_ok
         summary["worst_step_decrease"] = worst
     if args.out:
-        Path(args.out).write_text(trajectory_csv(traj))
+        docio.write_text_file(args.out, trajectory_csv(traj))
         summary["written"] = args.out
     _emit(summary)
     return 0 if monotone_ok else 1
@@ -164,7 +166,10 @@ def _cmd_viz2(args) -> int:
         rows = hyperboloid_leaf(args.c, args.resolution).reshape(-1, 3)
         name, header = docio.leaf_filename(args.c), ("x", "y", "z")
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)  # only once the export has succeeded
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)  # only once the export has succeeded
+    except OSError as exc:
+        raise SpdError(f"cannot create directory {outdir}: {exc.strerror or exc}") from exc
     path = outdir / name
     docio.write_rows_csv(path, rows, header=header)
     _emit({"written": str(path)})
@@ -246,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Exit 2 prints only its one error: line; after exit
-    0 or 1, each distinct warning the command raised prints as one line."""
+    """Run one command.  Exit 2 prints only its one error: line, and exit 3
+    only its one internal error: line; after exit 0 or 1, each distinct
+    warning the command raised prints as one line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -256,6 +262,10 @@ def main(argv=None) -> int:
         except SpdError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
+        except Exception as exc:  # a defect, not a verdict: never exit 1
+            message = " ".join(str(exc).split())
+            sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+            return 3
     for message in dict.fromkeys(str(w.message) for w in caught):
         sys.stderr.write(f"warning: {message}\n")
     return code

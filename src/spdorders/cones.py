@@ -146,7 +146,7 @@ def _quad_margins(t, tr2, magnitude, mu: float):
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    flat = a.reshape(len(a), a.shape[1] * a.shape[2])  # -1 is ambiguous for an empty stack
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))  # -1 is ambiguous for an empty stack
     return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
 
 
@@ -277,26 +277,43 @@ def traceless_projection(x) -> SymTangent:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_ray(mu: float, n: int, draw, trace, axis) -> np.ndarray:
-    """Unit-norm point on the boundary of the quadratic cone: mixes a
-    Gaussian draw with the cone axis by the root of the scalar quadratic
-    that zeroes the quadratic margin, redrawing on degenerate draws."""
-    while True:
-        g = draw()
-        tau = float(trace(g))
-        s = float(np.sum(g * g))
-        disc = mu * (n - mu) * (n * s - tau * tau)
-        if disc <= 0:
-            continue
-        c = (-tau * (n - mu) + math.sqrt(disc)) / (n * (n - mu))
-        y = g + c * axis
-        norm = np.linalg.norm(y)
-        if norm > 1e-8:
-            return y / norm
+def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
+    """Unit-norm points on the boundary of the quadratic cone, one per
+    generator: symmetric matrices at the identity (a (k, n, n) stack), or
+    with matrix=False spectral vectors (k, n).
+
+    Each row mixes a Gaussian draw with the cone axis by the root of the
+    scalar quadratic that zeroes the quadratic margin.  Every row draws
+    its first attempt from its own generator, the algebra runs once over
+    the stack, and only the rows with a degenerate draw draw again, so
+    each row's stream is read as a one-row loop would read it.  Needs
+    n >= 2 and 0 < mu < n, or no draw is ever accepted.
+    """
+    shape = (n, n) if matrix else (n,)
+    g = np.empty((len(rngs), *shape))
+    for row, rng in zip(g, rngs):
+        rng.standard_normal(shape, out=row)
+    if matrix:
+        g = 0.5 * (g + g.swapaxes(1, 2))  # random_sym's draw
+    g = g.reshape(len(g), math.prod(shape))
+    tau = g[:, ::n + 1 if matrix else 1].sum(axis=1)  # the trace: the diagonal's sum
+    s = (g * g).sum(axis=1)
+    disc = mu * (n - mu) * (n * s - tau * tau)
+    c = (-tau * (n - mu) + np.sqrt(np.maximum(disc, 0.0))) / (n * (n - mu))
+    y = g + c[:, None] * (np.eye(n).ravel() if matrix else np.ones(n))
+    norm = _row_norms(y)
+    ok = (disc > 0) & (norm > 1e-8)
+    np.divide(y, norm[:, None], out=y, where=ok[:, None])
+    y = y.reshape(len(y), *shape)
+    if not ok.all():
+        redo = np.flatnonzero(~ok)
+        y[redo] = _boundary_rays(mu, n, [rngs[i] for i in redo], matrix)
+    return y
 
 
 def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm vector on the boundary of the spectral cone (quadratic margin zero).
+    """Unit-norm vector on the boundary of the spectral cone (quadratic
+    margin zero): the one-row view of the boundary-ray solver.
 
     Needs n >= 2 and 0 < mu < n: otherwise the discriminant of the ray
     quadratic is never positive (at n = 1 the cone is the ray [0, inf),
@@ -304,12 +321,7 @@ def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.
     """
     if n < 2 or not 0.0 < mu < n:
         raise InvalidParameters(f"no spectral cone boundary to sample at n={n}, mu={mu}")
-    return _boundary_ray(mu, n, lambda: rng.standard_normal(n), np.sum, 1.0)
-
-
-def _boundary_at_identity(mu: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix on the boundary of the quadratic cone at the identity."""
-    return _boundary_ray(mu, n, lambda: random_sym(n, rng), np.trace, np.eye(n))
+    return _boundary_rays(mu, n, [rng], matrix=False)[0]
 
 
 def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:
@@ -326,9 +338,10 @@ def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
         ys[:] = 1.0
     elif spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
-        for row, (rng, on_boundary) in rows:
-            y = _boundary_at_identity(spec.mu, n, rng)
-            ys[row] = y if on_boundary else y + rng.uniform(0.2, 1.0) * np.eye(n)
+        ys = _boundary_rays(spec.mu, n, [rng for _, (rng, _) in rows])
+        for row, (rng, on_boundary) in rows:  # interior rows draw after their boundary ray
+            if not on_boundary:
+                ys[row] += rng.uniform(0.2, 1.0) * np.eye(n)
     elif spec.kind == LOEWNER:
         shift = np.zeros(len(rows))
         for row, (rng, on_boundary) in rows:

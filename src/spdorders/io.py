@@ -10,7 +10,7 @@ import numpy as np
 
 from .cones import ConeSpec
 from .core import _is_json_number
-from .errors import FileFormatError, InvalidParameters
+from .errors import FileFormatError, InvalidParameters, SpdError
 
 
 def format17(value: float) -> str:
@@ -25,11 +25,34 @@ def matrix_document(mat) -> str:
     return f'{{"n": {a.shape[0]}, "data": [{rows}]}}\n'
 
 
-def parse_matrix_document(text: str) -> np.ndarray:
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError("not valid JSON: nested too deeply") from None
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def write_text_file(path, text: str) -> None:
+    """Write an output file; an unwritable path raises SpdError naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise SpdError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def parse_matrix_document(text: str) -> np.ndarray:
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "n" not in doc or "data" not in doc:
         raise FileFormatError('matrix document needs fields "n" and "data"')
     n = doc["n"]
@@ -51,24 +74,18 @@ def parse_matrix_document(text: str) -> np.ndarray:
 
 
 def read_matrix_file(path) -> np.ndarray:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_document(text)
+    """Read a matrix document; a file that cannot be read, is not UTF-8 or
+    is not a valid document raises FileFormatError."""
+    return parse_matrix_document(_read_text(path))
 
 
 def write_matrix_file(path, mat) -> None:
-    Path(path).write_text(matrix_document(mat))
+    write_text_file(path, matrix_document(mat))
 
 
 def read_cone_spec_file(path) -> ConeSpec:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    """Read a cone-spec document, with read_matrix_file's errors."""
+    doc = _load_json(_read_text(path))
     if not isinstance(doc, dict):
         raise FileFormatError("cone spec document must be an object")
     try:
@@ -82,7 +99,7 @@ def write_rows_csv(path, rows, header) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format17(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_file(path, "\n".join(lines) + "\n")
 
 
 def section_filename(spec: ConeSpec) -> str:

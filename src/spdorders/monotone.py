@@ -25,9 +25,11 @@ from .core import (
     as_tangent,
     congruence,
     derive_rng,
+    derive_seed_words,
     matrix_function,
     random_spd,
     random_sym,
+    seeded_rngs,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .orders import EQUAL, LESS_EQUAL, _conal_step, order_compare
@@ -225,9 +227,11 @@ def check_differential_positivity(
 
     Directions alternate between boundary rays (where violations
     concentrate) and interior rays.  Each sample's random stream is
-    derived from (seed, point index, direction index), so the aggregate
-    is independent of execution order.  Each base point samples, maps
-    and tests its directions as one stack; MAX_SAMPLES caps the total.
+    derive_rng(seed, point index, direction index + 1), and each point's
+    derive_rng(seed, point index), so the aggregate is independent of
+    execution order; all their seeds are hashed in one pass.  Each base
+    point samples, maps and tests its directions as one stack;
+    MAX_SAMPLES caps the total.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
@@ -235,11 +239,14 @@ def check_differential_positivity(
         raise InvalidParameters(f"{n_points} x {n_directions} samples above the cap of {MAX_SAMPLES}")
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
     boundary = [j % 2 == 0 for j in range(n_directions)]
+    # every stream is hashed up front; generators exist one point at a time
+    point_words = derive_seed_words(seed, np.arange(n_points)[:, None])
+    grid = np.stack(np.meshgrid(np.arange(n_points), np.arange(1, n_directions + 1), indexing="ij"), axis=2)
+    direction_words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions, 4)
     for i in range(n_points):
-        sigma = random_spd(spec.n, derive_rng(seed, i), scale=0.7)
+        sigma = random_spd(spec.n, seeded_rngs(point_words[i:i + 1])[0], scale=0.7)
         image = m.apply(sigma)
-        rngs = [derive_rng(seed, i, j + 1) for j in range(n_directions)]
-        xs = sample_cone_tangents(spec, sigma, rngs, boundary)
+        xs = sample_cone_tangents(spec, sigma, seeded_rngs(direction_words[i]), boundary)
         outs = map_differentials(m, sigma, xs)
         margins, _ = cone_margins(spec, np.broadcast_to(image.entries, outs.shape), outs)
         for j, margin in enumerate(margins.tolist()):

@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdorders import check_differential_positivity, loewner, random_spd, translation_map
 from spdorders.cli import main
@@ -524,3 +530,162 @@ class TestOrderMagnitudes:
         code, out, err = run(capsys, *docs("order", "--cone", cone, "@big", "@d21"))
         assert (code, err) == (0, "")
         assert json.loads(out)["relation"] == "greater_equal"
+
+
+class TestUnreadableDocuments:
+    # bytes that are not UTF-8, and nesting deeper than the JSON decoder's recursion limit
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"n": 1, "data": [[2.0]]}', b"[" * 100_000],
+                             ids=["not_utf8", "nested"])
+    @pytest.mark.parametrize("words", [
+        ("validate", "@bad"),
+        ("order", "--cone", "@bad", "@eye", "@eye"),
+        ("monotone", "--map", "translate:@bad", "--cone", "@loew2", "--points", "2", "--dirs", "2"),
+    ])
+    def test_exits_two_with_one_line(self, docs, capsys, tmp_path, content, words):
+        (tmp_path / "bad.json").write_bytes(content)
+        code, out, err = run(capsys, *docs(*words))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestUnwritableOutputs:
+    def _assert_one_line(self, capsys, argv, path):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot") and str(path) in err and err.count("\n") == 1
+
+    def test_flow_out_in_a_missing_directory(self, docs, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        argv = docs("flow", "--kind", "toda", "--t-end", "0.01", "--step", "1e-3", "--out", str(target), "@d21")
+        self._assert_one_line(capsys, argv, target)
+
+    def test_leaf_outdir_is_a_file(self, docs, capsys, tmp_path):
+        (tmp_path / "afile").write_text("")
+        self._assert_one_line(capsys, docs("viz2", "leaf", "--outdir", str(tmp_path / "afile")), tmp_path / "afile")
+
+    def test_section_outdir_below_a_file(self, docs, capsys, tmp_path):
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        self._assert_one_line(capsys, docs("viz2", "section", "--cone", "@loew2", "--at", "@d21",
+                                           "--outdir", str(target)), target)
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_three_with_one_line(self, docs, capsys, monkeypatch):
+        def broken(a, b, t):
+            raise ZeroDivisionError("first line\nsecond line")
+
+        monkeypatch.setattr("spdorders.cli.geodesic", broken)
+        code, out, err = run(capsys, *docs("geodesic", "--t", "0.5", "@eye", "@d21"))
+        assert (code, out) == (3, "")
+        assert err == "internal error: ZeroDivisionError: first line second line\n"
+
+
+# Fuzzed command lines: every value list starts with an ordinary value,
+# drawn more often, and goes on to huge, tiny, non-finite and unparsable
+# ones.  Sizes that would allocate (sample counts, resolutions, flow
+# horizons) are either small or far past their caps, so extreme sizes
+# reach the validators only.
+_NUMBERS = ["0.5", "0", "1", "-1", "2", "nan", "inf", "-inf", "1e308", "1e-308", "1e999", "x"]
+_VALUES = {
+    "--tol": ["1e-10", "1e-4", "0", "nan", "x"],
+    "--t": _NUMBERS,
+    "--seed": ["0", "-1", "18446744073709551615", "99999999999999999999999", "x"],
+    "--points": ["3", "-1", "0", "1", "100000000000", "x"],
+    "--dirs": ["3", "-1", "0", "1", "100000000000", "x"],
+    "--map": ["power:2", "power:0.5", "power:nan", "power:1e308", "inv", "scale:0", "scale:1e308",
+              "scale:-1", "translate:@m1", "translate:@missing", "bogus"],
+    "--kind": ["toda", "qr", "bogus"],
+    "--t-end": ["0.01", "0", "1", "1e9", "nan", "-1", "inf", "x"],
+    "--step": ["1e-3", "0.05", "0", "-1", "nan", "1e-300", "10", "x"],
+    "--r": ["1", "0", "2", "5", "-1", "x"],
+    "--resolution": ["16", "8", "7", "1025", "100000000000", "-5", "x"],
+    "--c": ["2", "0", "1e307", "1e308", "nan", "-1", "inf", "x"],
+}
+_COMMANDS = {
+    "validate": ([], ["@m0"]),
+    "order": (["--cone", "--tol"], ["@m0", "@m1"]),
+    "cone-member": (["--cone", "--at", "--dir", "--tol"], []),
+    "geodesic": (["--t"], ["@m0", "@m1"]),
+    "mean": ([], ["@m0", "@m1"]),
+    "monotone": (["--map", "--cone", "--seed", "--points", "--dirs", "--tol"], []),
+    "flow": (["--kind", "--t-end", "--step", "--r", "--out"], ["@m0"]),
+    "viz2 section": (["--cone", "--at", "--resolution", "--outdir"], []),
+    "viz2 leaf": (["--c", "--resolution", "--outdir"], []),
+}
+_SCALES = [1.0, 1.0, 1e-300, 1e-170, 1e160, 1e300, 1.7e308]
+_ENTRIES = [0.0, 1.0, -1.0, 2.0, 0.5, 5e-324, 1e-300, 1e300, -1e308, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _matrix_document(draw):
+    shape = draw(st.sampled_from(["spd"] * 4 + ["entries"] * 2 + ["bytes", "nested", "ragged", "huge_n"]))
+    if shape == "bytes":
+        return draw(st.sampled_from([b"\xff\xfe\x00", b'{"n": 1, "data": [[\xe9]]}', "{}".encode("utf-16")]))
+    if shape == "nested":
+        return b"[" * draw(st.sampled_from([10, 5_000, 100_000]))
+    if shape == "ragged":
+        return b'{"n": 2, "data": [[1.0, 0.0], [0.0]]}'
+    if shape == "huge_n":
+        return b'{"n": 1000000000000, "data": [[1.0]]}'
+    n = draw(st.sampled_from([2, 2, 1, 3]))
+    if shape == "spd":  # diagonally dominant, then scaled to an extreme
+        a = np.diag(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n))) + 0.25
+        with np.errstate(over="ignore"):  # 1.7e308 scales a 3.25 entry to inf
+            a = a * draw(st.sampled_from(_SCALES))
+    else:
+        a = np.array(draw(st.lists(st.sampled_from(_ENTRIES), min_size=n * n, max_size=n * n))).reshape(n, n)
+        if draw(st.booleans()):
+            a = np.triu(a) + np.triu(a, 1).T
+    return json.dumps({"n": n, "data": a.tolist()}).encode()
+
+
+_cone_document = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["quad-affine", "quad-translate", "loewner", "half-space", "ray", "bogus"]),
+     "n": st.sampled_from([2, 2, 2, 1, 3, 0, 65, 10**12, 2.5, True])},
+    optional={"mu": st.sampled_from([1.0, 1.0, 0.5, 1.5, -1.0, 1e308, math.nan, math.inf])},
+).map(lambda d: json.dumps(d).encode())
+
+
+class TestArgvFuzz:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_every_input_ends_in_a_documented_exit(self, data):
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+        flags, positionals = _COMMANDS[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name in ("m0", "m1", "m2"):
+                (root / f"{name}.json").write_bytes(data.draw(_matrix_document(), label=name))
+            (root / "cone.json").write_bytes(data.draw(_cone_document, label="cone"))
+            (root / "afile").write_text("")
+            targets = {"--cone": "@cone", "--at": "@m1", "--dir": "@m2"}
+            argv = command.split()
+            for flag in flags:
+                if flag in targets:
+                    value = targets[flag]
+                elif flag in ("--out", "--outdir"):
+                    value = data.draw(st.sampled_from([str(root / "out"), str(root / "out"), str(root / "afile"),
+                                                       str(root / "afile" / "sub"), ""]), label=flag)
+                else:
+                    values = _VALUES[flag]
+                    value = data.draw(st.sampled_from([None, values[0], values[0], *values]), label=flag)
+                if value is not None:
+                    argv += [flag, value]
+            argv += positionals
+            argv = [w.replace("@", f"{root}/") + ".json" if "@" in w else w for w in argv]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            elapsed = time.perf_counter() - start
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+        assert elapsed < 10.0, argv
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+        elif code == 3:
+            assert len(lines) == 1 and lines[0].startswith("internal error:"), (argv, lines)
+        else:
+            assert all(line.startswith("warning:") for line in lines), (argv, lines)

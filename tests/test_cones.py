@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,3 +422,88 @@ class TestSampling:
     def test_boundary_flags_must_match_generators(self):
         with pytest.raises(ValueError):
             sample_cone_tangents(loewner(3), random_spd(3, 1), [derive_rng(1), derive_rng(2)], [True])
+
+
+def _reference_boundary_ray(mu, n, draw, trace, axis):
+    """The scalar boundary-ray loop: one draw at a time until the
+    discriminant is positive and the mixed ray has a usable norm."""
+    while True:
+        g = draw()
+        tau = float(trace(g))
+        s = float(np.sum(g * g))
+        disc = mu * (n - mu) * (n * s - tau * tau)
+        if disc <= 0:
+            continue
+        c = (-tau * (n - mu) + math.sqrt(disc)) / (n * (n - mu))
+        y = g + c * axis
+        norm = np.linalg.norm(y)
+        if norm > 1e-8:
+            return y / norm
+
+
+class _DegenerateFirstDraw:
+    """A generator whose first standard_normal draw is the given array
+    (a multiple of the cone axis, which has a zero discriminant); every
+    later draw comes from rng."""
+
+    def __init__(self, first, rng):
+        self.first, self.rng = first, rng
+
+    def standard_normal(self, size=None, out=None):
+        if self.first is None:
+            return self.rng.standard_normal(size, out=out)
+        first, self.first = self.first, None
+        if out is None:
+            return first.copy()
+        out[...] = first
+        return out
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+def _sym_draw(rng, n):
+    g = rng.standard_normal((n, n))  # random_sym's draw, for generators it does not take
+    return 0.5 * (g + g.T)
+
+
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+class TestBoundaryRaySolver:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_spectral_boundary_matches_scalar_loop(self, n, share):
+        mu = share * n
+        for i in range(30):
+            rng = derive_rng(12, n, i)
+            ref = _reference_boundary_ray(mu, n, lambda: rng.standard_normal(n), np.sum, 1.0)
+            assert _hex(sample_spectral_boundary(mu, n, derive_rng(12, n, i))) == _hex(ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_degenerate_first_draws_draw_again(self, n):
+        # rows 0, 3, 6, ... start with 2.5 I, which a boundary ray cannot mix;
+        # the interior rows then draw their shift after the redraw
+        mu = 0.4 * n
+        boundary = [j % 2 == 0 for j in range(9)]
+
+        def rngs():
+            return [_DegenerateFirstDraw(2.5 * np.eye(n), derive_rng(13, j)) if j % 3 == 0 else derive_rng(13, j)
+                    for j in range(9)]
+
+        sigma = random_spd(n, derive_rng(14, n), 0.7)
+        stack = sample_cone_tangents(quadratic_translation(mu, n), sigma, rngs(), boundary)
+        for j, (rng, on_boundary) in enumerate(zip(rngs(), boundary)):
+            y = _reference_boundary_ray(mu, n, lambda: _sym_draw(rng, n), np.trace, np.eye(n))
+            if not on_boundary:
+                y = y + rng.uniform(0.2, 1.0) * np.eye(n)
+            y = 0.5 * (y + y.T)
+            y = y / np.linalg.norm(y)
+            assert _hex(stack[j]) == _hex(0.5 * (y + y.T)), j
+
+    def test_degenerate_first_spectral_draw_draws_again(self):
+        first = _DegenerateFirstDraw(-1.5 * np.ones(3), derive_rng(15, 0))
+        rng = derive_rng(15, 0)
+        ref = _reference_boundary_ray(1.2, 3, lambda: rng.standard_normal(3), np.sum, 1.0)
+        assert _hex(sample_spectral_boundary(1.2, 3, first)) == _hex(ref)

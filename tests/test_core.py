@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from spdorders import (
     spd_validate,
     sym_eig,
 )
-from spdorders.core import sym_exp
+import spdorders
+from spdorders.core import _validate_sym_stack, derive_rng, derive_seed_words, seeded_rngs, sym_exp
 from spdorders.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -230,3 +235,92 @@ class TestTangent:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvalidParameters, match="finite"):
             SymTangent([[0.0, bad], [bad, 0.0]])
+
+
+class TestOneRowSymmetryGuard:
+    # the k = 1 branch against the stacked rule, which a two-row stack takes
+    ROWS = {
+        "symmetric": [[2.0, 0.5], [0.5, 1.0]],
+        "within_tolerance": [[1.0, 1.0 + 1e-13], [1.0, 3.0]],
+        "tiny": [[5e-324, 0.0], [0.0, 1e-300]],
+        "huge": [[1e300, -1e299], [-1e299, 1e300]],
+        "negative_zero": [[-0.0, 0.0], [0.0, -0.0]],
+        "asymmetric": [[1.0, 2.0], [0.0, 1.0]],
+        "nan": [[1.0, np.nan], [np.nan, 1.0]],
+        "inf": [[np.inf, 0.0], [0.0, 1.0]],
+        "minus_inf": [[1.0, 0.0], [0.0, -np.inf]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_matches_stacked_rule(self, name):
+        row = np.array(self.ROWS[name])
+        one, one_err = _validate_sym_stack(row[None])
+        two, two_err = _validate_sym_stack(np.stack([row, row]))
+        assert one.shape == (min(len(two), 1), 2, 2) and not one.flags.writeable
+        assert [v.hex() for v in one.ravel().tolist()] == [v.hex() for v in two[:1].ravel().tolist()]
+        assert type(one_err) is type(two_err)
+        assert str(one_err) == str(two_err)
+
+    def test_three_by_three_random_rows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a = rng.standard_normal((3, 3))
+            a = a + a.T + rng.choice([0.0, 1e-13, 1e-3]) * rng.standard_normal((3, 3))
+            one, one_err = _validate_sym_stack(a[None])
+            two, two_err = _validate_sym_stack(np.stack([a, a]))
+            assert one.tobytes() == two[:len(one)].tobytes() and str(one_err) == str(two_err)
+
+
+class TestSeedWords:
+    SEEDS = [0, 1, -1, 2**40 + 3, 2**64 - 1]
+    # tuples of 0 to 5 indices; values >= 2^32 take two words, so the last
+    # rows hash more than the 4-word pool
+    INDEX_ROWS = [(), (0,), (7,), (-1,), (3, 4), (2**32, 5), (2**64 - 1, 2**40 + 3), (1, 2, 3),
+                  (2**33, 2**34, 2**35), (0, 0, 0, 0), (-2, 9, 2**63, 1, 2**32 - 1)]
+
+    @staticmethod
+    def _same_stream(g, seed, row):
+        ref = derive_rng(seed, *row)
+        assert g.bit_generator.state == ref.bit_generator.state
+        assert g.integers(0, 2**63, 5).tolist() == ref.integers(0, 2**63, 5).tolist()
+        assert g.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("row", INDEX_ROWS)
+    def test_words_seed_the_derive_rng_stream(self, seed, row):
+        wrapped = np.array([[v % 2**64 for v in row]], dtype=np.uint64).reshape(1, len(row))
+        words = derive_seed_words(seed, wrapped)
+        assert words.shape == (1, 4) and words.dtype == np.uint64
+        self._same_stream(seeded_rngs(words)[0], seed, row)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_of_mixed_length_in_one_batch(self, seed):
+        # one to six words per row, two to seven with the seed
+        rows = [(0, 1, 2), (2**32, 1, 2), (5, 2**40, 2**64 - 1), (2**50, 2**51, 2**52), (9, 8, 7)]
+        words = derive_seed_words(seed, np.array(rows, dtype=np.uint64))
+        for g, row in zip(seeded_rngs(words), rows, strict=True):
+            self._same_stream(g, seed, row)
+
+    def test_negative_indices_wrap_like_derive_rng(self):
+        rows = np.array([[-1, 3], [0, -(2**40)], [5, 6]])
+        for g, row in zip(seeded_rngs(derive_seed_words(-7, rows)), rows.tolist(), strict=True):
+            self._same_stream(g, -7, row)
+
+    def test_empty_batch(self):
+        assert derive_seed_words(3, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)
+
+    def test_rejects_a_flat_index_list(self):
+        with pytest.raises(DimensionMismatch):
+            derive_seed_words(0, [1, 2, 3])
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(spdorders.__file__).resolve().parents[1])
+        code = "import sys, spdorders; print('numpy.random' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    def test_seed_words_serve_only_the_pcg64_request(self):
+        g = seeded_rngs(derive_seed_words(0, [[1]]))[0]
+        with pytest.raises(InvalidParameters):
+            g.bit_generator.seed_seq.generate_state(8, np.uint32)
