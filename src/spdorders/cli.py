@@ -250,24 +250,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+MAX_STDERR_LINE = 300
+
+
+def _stderr_line(text: str) -> None:
+    """Write one diagnostic line: whitespace collapsed, cut to
+    MAX_STDERR_LINE characters ending in "..."."""
+    line = " ".join(text.split())
+    if len(line) > MAX_STDERR_LINE:
+        line = line[:MAX_STDERR_LINE - 3] + "..."
+    sys.stderr.write(line + "\n")
+
+
 def main(argv=None) -> int:
     """Run one command.  Exit 2 prints only its one error: line, and exit 3
     only its one internal error: line; after exit 0 or 1, each distinct
-    warning the command raised prints as one line."""
+    warning the command raised prints as one line.  Every stderr line is
+    bounded by MAX_STDERR_LINE."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
             code = args.func(args)
         except SpdError as exc:
-            sys.stderr.write(f"error: {exc}\n")
+            _stderr_line(f"error: {exc}")
             return 2
         except Exception as exc:  # a defect, not a verdict: never exit 1
-            message = " ".join(str(exc).split())
-            sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+            _stderr_line(f"internal error: {type(exc).__name__}: {exc}")
             return 3
     for message in dict.fromkeys(str(w.message) for w in caught):
-        sys.stderr.write(f"warning: {message}\n")
+        _stderr_line(f"warning: {message}")
     return code
 
 

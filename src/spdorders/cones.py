@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_DIM, SpdMatrix, SymTangent, _is_json_number, _validate_sym_stack, as_tangent, random_sym
+from .core import SpdMatrix, SymTangent, _check_dimension, _is_json_number, _validate_sym_stack, as_tangent
 from .errors import DimensionMismatch, InvalidParameters
 
 DEFAULT_TOL = 1e-10
@@ -50,10 +50,7 @@ class ConeSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameters(f"unknown cone kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidParameters("dimension must be >= 1")
-        if self.n > MAX_DIM:
-            raise InvalidParameters(f"dimension {self.n} above desk-scale cap {MAX_DIM}")
+        _check_dimension(self.n)
         if self.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
             if self.mu is None:
                 raise InvalidParameters(f"{self.kind} requires mu")
@@ -122,6 +119,7 @@ class SpectralCone:
     def __init__(self, mu: float, n: int):
         if not (0.0 < mu < n):
             raise InvalidParameters(f"mu={mu} outside open interval (0, {n})")
+        _check_dimension(n)
         self.mu = float(mu)
         self.n = int(n)
 
@@ -277,6 +275,15 @@ def traceless_projection(x) -> SymTangent:
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_draws(rngs, shape) -> np.ndarray:
+    """A standard normal draw of the given shape from each generator, stacked;
+    (n, n) draws are symmetrized as random_sym does."""
+    g = np.empty((len(rngs), *shape))
+    for row, rng in zip(g, rngs):
+        rng.standard_normal(shape, out=row)
+    return 0.5 * (g + g.swapaxes(1, 2)) if len(shape) == 2 else g
+
+
 def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
     """Unit-norm points on the boundary of the quadratic cone, one per
     generator: symmetric matrices at the identity (a (k, n, n) stack), or
@@ -290,12 +297,7 @@ def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
     n >= 2 and 0 < mu < n, or no draw is ever accepted.
     """
     shape = (n, n) if matrix else (n,)
-    g = np.empty((len(rngs), *shape))
-    for row, rng in zip(g, rngs):
-        rng.standard_normal(shape, out=row)
-    if matrix:
-        g = 0.5 * (g + g.swapaxes(1, 2))  # random_sym's draw
-    g = g.reshape(len(g), math.prod(shape))
+    g = _gaussian_draws(rngs, shape).reshape(len(rngs), math.prod(shape))
     tau = g[:, ::n + 1 if matrix else 1].sum(axis=1)  # the trace: the diagonal's sum
     s = (g * g).sum(axis=1)
     disc = mu * (n - mu) * (n * s - tau * tau)
@@ -321,45 +323,43 @@ def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.
     """
     if n < 2 or not 0.0 < mu < n:
         raise InvalidParameters(f"no spectral cone boundary to sample at n={n}, mu={mu}")
+    _check_dimension(n)
     return _boundary_rays(mu, n, [rng], matrix=False)[0]
 
 
 def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:
     """Random unit-Frobenius tangents inside K(sigma), one row per generator:
     a boundary ray where boundary[i] is set, else a strictly interior ray.
-    Row i draws only from rngs[i], so rows are independent; the linear
-    algebra runs once over the stack.  Returns a read-only (k, n, n) stack
-    that passed SymTangent's guards."""
+    Every row draws its Gaussian matrix (the ray: its scale), then every
+    interior row its shift, so rows need distinct generators; the algebra
+    runs once over the stack.  Returns a read-only (k, n, n) stack that
+    passed SymTangent's guards."""
     n = spec.n
     if spec.n != sigma.n:
         raise DimensionMismatch(f"cone n={spec.n}, point n={sigma.n}")
-    rows = list(enumerate(zip(rngs, boundary, strict=True)))
-    ys = np.empty((len(rows), n, n))
+    rows = list(zip(rngs, boundary, strict=True))
+    rngs = [rng for rng, _ in rows]
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
-        ys[:] = 1.0
-    elif spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE):
-        ys = _boundary_rays(spec.mu, n, [rng for _, (rng, _) in rows])
-        for row, (rng, on_boundary) in rows:  # interior rows draw after their boundary ray
-            if not on_boundary:
-                ys[row] += rng.uniform(0.2, 1.0) * np.eye(n)
-    elif spec.kind == LOEWNER:
-        shift = np.zeros(len(rows))
-        for row, (rng, on_boundary) in rows:
-            ys[row] = random_sym(n, rng)
-            shift[row] = 0.0 if on_boundary else rng.uniform(0.1, 1.0)
-        w, v = np.linalg.eigh(ys)
-        w = w - w[:, :1]
-        # boundary rows add an exact +0.0 to their nonnegative w
-        w = w + (shift * (1.0 + w[:, -1]))[:, None]
-        ys = (v * w[:, None, :]) @ v.swapaxes(1, 2)  # v * w is v @ diag(w): one product per entry
-    elif spec.kind == HALF_SPACE:
-        for row, (rng, on_boundary) in rows:
-            g = random_sym(n, rng)
-            y = g - (np.trace(g) / n) * np.eye(n)
-            ys[row] = y if on_boundary else y + rng.uniform(0.2, 1.0) * np.linalg.norm(y) * np.eye(n)
-    else:  # ray: the cone is the single ray spanned by sigma
-        for row, (rng, _) in rows:
-            ys[row] = rng.uniform(0.2, 2.0) * sigma.entries
+        ys = np.ones((len(rows), 1, 1))
+    elif spec.kind == RAY:  # the cone is the single ray spanned by sigma
+        ys = np.array([rng.uniform(0.2, 2.0) for rng in rngs]).reshape(-1, 1, 1) * sigma.entries
+    else:
+        quadratic = spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE)
+        ys = _boundary_rays(spec.mu, n, rngs) if quadratic else _gaussian_draws(rngs, (n, n))
+        low = 0.1 if spec.kind == LOEWNER else 0.2
+        shift = np.array([0.0 if on_boundary else rng.uniform(low, 1.0) for rng, on_boundary in rows])
+        if spec.kind == HALF_SPACE:  # the traceless part, shifted by its norm
+            trace = ys.reshape(len(ys), n * n)[:, ::n + 1].sum(axis=1)
+            ys = ys - (trace / n)[:, None, None] * np.eye(n)
+            shift = shift * _row_norms(ys)
+        if spec.kind == LOEWNER:
+            w, v = np.linalg.eigh(ys)
+            w = w - w[:, :1]
+            # boundary rows add an exact +0.0 to their nonnegative w
+            w = w + (shift * (1.0 + w[:, -1]))[:, None]
+            ys = (v * w[:, None, :]) @ v.swapaxes(1, 2)  # v * w is v @ diag(w): one product per entry
+        else:
+            ys = ys + shift[:, None, None] * np.eye(n)
     if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
         root = sigma.spectrum.apply(np.sqrt)
         ys = root @ ys @ root

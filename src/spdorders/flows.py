@@ -211,7 +211,7 @@ def preorder_monitor(
     Both projected trace curves tr f(X_r(t)) must be nondecreasing, and
     when the initial full traces satisfy tr(X(0) - Xhat(0)) >= 0 the gap
     between the curves must stay above that initial trace difference,
-    both up to MONOTONE_TOL.
+    both up to MONOTONE_TOL.  A NaN in either comparison fails it.
     """
     if traj1.times.shape != traj2.times.shape or not np.allclose(traj1.times, traj2.times, atol=1e-12):
         raise MismatchedTrajectories("time grids differ")
@@ -219,12 +219,10 @@ def preorder_monitor(
         raise MismatchedTrajectories("dimensions differ")
     c1 = projected_trace_curve(traj1, r, f, alpha=alpha)
     c2 = projected_trace_curve(traj2, r, f, alpha=alpha)
-    if _worst_step(c1) < -MONOTONE_TOL or _worst_step(c2) < -MONOTONE_TOL:
+    if not (_worst_step(c1) >= -MONOTONE_TOL and _worst_step(c2) >= -MONOTONE_TOL):
         return False
     delta0 = float(np.trace(traj1.states[0]) - np.trace(traj2.states[0]))
-    if delta0 >= 0.0 and np.min(c1 - c2) < delta0 - MONOTONE_TOL:
-        return False
-    return True
+    return bool(delta0 < 0.0 or np.min(c1 - c2) >= delta0 - MONOTONE_TOL)
 
 
 def trajectory_csv(traj: FlowTrajectory) -> str:

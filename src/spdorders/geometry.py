@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SpdMatrix,
-    SymTangent,
-    as_tangent,
-    require_well_conditioned,
-    sym_eig,
-)
+from .core import COND_CAP, SpdMatrix, SymTangent, as_tangent, sym_eig
 from .errors import DimensionMismatch, IllConditioned, InvalidParameters
 
 
@@ -47,7 +41,7 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     """The frame (b, w) that diagonalizes a pair: sigma1 = b b^T and
     sigma2 = b diag(w) b^T, with w the ascending eigenvalues and u the
     eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2}, and b = sigma1^{1/2} u.
-    Raises IllConditioned when the relative spectrum spans more than 1e12.
+    Raises IllConditioned when the relative spectrum spans more than COND_CAP.
     """
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
@@ -56,7 +50,8 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     rel = inv_root @ sigma2.entries @ inv_root
     rel = 0.5 * (rel + rel.T)
     w, u = np.linalg.eigh(rel)
-    require_well_conditioned(w, "relative matrix of the pair")
+    if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
+        raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
     return spec.apply(np.sqrt) @ u, w
 
 
@@ -92,7 +87,7 @@ def riemannian_exp(sigma: SpdMatrix, x) -> SpdMatrix:
     s = inv_root @ x.entries @ inv_root
     spec = sym_eig(0.5 * (s + s.T))
     w = spec.eigenvalues
-    if w[-1] - w[0] > np.log(1e12):
+    if w[-1] - w[0] > np.log(COND_CAP):
         raise IllConditioned("exponential image would exceed the condition cap")
     root = sigma.spectrum.apply(np.sqrt)
     return SpdMatrix(root @ spec.apply(np.exp) @ root)

@@ -21,6 +21,7 @@ from .core import (
     SpdMatrix,
     SymTangent,
     _as_finite_square,
+    _check_dimension,
     _validate_sym_stack,
     as_tangent,
     congruence,
@@ -273,35 +274,32 @@ SHIFT_INEQUALITY = "shift_inequality"
 
 
 def trace_inequality_fuzz(kind: str, param: int, seed: int, count: int) -> float:
-    """Fuzz one of the two trace inequalities and return the worst
-    relative slack (rhs - lhs signed so that >= 0 means the inequality held).
+    """Fuzz one of the two trace inequalities low <= high and return the
+    worst relative slack (high - low, so that >= 0 means the inequality held).
 
     power_trace_lemma(m): tr[(AB)^{2m}] <= tr[A^{2m} B^{2m}] for symmetric A, B.
     shift_inequality(k):  tr(S^{-2-k} X S^k X) >= tr(S^{-1-k} X S^{-1+k} X).
+
+    A sample with a side that is not finite raises InvalidParameters, so
+    that an overflow never reads as an inequality that held.
     """
     if count < 1:
         raise InvalidParameters("count must be >= 1")
+    if kind == POWER_TRACE_LEMMA and param < 1:
+        raise InvalidParameters("m must be >= 1")
+    if kind == SHIFT_INEQUALITY and param < 0:
+        raise InvalidParameters("k must be >= 0")
+    if kind not in (POWER_TRACE_LEMMA, SHIFT_INEQUALITY):
+        raise InvalidParameters(f"unknown inequality kind {kind!r}")
     worst = math.inf
-    if kind == POWER_TRACE_LEMMA:
-        if param < 1:
-            raise InvalidParameters("m must be >= 1")
-        for i in range(count):
-            rng = derive_rng(seed, i)
-            n = int(rng.integers(2, 7))
-            a = random_sym(n, rng)
-            b = random_sym(n, rng)
-            lhs = float(np.trace(np.linalg.matrix_power(a @ b, 2 * param)))
-            rhs = float(np.trace(np.linalg.matrix_power(a, 2 * param) @ np.linalg.matrix_power(b, 2 * param)))
-            slack = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
-            worst = min(worst, slack)
-        return worst
-    if kind == SHIFT_INEQUALITY:
-        if param < 0:
-            raise InvalidParameters("k must be >= 0")
-        k = param
-        for i in range(count):
-            rng = derive_rng(seed, i)
-            n = int(rng.integers(2, 7))
+    for i in range(count):
+        rng = derive_rng(seed, i)
+        n = int(rng.integers(2, 7))
+        if kind == POWER_TRACE_LEMMA:
+            a, b = random_sym(n, rng), random_sym(n, rng)
+            low = float(np.trace(np.linalg.matrix_power(a @ b, 2 * param)))
+            high = float(np.trace(np.linalg.matrix_power(a, 2 * param) @ np.linalg.matrix_power(b, 2 * param)))
+        else:
             sigma = random_spd(n, rng, scale=0.8)
             x = random_sym(n, rng)
             spec = sigma.spectrum
@@ -309,12 +307,12 @@ def trace_inequality_fuzz(kind: str, param: int, seed: int, count: int) -> float
             def spower(e):
                 return spec.apply(lambda w: w**e)
 
-            lhs = float(np.trace(spower(-2 - k) @ x @ spower(k) @ x))
-            rhs = float(np.trace(spower(-1 - k) @ x @ spower(-1 + k) @ x))
-            slack = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            worst = min(worst, slack)
-        return worst
-    raise InvalidParameters(f"unknown inequality kind {kind!r}")
+            high = float(np.trace(spower(-2 - param) @ x @ spower(param) @ x))
+            low = float(np.trace(spower(-1 - param) @ x @ spower(-1 + param) @ x))
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise InvalidParameters(f"{kind} sample {i} is not finite: cannot decide {low!r} <= {high!r}")
+        worst = min(worst, (high - low) / max(1.0, abs(low), abs(high)))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -339,6 +337,7 @@ def strict_contraction_witness(mu: float, n: int, sigma1: float, sigma2: float) 
         raise InvalidParameters(f"mu={mu} outside open interval (0, {n})")
     if n < 2:
         raise InvalidParameters("need n >= 2")
+    _check_dimension(n)
     if not (sigma1 >= sigma2 > 0):
         raise InvalidParameters("need sigma1 >= sigma2 > 0")
     diag = np.full(n, float(sigma2))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdorders import check_differential_positivity, loewner, random_spd, translation_map
-from spdorders.cli import main
+from spdorders.cli import MAX_STDERR_LINE, main
 from spdorders.io import matrix_document, parse_matrix_document
 
 
@@ -581,6 +581,49 @@ class TestInternalErrors:
         assert err == "internal error: ZeroDivisionError: first line second line\n"
 
 
+class TestBoundedErrorLines:
+    # each input once echoed itself into its error line unbounded or with a raw newline
+    @staticmethod
+    def _assert_one_bounded_line(capsys, argv, code=2, prefix="error:"):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) - 1 <= MAX_STDERR_LINE
+        return err
+
+    def test_long_cone_kind(self, files, capsys):
+        _, _, matrix, cone = files
+        path = cone("long.json", kind="k" * 50_000, n=2)
+        err = self._assert_one_bounded_line(capsys, ["order", "--cone", path, matrix("a.json", np.eye(2)),
+                                                     matrix("b.json", np.eye(2))])
+        assert err == err[:MAX_STDERR_LINE - 3] + "...\n"
+
+    def test_long_map_argument(self, files, capsys):
+        _, _, _, cone = files
+        self._assert_one_bounded_line(capsys, ["monotone", "--map", "m" * 100_000,
+                                               "--cone", cone("c.json", kind="loewner", n=2)])
+
+    def test_newline_in_an_unreadable_path(self, capsys, tmp_path):
+        err = self._assert_one_bounded_line(capsys, ["validate", str(tmp_path / "no\nsuch.json")])
+        assert "no such.json" in err
+
+    def test_newline_in_an_unwritable_path(self, files, capsys, tmp_path):
+        _, _, matrix, _ = files
+        target = tmp_path / "missing\ndir" / "x.csv"
+        self._assert_one_bounded_line(capsys, ["flow", "--kind", "toda", "--t-end", "0.01", "--step", "1e-3",
+                                               "--out", str(target), matrix("x0.json", np.diag([2.0, 1.0]))])
+
+    def test_long_internal_error(self, files, capsys, monkeypatch):
+        def broken(a, b, t):
+            raise ZeroDivisionError("x" * 10_000)
+
+        _, _, matrix, _ = files
+        monkeypatch.setattr("spdorders.cli.geodesic", broken)
+        path = matrix("a.json", np.eye(2))
+        self._assert_one_bounded_line(capsys, ["geodesic", "--t", "0.5", path, path], code=3,
+                                      prefix="internal error: ZeroDivisionError: xxx")
+
+
 # Fuzzed command lines: every value list starts with an ordinary value,
 # drawn more often, and goes on to huge, tiny, non-finite and unparsable
 # ones.  Sizes that would allocate (sample counts, resolutions, flow
@@ -681,6 +724,7 @@ class TestArgvFuzz:
             elapsed = time.perf_counter() - start
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2, 3), argv
+        assert all(len(line) <= MAX_STDERR_LINE for line in lines), argv
         assert "Traceback" not in err.getvalue()
         assert elapsed < 10.0, argv
         if code == 2:

@@ -272,6 +272,14 @@ class TestMembership:
 
 
 class TestSpectralCone:
+    # n = 2**62 is far past any allocation; numpy would refuse its size at once
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 2**62])
+    def test_dimension_cap_before_allocating(self, n):
+        with pytest.raises(InvalidParameters, match=f"dimension {n} above desk-scale cap {MAX_DIM}"):
+            SpectralCone(1.0, n)
+        with pytest.raises(InvalidParameters, match=f"dimension {n} above desk-scale cap {MAX_DIM}"):
+            sample_spectral_boundary(1.0, n, derive_rng(0))
+
     def test_form_matrix_entries(self):
         q = SpectralCone(1.25, 3).form_matrix
         assert np.allclose(np.diag(q), 1.0 - 1.25)
@@ -507,3 +515,64 @@ class TestBoundaryRaySolver:
         rng = derive_rng(15, 0)
         ref = _reference_boundary_ray(1.2, 3, lambda: rng.standard_normal(3), np.sum, 1.0)
         assert _hex(sample_spectral_boundary(1.2, 3, first)) == _hex(ref)
+
+
+def _reference_cone_tangents(spec, sigma, rngs, boundary):
+    """The sampler as a per-kind loop: each row draws and shifts in turn
+    from its own generator, then the stack is rotated, symmetrized and
+    normalized as the sampler does it."""
+    n = spec.n
+    ys = np.empty((len(rngs), n, n))
+    if n == 1:
+        ys[:] = 1.0
+    elif spec.kind in ("quad-affine", "quad-translate"):
+        for row, (rng, on_boundary) in enumerate(zip(rngs, boundary)):
+            ys[row] = _reference_boundary_ray(spec.mu, n, lambda: _sym_draw(rng, n), np.trace, np.eye(n))
+            if not on_boundary:
+                ys[row] += rng.uniform(0.2, 1.0) * np.eye(n)
+    elif spec.kind == "loewner":
+        shift = np.zeros(len(rngs))
+        for row, (rng, on_boundary) in enumerate(zip(rngs, boundary)):
+            ys[row] = random_sym(n, rng)
+            shift[row] = 0.0 if on_boundary else rng.uniform(0.1, 1.0)
+        w, v = np.linalg.eigh(ys)
+        w = w - w[:, :1]
+        w = w + (shift * (1.0 + w[:, -1]))[:, None]
+        ys = (v * w[:, None, :]) @ v.swapaxes(1, 2)
+    elif spec.kind == "half-space":
+        for row, (rng, on_boundary) in enumerate(zip(rngs, boundary)):
+            g = random_sym(n, rng)
+            y = g - (np.trace(g) / n) * np.eye(n)
+            ys[row] = y if on_boundary else y + rng.uniform(0.2, 1.0) * np.linalg.norm(y) * np.eye(n)
+    else:
+        for row, rng in enumerate(rngs):
+            ys[row] = rng.uniform(0.2, 2.0) * sigma.entries
+    if n > 1 and spec.kind in ("quad-affine", "half-space"):
+        root = sigma.spectrum.apply(np.sqrt)
+        ys = root @ ys @ root
+    out = []
+    for y in ys:
+        y = 0.5 * (y + y.T)
+        norm = np.linalg.norm(y)
+        if norm < 1e-12:
+            y, norm = sigma.entries, np.linalg.norm(sigma.entries)
+        y = y / norm
+        out.append(0.5 * (y + y.T))
+    return np.array(out).reshape(len(rngs), n, n)
+
+
+class TestSamplerAgainstPerKindLoop:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+    def test_bit_for_bit_with_next_draws(self, kind, n):
+        spec = ConeSpec(kind, n, 0.3 * n if kind.startswith("quad") else None)
+        for seed in range(6):
+            sigma = random_spd(n, derive_rng(16, n, seed), 0.7)
+            boundary = [bool(b) for b in derive_rng(17, n, seed).integers(0, 2, size=7)]
+            got_rngs = [derive_rng(18, seed, j) for j in range(7)]
+            ref_rngs = [derive_rng(18, seed, j) for j in range(7)]
+            got = sample_cone_tangents(spec, sigma, got_rngs, boundary)
+            ref = _reference_cone_tangents(spec, sigma, ref_rngs, boundary)
+            assert _hex(got) == _hex(ref), (seed, boundary)
+            # every generator stopped where the per-kind loop left it
+            assert [g.standard_normal() for g in got_rngs] == [r.standard_normal() for r in ref_rngs]

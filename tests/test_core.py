@@ -19,7 +19,16 @@ from spdorders import (
     sym_eig,
 )
 import spdorders
-from spdorders.core import _validate_sym_stack, derive_rng, derive_seed_words, seeded_rngs, sym_exp
+from spdorders.core import (
+    MAX_DIM,
+    SYM_RTOL,
+    _validate_sym_stack,
+    derive_rng,
+    derive_seed_words,
+    random_sym,
+    seeded_rngs,
+    sym_exp,
+)
 from spdorders.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -221,6 +230,19 @@ class TestRandomSpd:
     def test_seeds_differ(self):
         assert not np.array_equal(random_spd(3, 1).entries, random_spd(3, 2).entries)
 
+    # n = 2**62 is far past any allocation; numpy would refuse its size at once
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 2**62])
+    @pytest.mark.parametrize("draw", [random_spd, random_sym])
+    def test_dimension_cap_before_drawing(self, n, draw):
+        with pytest.raises(InvalidParameters, match=f"dimension {n} above desk-scale cap {MAX_DIM}"):
+            draw(n, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("draw", [random_spd, random_sym])
+    def test_dimension_below_one(self, n, draw):
+        with pytest.raises(InvalidParameters, match="dimension must be >= 1"):
+            draw(n, 0)
+
 
 class TestTangent:
     def test_symmetrized_storage(self):
@@ -238,7 +260,7 @@ class TestTangent:
 
 
 class TestOneRowSymmetryGuard:
-    # the k = 1 branch against the stacked rule, which a two-row stack takes
+    # a one-row stack against a two-row stack of the same row
     ROWS = {
         "symmetric": [[2.0, 0.5], [0.5, 1.0]],
         "within_tolerance": [[1.0, 1.0 + 1e-13], [1.0, 3.0]],
@@ -269,6 +291,68 @@ class TestOneRowSymmetryGuard:
             one, one_err = _validate_sym_stack(a[None])
             two, two_err = _validate_sym_stack(np.stack([a, a]))
             assert one.tobytes() == two[:len(one)].tobytes() and str(one_err) == str(two_err)
+
+
+def _reference_sym_rows(a):
+    """The symmetry guard one row at a time on Python floats: the
+    symmetrized rows before the first failing row, and that row's error."""
+    rows = []
+    for row in a.tolist():
+        entries = [v for line in row for v in line]
+        if not all(math.isfinite(v) for v in entries):
+            return rows, InvalidParameters("matrix entries must be finite")
+        tolerance = SYM_RTOL * (1.0 + max(abs(v) for v in entries))
+        n = len(row)
+        gap = max(abs(row[i][j] - row[j][i]) for i in range(n) for j in range(n))
+        if not gap <= tolerance:
+            return rows, NotSymmetric(f"asymmetry {gap:.3e} exceeds tolerance {tolerance:.3e}")
+        rows.append([[0.5 * (row[i][j] + row[j][i]) for j in range(n)] for i in range(n)])
+    return rows, None
+
+
+class TestSymmetryGuardAgainstPerRowRule:
+    @staticmethod
+    def _row(kind, n, rng):
+        scale = 10.0 ** rng.integers(-3, 4)
+        g = rng.standard_normal((n, n)) * scale
+        a = g + g.T
+        tolerance = SYM_RTOL * (1.0 + np.abs(a).max())
+        if kind == "over":  # just past the row's own tolerance
+            a[0, -1] = a[-1, 0] + 1.01 * tolerance
+        elif kind == "between":  # past SYM_RTOL, within the row's tolerance
+            a = a * (100.0 / np.abs(a).max())
+            a[0, -1] = a[-1, 0] + 50.0 * SYM_RTOL
+        elif kind in ("nan", "inf", "-inf"):
+            a[rng.integers(n), rng.integers(n)] = float(kind)
+        return a
+
+    @staticmethod
+    def _assert_matches(a):
+        sym, err = _validate_sym_stack(a)
+        ref, ref_err = _reference_sym_rows(a)
+        assert not sym.flags.writeable and sym.shape == (len(ref), *a.shape[1:])
+        assert [v.hex() for v in sym.ravel().tolist()] == [v.hex() for row in ref for line in row for v in line]
+        assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_mixed_stacks(self, n):
+        rng = np.random.default_rng(n)
+        kinds = ["symmetric", "symmetric", "between", "over", "nan", "inf", "-inf"]
+        for _ in range(300):
+            rows = rng.choice(kinds, size=int(rng.integers(1, 7)))
+            self._assert_matches(np.array([self._row(kind, n, rng) for kind in rows]))
+
+    @pytest.mark.parametrize("kind", ["symmetric", "between"])
+    def test_passing_stacks(self, kind):
+        # a "between" stack fails the whole-stack test and passes row by row
+        rng = np.random.default_rng(4)
+        a = np.array([self._row(kind, 3, rng) for _ in range(8)])
+        assert (np.abs(a - a.swapaxes(1, 2)).max() > SYM_RTOL) == (kind == "between")
+        self._assert_matches(a)
+        assert _validate_sym_stack(a)[1] is None
+
+    def test_empty_stack(self):
+        self._assert_matches(np.empty((0, 3, 3)))
 
 
 class TestSeedWords:

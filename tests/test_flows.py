@@ -13,7 +13,7 @@ from spdorders import (
     skew_projection,
     sym_eig,
 )
-from spdorders.core import random_sym
+from spdorders.core import derive_rng, random_sym
 from spdorders.errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -348,6 +348,15 @@ class TestPreorderMonitor:
         # tr(up - one) = 3 at t = 0, but the leading 2 x 2 traces differ by 2
         assert not preorder_monitor(up, one, "identity", 2)
         assert preorder_monitor(up, one, "identity", 3)
+
+    def test_infinite_curves_fail(self):
+        # exp overflows on every state, so each curve is all inf and its steps are NaN
+        x0 = random_sym(3, derive_rng(1)) + 800.0 * np.eye(3)
+        t1 = integrate_flow("toda", x0, t_end=0.05, step=1e-3)
+        t2 = integrate_flow("toda", x0 - 0.5 * np.eye(3), t_end=0.05, step=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(projected_trace_curve(t1, 2, "exp")).all()
+            assert preorder_monitor(t1, t2, "exp", 2) is False
 
     def test_mismatched_grids_rejected(self):
         x0 = random_sym(3, 2)

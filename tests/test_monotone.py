@@ -28,7 +28,7 @@ from spdorders import (
     translation_map,
 )
 from spdorders.cones import DEFAULT_TOL, ConeSpec
-from spdorders.core import SpdMatrix, SymTangent, derive_rng, random_sym
+from spdorders.core import MAX_DIM, SpdMatrix, SymTangent, derive_rng, random_sym
 from spdorders.errors import DimensionMismatch, InvalidParameters
 from spdorders import monotone
 from spdorders.monotone import map_differentials, sylvester_residual
@@ -160,6 +160,17 @@ class TestTraceInequalities:
         with pytest.raises(InvalidParameters):
             trace_inequality_fuzz("nope", 1, 0, 1)
 
+    def test_overflowing_sample_is_not_a_pass(self):
+        # 86 of these 200 samples overflow to a NaN slack, which min() would skip
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidParameters, match="power_trace_lemma sample 0 is not finite"):
+            trace_inequality_fuzz("power_trace_lemma", 200, seed=5, count=200)
+
+    def test_overflowing_shift_sample_is_not_a_pass(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidParameters, match="shift_inequality sample 0 is not finite"):
+            trace_inequality_fuzz("shift_inequality", 400, seed=5, count=3)
+
 
 class TestContractionWitness:
     def test_equal_sigmas_degenerate(self):
@@ -189,6 +200,11 @@ class TestContractionWitness:
             strict_contraction_witness(1.0, 2, 1.0, 2.0)
         with pytest.raises(InvalidParameters):
             strict_contraction_witness(2.0, 2, 2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [MAX_DIM + 1, 2**62])
+    def test_dimension_cap_before_allocating(self, n):
+        with pytest.raises(InvalidParameters, match=f"dimension {n} above desk-scale cap"):
+            strict_contraction_witness(1.0, n, 2.0, 1.0)
 
 
 class TestDifferentialPositivity:
