@@ -53,9 +53,6 @@ from .monotone import (
     map_differential,
     power_map,
     scaling_map,
-    strict_contraction_witness,
-    trace_identity_residual,
-    trace_inequality_fuzz,
     translation_map,
 )
 from .orders import (
@@ -65,6 +62,7 @@ from .orders import (
     order_interval_sample,
     random_ordered_pair,
 )
+from .traces import strict_contraction_witness, trace_identity_residual, trace_inequality_fuzz
 from .viz2 import ConePoint3, cone_cross_section, hyperboloid_leaf, phi, phi_inverse
 
 __version__ = "0.1.0"

@@ -21,8 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpdMatrix, SymTangent, _check_dimension, _is_json_number, _validate_sym_stack, as_tangent
-from .errors import DimensionMismatch, InvalidParameters
+from .core import (
+    SpdMatrix,
+    SpdStack,
+    SymTangent,
+    _check_dimension,
+    _identity,
+    _is_json_number,
+    _row_norms,
+    _spectral_apply,
+    _validate_sym_stack,
+    as_tangent,
+)
+from .errors import DimensionMismatch, InvalidParameters, SpdError
+from .seeds import _random_syms, _standard_normals
 
 DEFAULT_TOL = 1e-10
 
@@ -117,9 +129,9 @@ class SpectralCone:
     """
 
     def __init__(self, mu: float, n: int):
+        _check_dimension(n)
         if not (0.0 < mu < n):
             raise InvalidParameters(f"mu={mu} outside open interval (0, {n})")
-        _check_dimension(n)
         self.mu = float(mu)
         self.n = int(n)
 
@@ -141,11 +153,6 @@ def _quad_margins(t, tr2, magnitude, mu: float):
     q_margin = (t * t - mu * tr2) / magnitude**2
     quad_binds = q_margin <= t_margin
     return np.where(quad_binds, q_margin, t_margin), np.where(quad_binds, _QUADRATIC_FORM, _TRACE_SIGN)
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    flat = a.reshape(len(a), math.prod(a.shape[1:]))  # -1 is ambiguous for an empty stack
-    return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
 
 
 def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -275,15 +282,6 @@ def traceless_projection(x) -> SymTangent:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_draws(rngs, shape) -> np.ndarray:
-    """A standard normal draw of the given shape from each generator, stacked;
-    (n, n) draws are symmetrized as random_sym does."""
-    g = np.empty((len(rngs), *shape))
-    for row, rng in zip(g, rngs):
-        rng.standard_normal(shape, out=row)
-    return 0.5 * (g + g.swapaxes(1, 2)) if len(shape) == 2 else g
-
-
 def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
     """Unit-norm points on the boundary of the quadratic cone, one per
     generator: symmetric matrices at the identity (a (k, n, n) stack), or
@@ -297,12 +295,12 @@ def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
     n >= 2 and 0 < mu < n, or no draw is ever accepted.
     """
     shape = (n, n) if matrix else (n,)
-    g = _gaussian_draws(rngs, shape).reshape(len(rngs), math.prod(shape))
+    g = (_random_syms(n, rngs) if matrix else _standard_normals(rngs, shape)).reshape(len(rngs), math.prod(shape))
     tau = g[:, ::n + 1 if matrix else 1].sum(axis=1)  # the trace: the diagonal's sum
     s = (g * g).sum(axis=1)
     disc = mu * (n - mu) * (n * s - tau * tau)
     c = (-tau * (n - mu) + np.sqrt(np.maximum(disc, 0.0))) / (n * (n - mu))
-    y = g + c[:, None] * (np.eye(n).ravel() if matrix else np.ones(n))
+    y = g + c[:, None] * (_identity(n).ravel() if matrix else np.ones(n))
     norm = _row_norms(y)
     ok = (disc > 0) & (norm > 1e-8)
     np.divide(y, norm[:, None], out=y, where=ok[:, None])
@@ -327,53 +325,72 @@ def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.
     return _boundary_rays(mu, n, [rng], matrix=False)[0]
 
 
-def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:
-    """Random unit-Frobenius tangents inside K(sigma), one row per generator:
-    a boundary ray where boundary[i] is set, else a strictly interior ray.
+def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np.ndarray, SpdError | None]:
+    """sample_cone_tangents over a stack of base points, each owning an
+    equal run of consecutive rows: the tangents of the rows before the
+    first row that fails a guard (its point's spectrum, or SymTangent's
+    guards on the tangent), and that row's error, or None.
+
     Every row draws its Gaussian matrix (the ray: its scale), then every
     interior row its shift, so rows need distinct generators; the algebra
-    runs once over the stack.  Returns a read-only (k, n, n) stack that
-    passed SymTangent's guards."""
+    runs once over the stack.  A degenerate draw falls back to the axis of
+    its own point.
+    """
     n = spec.n
-    if spec.n != sigma.n:
-        raise DimensionMismatch(f"cone n={spec.n}, point n={sigma.n}")
+    if spec.n != points.n:
+        raise DimensionMismatch(f"cone n={spec.n}, point n={points.n}")
     rows = list(zip(rngs, boundary, strict=True))
     rngs = [rng for rng, _ in rows]
+    width = len(rows) // len(points)
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
         ys = np.ones((len(rows), 1, 1))
     elif spec.kind == RAY:  # the cone is the single ray spanned by sigma
-        ys = np.array([rng.uniform(0.2, 2.0) for rng in rngs]).reshape(-1, 1, 1) * sigma.entries
+        scale = np.array([rng.uniform(0.2, 2.0) for rng in rngs]).reshape(len(points), width, 1, 1)
+        ys = (scale * points.entries[:, None]).reshape(-1, n, n)
     else:
         quadratic = spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE)
-        ys = _boundary_rays(spec.mu, n, rngs) if quadratic else _gaussian_draws(rngs, (n, n))
+        ys = _boundary_rays(spec.mu, n, rngs) if quadratic else _random_syms(n, rngs)
         low = 0.1 if spec.kind == LOEWNER else 0.2
         shift = np.array([0.0 if on_boundary else rng.uniform(low, 1.0) for rng, on_boundary in rows])
+        del rows, rngs  # every draw is made: the generators go before the algebra allocates
         if spec.kind == HALF_SPACE:  # the traceless part, shifted by its norm
             trace = ys.reshape(len(ys), n * n)[:, ::n + 1].sum(axis=1)
-            ys = ys - (trace / n)[:, None, None] * np.eye(n)
+            ys = ys - (trace / n)[:, None, None] * _identity(n)
             shift = shift * _row_norms(ys)
         if spec.kind == LOEWNER:
             w, v = np.linalg.eigh(ys)
             w = w - w[:, :1]
             # boundary rows add an exact +0.0 to their nonnegative w
             w = w + (shift * (1.0 + w[:, -1]))[:, None]
-            ys = (v * w[:, None, :]) @ v.swapaxes(1, 2)  # v * w is v @ diag(w): one product per entry
+            ys = _spectral_apply(w, v, lambda x: x)
         else:
-            ys = ys + shift[:, None, None] * np.eye(n)
+            ys = ys + shift[:, None, None] * _identity(n)
+    err = None
     if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
-        root = sigma.spectrum.apply(np.sqrt)
-        ys = root @ ys @ root
+        w, v, err = points.spectrum()
+        root = _spectral_apply(w, v, np.sqrt)[:, None]
+        ys = (root @ ys[:len(w) * width].reshape(len(w), width, n, n) @ root).reshape(-1, n, n)
 
     ys = 0.5 * (ys + ys.swapaxes(1, 2))
     norms = _row_norms(ys)
     degenerate = norms < 1e-12
     if degenerate.any():  # degenerate draw (e.g. constant spectrum); fall back to the axis
-        ys[degenerate] = sigma.entries
-        norms[degenerate] = np.linalg.norm(sigma.entries)
-    sym, err = _validate_sym_stack(ys / norms[:, None, None])
+        axis = points.entries[np.flatnonzero(degenerate) // width]
+        ys[degenerate] = axis
+        norms[degenerate] = _row_norms(axis)
+    sym, later = _validate_sym_stack(ys / norms[:, None, None])
+    return sym, later or err
+
+
+def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:
+    """Random unit-Frobenius tangents inside K(sigma), one row per generator:
+    a boundary ray where boundary[i] is set, else a strictly interior ray.
+    The view of _tangent_stack with sigma owning every row; returns a
+    read-only (k, n, n) stack that passed SymTangent's guards."""
+    ys, err = _tangent_stack(spec, SpdStack.of(sigma), rngs, boundary)
     if err is not None:
         raise err
-    return sym
+    return ys
 
 
 def sample_cone_tangent(spec: ConeSpec, sigma: SpdMatrix, rng: np.random.Generator,

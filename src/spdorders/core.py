@@ -8,6 +8,7 @@ share between threads.
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     SingularTransform,
     SpdError,
 )
+from .seeds import _random_syms, derive_rng
 
 SYM_RTOL = 1e-12          # symmetry acceptance, relative to 1 + max|entry|
 PD_RTOL = 1e-12           # lambda_min > n * PD_RTOL * lambda_max
@@ -31,7 +33,10 @@ MAX_DIM = 64
 
 
 def _check_dimension(n: int) -> None:
-    """Reject a dimension outside 1..MAX_DIM before anything that large is allocated."""
+    """Reject a dimension that is not an integer (bools included) or lies
+    outside 1..MAX_DIM, before anything that large is allocated."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidParameters(f"dimension must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParameters("dimension must be >= 1")
     if n > MAX_DIM:
@@ -61,6 +66,26 @@ def _is_json_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+@cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    flat = a.reshape(len(a), math.prod(a.shape[1:]))  # -1 is ambiguous for an empty stack
+    return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
+
+
+# The stacked guards and kernels below return the rows before the first
+# row that fails, and that row's error (None when every row passes).  A
+# kernel that runs guards in turn ends with `later or err`: each guard sees
+# only the rows the earlier ones passed, so an error it finds belongs to an
+# earlier row, and wins.
+
+
 def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     """Finite-entry and symmetry guards over a (k, n, n) stack, row by row.
 
@@ -73,7 +98,7 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     err = None
     at = a.swapaxes(1, 2)
     # finiteness first, so that inf - inf never reaches the subtraction
-    if not (np.isfinite(a).all() and np.abs(a - at).max(initial=0.0) <= SYM_RTOL):
+    if not (np.count_nonzero(np.isfinite(a)) == a.size and np.abs(a - at).max(initial=0.0) <= SYM_RTOL):
         amax = np.abs(a).max(axis=(1, 2), initial=0.0)
         finite = np.isfinite(amax)
         if not finite.all():
@@ -92,29 +117,50 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     return sym, err
 
 
-def _validate_spd_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpdError | None]:
+def _validate_spd_stack(a: np.ndarray) -> tuple[SpdStack, SpdError | None]:
     """SpdMatrix's guards over a (k, n, n) stack, row by row: the guards of
     _validate_sym_stack, then lambda_min > n * PD_RTOL * lambda_max.
 
-    Returns the symmetrized rows before the first failing row, their
-    ascending eigenvalues and eigenvectors, and the error that row fails
-    with, or None when every row passes.  An eigensolver failure, which
-    numpy reports for the stack as a whole, raises ConvergenceFailure.
+    Returns the rows before the first failing row, as an SpdStack, and
+    the error that row fails with, or None when every row passes.  An
+    eigensolver failure, which numpy reports for the stack as a whole,
+    raises ConvergenceFailure.
     """
     sym, err = _validate_sym_stack(a)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    w, v = _eigh(sym)
     # w ascends, so a row with lambda_max <= 0 fails here as well
     positive = w[:, 0] > a.shape[-1] * PD_RTOL * w[:, -1]
-    if not positive.all():
+    if np.count_nonzero(positive) < len(positive):
         bad = int(positive.argmin())
         err = NotPositiveDefinite(
             f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}] fails positivity test"
         )
         sym, w, v = sym[:bad], w[:bad], v[:bad]
-    return sym, w, v, err
+    return SpdStack(sym, w, v), err
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def _orthogonal_rows(v: np.ndarray) -> tuple[int, SpdError | None]:
+    """Spectrum's guard over a (k, n, n) stack of eigenvector matrices,
+    ||V^T V - I||_F <= ORTHO_TOL: the number of leading rows that pass,
+    and the error of the first row that fails, or None."""
+    ortho = _row_norms(v.swapaxes(-1, -2) @ v - _identity(v.shape[-1]))
+    failing = ortho > ORTHO_TOL
+    if not np.count_nonzero(failing):  # the cheapest test on a short stack
+        return len(v), None
+    bad = int(failing.argmax())
+    return bad, ConvergenceFailure(f"eigenvector matrix not orthogonal: {ortho[bad]:.3e}")
+
+
+def _spectral_apply(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
+    """V f(w) V^T for one eigendecomposition or for each row of a stack."""
+    return (v * f(w)[..., None, :]) @ v.swapaxes(-1, -2)  # v * d is v @ diag(d): one product per entry
 
 
 def _check_symmetry(a: np.ndarray) -> np.ndarray:
@@ -126,17 +172,18 @@ def _check_symmetry(a: np.ndarray) -> np.ndarray:
 
 class Spectrum:
     """Eigendecomposition of a symmetric matrix: ascending eigenvalues and
-    an orthogonal eigenvector matrix (columns)."""
+    an orthogonal eigenvector matrix (columns).  checked=True wraps a row
+    that already passed _orthogonal_rows without repeating the guard."""
 
     __slots__ = ("eigenvalues", "eigenvectors")
 
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray, checked: bool = False):
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=float)
-        n = w.shape[0]
-        ortho = np.linalg.norm(v.T @ v - np.eye(n))
-        if ortho > ORTHO_TOL:
-            raise ConvergenceFailure(f"eigenvector matrix not orthogonal: {ortho:.3e}")
+        if not checked:
+            _, err = _orthogonal_rows(v[None])
+            if err is not None:
+                raise err
         w.flags.writeable = False
         v.flags.writeable = False
         self.eigenvalues = w
@@ -148,8 +195,30 @@ class Spectrum:
 
     def apply(self, f) -> np.ndarray:
         """Return V f(w) V^T with f applied entrywise to the eigenvalues."""
-        v = self.eigenvectors
-        return (v * f(self.eigenvalues)) @ v.T  # v * d is v @ diag(d): one product per entry
+        return _spectral_apply(self.eigenvalues, self.eigenvectors, f)
+
+
+def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | None]:
+    """sym_eig over a (k, n, n) stack that passed _validate_sym_stack: the
+    eigenvalues and eigenvectors of the rows before the first row that
+    fails the orthogonality or reconstruction check, and that row's
+    error, or None."""
+    w, v = _eigh(sym)
+    count, err = _orthogonal_rows(v)
+    if err is not None:
+        w, v, sym = w[:count], v[:count], sym[:count]
+    recon = _row_norms((v * w[:, None, :]) @ v.swapaxes(1, 2) - sym)
+    too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
+    if np.count_nonzero(too_large):
+        bad = int(too_large.argmax())
+        err = ConvergenceFailure(f"reconstruction error {recon[bad]:.3e} too large")
+        w, v = w[:bad], v[:bad]
+    return w, v, err
+
+
+def _as_sym(a) -> np.ndarray:
+    """A raw array past SymTangent's guards, or the entries of an SpdMatrix or SymTangent."""
+    return a.entries if isinstance(a, (SpdMatrix, SymTangent)) else _check_symmetry(_as_square(a))
 
 
 def sym_eig(a) -> Spectrum:
@@ -157,18 +226,21 @@ def sym_eig(a) -> Spectrum:
 
     Accepts a raw array, an SpdMatrix, or a SymTangent.  Eigenvalues come
     back ascending; the reconstruction error is checked against the input.
+    The one-row view of _sym_eig_stack.
     """
-    mat = a.entries if isinstance(a, (SpdMatrix, SymTangent)) else _check_symmetry(_as_square(a))
-    try:
-        w, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    spec = Spectrum(w, v)
-    recon = np.linalg.norm(spec.apply(lambda x: x) - mat)
-    norm = np.linalg.norm(mat)
-    if recon > RECON_RTOL * max(norm, 1e-300):
-        raise ConvergenceFailure(f"reconstruction error {recon:.3e} too large")
-    return spec
+    w, v, err = _sym_eig_stack(_as_sym(a)[None])
+    if err is not None:
+        raise err
+    return Spectrum(w[0], v[0], checked=True)
+
+
+def _sym_exp_stack(sym: np.ndarray) -> tuple[SpdStack, SpdError | None]:
+    """sym_exp over a (k, n, n) stack that passed _validate_sym_stack: the
+    exponentials of the rows before the first row that fails a guard of
+    sym_eig or of SpdMatrix, and that row's error, or None."""
+    w, v, err = _sym_eig_stack(sym)
+    points, later = _validate_spd_stack(_spectral_apply(w, v, np.exp))
+    return points, later or err
 
 
 class SpdMatrix:
@@ -180,11 +252,16 @@ class SpdMatrix:
     """
 
     def __init__(self, raw):
-        sym, w, v, err = _validate_spd_stack(_as_square(raw)[None])
+        points, err = _validate_spd_stack(_as_square(raw)[None])
         if err is not None:
             raise err
-        self.entries = sym[0]
-        self._eig = (w[0], v[0])
+        self._hold(points)
+
+    def _hold(self, points: SpdStack) -> None:
+        """Become the point of a one-row stack, which the one-base views hand their kernels."""
+        self._stack = points
+        self.entries = points.entries[0]
+        self._eig = (points.eigenvalues[0], points.eigenvectors[0])
 
     @property
     def n(self) -> int:
@@ -192,7 +269,10 @@ class SpdMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return Spectrum(*self._eig)
+        w, v, err = self._stack.spectrum()
+        if err is not None:
+            raise err
+        return Spectrum(w[0], v[0], checked=True)
 
     @cached_property
     def log_det(self) -> float:
@@ -211,10 +291,68 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
+class SpdStack:
+    """SPD points as the rows of a stack, every row past SpdMatrix's
+    guards: (k, n, n) entries with their ascending eigenvalues (k, n) and
+    eigenvectors (k, n, n).  The stacked kernels take their base points
+    this way, and an SpdMatrix is the point of a one-row stack.
+
+    Spectrum's orthogonality guard runs when a kernel first asks for the
+    spectrum, once per stack: an SpdMatrix checks its point once, however
+    many one-base views it goes through.
+    """
+
+    __slots__ = ("entries", "eigenvalues", "eigenvectors", "_orthogonal")
+
+    def __init__(self, entries, eigenvalues, eigenvectors):
+        self.entries, self.eigenvalues, self.eigenvectors = entries, eigenvalues, eigenvectors
+        self._orthogonal = None  # (leading rows that pass, the next row's error), once checked
+
+    @staticmethod
+    def of(sigma: SpdMatrix) -> SpdStack:
+        """sigma's own one-row stack, which a one-base view hands its kernel."""
+        return sigma._stack
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, SpdError | None]:
+        """Eigenvalues and eigenvectors of the rows before the first row
+        whose eigenvectors fail Spectrum's guard, and that row's error, or
+        None when every row passes."""
+        if self._orthogonal is None:
+            self._orthogonal = _orthogonal_rows(self.eigenvectors)
+        count, err = self._orthogonal
+        return self.eigenvalues[:count], self.eigenvectors[:count], err
+
+    def head(self, k: int) -> SpdStack:
+        """The first k rows (the stack itself when it has no more)."""
+        if k >= len(self):
+            return self
+        return SpdStack(self.entries[:k], self.eigenvalues[:k], self.eigenvectors[:k])
+
+    def point(self, i: int) -> SpdMatrix:
+        """Row i as an SpdMatrix, without running the guards again; the row
+        is copied, so that the point does not keep a larger stack alive."""
+        row = self
+        if len(self) > 1:
+            row = SpdStack(*(np.array(a[i:i + 1]) for a in (self.entries, self.eigenvalues, self.eigenvectors)))
+            row.entries.flags.writeable = False
+        sigma = SpdMatrix.__new__(SpdMatrix)
+        sigma._hold(row)
+        return sigma
+
+
 class SymTangent:
     """A symmetric matrix used as a tangent vector, optionally anchored at
     an SpdMatrix base point.  checked=True wraps a row of a stack that
     already passed _validate_sym_stack without repeating the guards."""
+
+    __slots__ = ("entries", "base")
 
     def __init__(self, raw, base: SpdMatrix | None = None, checked: bool = False):
         sym = raw if checked else _check_symmetry(_as_square(raw))
@@ -250,166 +388,104 @@ def spd_validate(raw) -> SpdMatrix:
     return SpdMatrix(raw)
 
 
+def _matrix_function_stack(points: SpdStack, kind: str, exponent: float | None = None) -> tuple[SpdStack, SpdError | None]:
+    """matrix_function's SPD kinds (sqrt, inv, power) over a stack of
+    points: the images of the rows before the first row that fails a guard
+    (its point's spectrum, or SpdMatrix's guards on its image), and that
+    row's error, or None."""
+    if kind == "sqrt":
+        f = np.sqrt
+    elif kind == "inv":
+        def f(w):
+            return 1.0 / w
+    elif kind == "power":
+        if exponent is None:
+            raise InvalidParameters("power requires an exponent")
+        r = float(exponent)
+
+        def f(w):
+            return w ** r
+    else:
+        raise InvalidParameters(f"unknown matrix function kind {kind!r}")
+    w, v, err = points.spectrum()
+    images, later = _validate_spd_stack(_spectral_apply(w, v, f))
+    return images, later or err
+
+
 def matrix_function(sigma: SpdMatrix, kind: str, exponent: float | None = None):
     """Spectral matrix function V f(L) V^T for f in {sqrt, log, inv, power}.
 
     sqrt, inv and power return SpdMatrix (positive eigenvalues map to
-    positive eigenvalues); log returns a SymTangent.
+    positive eigenvalues), as the one-row view of _matrix_function_stack;
+    log returns a SymTangent.
     """
     if not isinstance(sigma, SpdMatrix):
         sigma = spd_validate(sigma)
-    spec = sigma.spectrum
-    if kind == "sqrt":
-        return SpdMatrix(spec.apply(np.sqrt))
     if kind == "log":
-        return SymTangent(spec.apply(np.log))
-    if kind == "inv":
-        return SpdMatrix(spec.apply(lambda w: 1.0 / w))
-    if kind == "power":
-        if exponent is None:
-            raise InvalidParameters("power requires an exponent")
-        r = float(exponent)
-        return SpdMatrix(spec.apply(lambda w: w ** r))
-    raise InvalidParameters(f"unknown matrix function kind {kind!r}")
+        return SymTangent(sigma.spectrum.apply(np.log))
+    return _one_point(*_matrix_function_stack(SpdStack.of(sigma), kind, exponent))
+
+
+def _one_point(points: SpdStack, err: SpdError | None) -> SpdMatrix:
+    """The SpdMatrix of a one-row kernel result, or the error its row failed with."""
+    if err is not None:
+        raise err
+    return points.point(0)
 
 
 def sym_exp(x) -> SpdMatrix:
-    """Matrix exponential of a symmetric matrix (always SPD)."""
-    spec = sym_eig(x)
-    return SpdMatrix(spec.apply(np.exp))
+    """Matrix exponential of a symmetric matrix (always SPD): the one-row
+    view of _sym_exp_stack."""
+    return _one_point(*_sym_exp_stack(_as_sym(x)[None]))
+
+
+def _congruence_stack(a, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
+    """congruence over a stack of points: the images of the rows before the
+    first row that fails SpdMatrix's guards, and that row's error, or
+    None.  A transform that is not finite, of the wrong size or
+    numerically singular raises."""
+    amat = _as_finite_square(a)
+    n = points.n
+    if amat.shape[0] != n:
+        raise DimensionMismatch(f"transform is {amat.shape[0]}x{amat.shape[0]}, point is {n}x{n}")
+    sign, logabsdet = np.linalg.slogdet(amat)
+    opnorm = np.linalg.norm(amat, 2)
+    if sign == 0 or logabsdet <= np.log(1e-12) + n * np.log(max(opnorm, 1e-300)):
+        raise SingularTransform("transform matrix is numerically singular")
+    return _validate_spd_stack(amat @ points.entries @ amat.T)
 
 
 def congruence(a, sigma: SpdMatrix) -> SpdMatrix:
-    """Congruence transform A Sigma A^T for an invertible A.
+    """Congruence transform A Sigma A^T for an invertible A: the one-row
+    view of _congruence_stack.
 
     Rejects A with |det A| <= 1e-12 * ||A||_2^n.  The result is positive
     definite by Sylvester's law of inertia.
     """
-    amat = _as_finite_square(a)
-    if amat.shape[0] != sigma.n:
-        raise DimensionMismatch(f"transform is {amat.shape[0]}x{amat.shape[0]}, point is {sigma.n}x{sigma.n}")
-    sign, logabsdet = np.linalg.slogdet(amat)
-    opnorm = np.linalg.norm(amat, 2)
-    if sign == 0 or logabsdet <= np.log(1e-12) + sigma.n * np.log(max(opnorm, 1e-300)):
-        raise SingularTransform("transform matrix is numerically singular")
-    return SpdMatrix(amat @ sigma.entries @ amat.T)
+    return _one_point(*_congruence_stack(a, SpdStack.of(sigma)))
 
 
-def derive_rng(seed: int, *indices: int) -> np.random.Generator:
-    """Deterministic per-sample generator from a master seed and sample indices.
-
-    The stream depends only on (seed, indices), never on execution order,
-    so batch loops may run concurrently without changing aggregates.
-    """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(i) & 0xFFFFFFFFFFFFFFFF for i in indices]
-    return np.random.default_rng(entropy)
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), ported to
-# uint32 arrays so that every row is hashed at once.  Its multipliers walk
-# fixed sequences that never depend on the entropy, so all rows share them.
-_MASK32 = 0xFFFFFFFF
-_MIX_A, _MIX_B = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-
-
-def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
-    consts = [start]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
-
-
-_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 uint32 words
-
-
-def _hashmix(v: np.ndarray, consts: np.ndarray, t: int) -> np.ndarray:
-    """SeedSequence's hashmix of each column c of v, taking the hash
-    constants t + c (xor) and t + c + 1 (multiplier)."""
-    v = (v ^ consts[t:t + v.shape[1]]) * consts[t + 1:t + 1 + v.shape[1]]
-    return v ^ (v >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_A * x - _MIX_B * y
-    return r ^ (r >> _SHIFT)
-
-
-def derive_seed_words(seed: int, indices) -> np.ndarray:
-    """PCG64 seed words of derive_rng(seed, *row) for each row of a (k, m)
-    integer array, hashed in one pass; returns a (k, 4) uint64 array for
-    seeded_rngs.
-
-    Entries wrap to 64 bits as in derive_rng, and each splits into one
-    uint32 word, or two when it is >= 2^32, so rows may differ in length;
-    words past the 4-word pool get SeedSequence's extra mixing rounds.
-    """
-    idx = np.asarray(indices)
-    if idx.ndim != 2:
-        raise DimensionMismatch(f"expected a (k, m) array of indices, got shape {idx.shape}")
-    values = np.empty((idx.shape[0], idx.shape[1] + 1), dtype=np.uint64)
-    values[:, 0] = int(seed) & 0xFFFFFFFFFFFFFFFF
-    values[:, 1:] = idx.astype(np.uint64)
-    low, high = (values & np.uint64(_MASK32)).astype(np.uint32), (values >> np.uint64(32)).astype(np.uint32)
-    lengths = np.full(len(values), values.shape[1])
-    words = low
-    if high.any():  # interleave the high words and move the zero ones to the row ends
-        keep = np.stack([np.ones_like(high, dtype=bool), high != 0], axis=2).reshape(len(values), -1)
-        words = np.stack([low, high], axis=2).reshape(keep.shape)
-        words = np.take_along_axis(words, np.argsort(~keep, axis=1, kind="stable"), axis=1)
-        lengths = keep.sum(axis=1)
-    width = max(int(lengths.max(initial=0)), 4)
-    entropy = np.zeros((len(values), width), dtype=np.uint32)  # zero words pad to the pool size
-    entropy[:, :words.shape[1]] = words[:, :width]
-    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * (width - 4))
-    pool = _hashmix(entropy[:, :4], consts, 0)
-    for src in range(4):  # hashmix(pool[src]) into each other pool word, in order
-        dst = [d for d in range(4) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src] * 3], consts, 4 + 3 * src))
-    for src in range(4, width):
-        mixed = _mix(pool, _hashmix(entropy[:, [src] * 4], consts, 4 * src))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
-    state = _hashmix(np.tile(pool, 2), _STATE_CONSTANTS, 0)
-    return state.view(np.uint64)
-
-
-@cache
-def _seed_words_type():
-    # numpy.random loads only when a generator is built, so that importing
-    # the package (every CLI process) does not pay for it
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """A row of derive_seed_words posing as the seed sequence PCG64 reads."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise InvalidParameters("seed words answer only PCG64's request for 4 uint64 words")
-            return self.words
-
-    return SeedWords
-
-
-def seeded_rngs(words) -> list[np.random.Generator]:
-    """One generator per row of derive_seed_words(seed, indices): row i
-    draws the stream of derive_rng(seed, *indices[i])."""
-    from numpy.random import PCG64, Generator
-
-    seed_words = _seed_words_type()
-    return [Generator(PCG64(seed_words(row))) for row in words]
+def _rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
 
 
 def random_sym(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    """Symmetrized Gaussian matrix, deterministic for a fixed seed."""
+    """Symmetrized Gaussian matrix, deterministic for a fixed seed: the
+    one-row view of _random_syms."""
     _check_dimension(n)
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed)
-    g = rng.standard_normal((n, n))
-    return scale * 0.5 * (g + g.T)
+    return _random_syms(n, [_rng(seed)], scale)[0]
+
+
+def _random_spd_stack(n: int, seeds, scale: float = 1.0) -> tuple[SpdStack, SpdError | None]:
+    """random_spd for each seed (an integer or a generator), stacked: the
+    points before the first one that fails a guard, and its error, or
+    None.  Each row reads its own generator as random_spd does."""
+    _check_dimension(n)
+    if scale < 0:
+        raise InvalidParameters("scale must be positive")
+    syms, err = _validate_sym_stack(_random_syms(n, [_rng(seed) for seed in seeds], scale))
+    points, later = _sym_exp_stack(syms)
+    return points, later or err
 
 
 def random_spd(n: int, seed, scale: float = 1.0) -> SpdMatrix:
@@ -418,9 +494,6 @@ def random_spd(n: int, seed, scale: float = 1.0) -> SpdMatrix:
     The matrix exponential of a Gaussian symmetric matrix gives roughly
     log-uniform spectra, so `scale` sweeps from near-identity to
     ill-conditioned regimes.  Deterministic for a fixed integer seed.
+    The one-row view of _random_spd_stack.
     """
-    _check_dimension(n)
-    if scale < 0:
-        raise InvalidParameters("scale must be positive")
-    s = random_sym(n, seed, scale=scale)
-    return sym_exp(s)
+    return _one_point(*_random_spd_stack(n, [seed], scale))

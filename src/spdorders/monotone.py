@@ -1,6 +1,7 @@
 """Differential-positivity engine: analytic differentials of the basic
-maps on the SPD manifold, cone-contraction certificates, trace identity
-and inequality validators, and counterexample search.
+maps on the SPD manifold, the sampled positivity check, and
+counterexample search.  The trace identity and inequality validators and
+the cone-contraction witness live in traces.
 
 Real matrix powers are evaluated spectrally; the generalized Sylvester
 equation is kept as a verification contract for the power differential,
@@ -16,24 +17,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ConeSpec, cone_margins, cone_membership, sample_cone_tangent, sample_cone_tangents
+from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins, cone_membership, sample_cone_tangent
 from .core import (
     SpdMatrix,
+    SpdStack,
     SymTangent,
     _as_finite_square,
-    _check_dimension,
+    _congruence_stack,
+    _matrix_function_stack,
+    _one_point,
+    _random_spd_stack,
+    _validate_spd_stack,
     _validate_sym_stack,
     as_tangent,
-    congruence,
-    derive_rng,
-    derive_seed_words,
     matrix_function,
     random_spd,
-    random_sym,
-    seeded_rngs,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .orders import EQUAL, LESS_EQUAL, _conal_step, order_compare
+from .seeds import derive_rng, derive_seed_words, seeded_rngs
 
 POWER = "power"
 INVERSION = "inversion"
@@ -42,6 +44,7 @@ SCALING = "scaling"
 TRANSLATION = "translation"
 
 MAX_SAMPLES = 10**5  # points x directions per check_differential_positivity call
+BLOCK_ROWS = 128  # (point, direction) samples check_differential_positivity draws and tests as one stack
 
 
 @dataclass(frozen=True)
@@ -67,19 +70,26 @@ class SmoothMap:
         if self.matrix is not None and self.matrix.shape[0] != n:
             raise DimensionMismatch(f"map matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]}, point is {n}x{n}")
 
+    def _apply_stack(self, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
+        """The map on a stack of points: the images of the rows before the
+        first row that fails a guard (its point's spectrum, or SpdMatrix's
+        guards on its image), and that row's error, or None."""
+        self._check_size(points.n)
+        if self.kind == POWER:
+            return _matrix_function_stack(points, "power", self.exponent)
+        if self.kind == INVERSION:
+            return _matrix_function_stack(points, "inv")
+        if self.kind == CONGRUENCE:
+            return _congruence_stack(self.matrix, points)
+        if self.kind == SCALING:
+            return _validate_spd_stack(self.factor * points.entries)
+        return _validate_spd_stack(points.entries + self.matrix)
+
     def apply(self, sigma: SpdMatrix) -> SpdMatrix:
         """Evaluate the map; the result is SPD for every kind except
-        translation with a non-psd shift on near-singular inputs."""
-        self._check_size(sigma.n)
-        if self.kind == POWER:
-            return matrix_function(sigma, "power", self.exponent)
-        if self.kind == INVERSION:
-            return matrix_function(sigma, "inv")
-        if self.kind == CONGRUENCE:
-            return congruence(self.matrix, sigma)
-        if self.kind == SCALING:
-            return SpdMatrix(self.factor * sigma.entries)
-        return SpdMatrix(sigma.entries + self.matrix)
+        translation with a non-psd shift on near-singular inputs.  The
+        one-row view of _apply_stack."""
+        return _one_point(*self._apply_stack(SpdStack.of(sigma)))
 
 
 def power_map(r: float) -> SmoothMap:
@@ -113,37 +123,37 @@ def translation_map(c) -> SmoothMap:
 
 
 def _power_divided_differences(w: np.ndarray, r: float) -> np.ndarray:
-    """First divided differences of x -> x**r on the eigenvalue grid,
-    with the analytic limit r*x**(r-1) on (numerically) equal pairs."""
+    """First divided differences of x -> x**r on the eigenvalue grid (of
+    one point, or of each row of a stack), with the analytic limit
+    r*x**(r-1) on (numerically) equal pairs."""
     fw = w**r
-    diff = w[:, None] - w[None, :]
-    close = np.abs(diff) <= 1e-7 * np.maximum(w[:, None], w[None, :])
+    wi, wj = w[..., :, None], w[..., None, :]
+    diff = wi - wj
+    close = np.abs(diff) <= 1e-7 * np.maximum(wi, wj)
     safe = np.where(close, 1.0, diff)
-    quotient = (fw[:, None] - fw[None, :]) / safe
-    mid = 0.5 * (w[:, None] + w[None, :])
+    quotient = (fw[..., :, None] - fw[..., None, :]) / safe
+    mid = 0.5 * (wi + wj)
     return np.where(close, r * mid ** (r - 1.0), quotient)
 
 
-def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
-    """Analytic differential of the map at sigma on a (k, n, n) stack of
-    tangents that passed SymTangent's guards; returns a read-only stack
-    that passed them too.
-
-    power(r) is computed in the eigenbasis of sigma through first divided
-    differences, evaluated once per stack; inversion is -S^-1 X S^-1;
-    congruence, scaling and translation are linear."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3 or xs.shape[1:] != (sigma.n, sigma.n):
-        raise DimensionMismatch("tangent dimension differs from base point")
-    m._check_size(sigma.n)
+def _differential_stack(m: SmoothMap, points: SpdStack, xs: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
+    """map_differentials over a stack of base points, each owning an equal
+    run of consecutive rows of the (k, n, n) tangent stack: the
+    differentials of the rows before the first row that fails a guard (its
+    point's spectrum, or SymTangent's guards on the differential), and
+    that row's error, or None."""
+    m._check_size(points.n)
+    n, width = points.n, len(xs) // len(points)
+    err = None
     if m.kind == POWER:
-        spec = sigma.spectrum
-        v = spec.eigenvectors
-        xprime = v.T @ xs @ v
-        out = v @ (_power_divided_differences(spec.eigenvalues, m.exponent) * xprime) @ v.T
+        w, v, err = points.spectrum()
+        v, vt = v[:, None], v.swapaxes(1, 2)[:, None]
+        xprime = vt @ xs[:len(w) * width].reshape(len(w), width, n, n) @ v
+        out = (v @ (_power_divided_differences(w, m.exponent)[:, None] * xprime) @ vt).reshape(-1, n, n)
     elif m.kind == INVERSION:
-        w = sigma.inv_apply(xs)
-        out = -sigma.inv_apply(w.swapaxes(1, 2)).swapaxes(1, 2)
+        a = points.entries[:, None]
+        y = np.linalg.solve(a, xs.reshape(len(points), width, n, n))
+        out = -np.linalg.solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(-1, n, n)
     elif m.kind == CONGRUENCE:
         out = m.matrix @ xs @ m.matrix.T
     elif m.kind == SCALING:
@@ -152,10 +162,26 @@ def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
         out = xs
     if m.kind in (POWER, INVERSION):
         out = 0.5 * (out + out.swapaxes(1, 2))
-    sym, err = _validate_sym_stack(out)
+    sym, later = _validate_sym_stack(out)
+    return sym, later or err
+
+
+def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
+    """Analytic differential of the map at sigma on a (k, n, n) stack of
+    tangents that passed SymTangent's guards; returns a read-only stack
+    that passed them too.
+
+    power(r) is computed in the eigenbasis of sigma through first divided
+    differences; inversion is -S^-1 X S^-1; congruence, scaling and
+    translation are linear.  The view of _differential_stack with sigma
+    owning every row."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[1:] != (sigma.n, sigma.n):
+        raise DimensionMismatch("tangent dimension differs from base point")
+    out, err = _differential_stack(m, SpdStack.of(sigma), xs)
     if err is not None:
         raise err
-    return sym
+    return out
 
 
 def map_differential(m: SmoothMap, sigma: SpdMatrix, x) -> SymTangent:
@@ -230,134 +256,80 @@ def check_differential_positivity(
     concentrate) and interior rays.  Each sample's random stream is
     derive_rng(seed, point index, direction index + 1), and each point's
     derive_rng(seed, point index), so the aggregate is independent of
-    execution order; all their seeds are hashed in one pass.  Each base
-    point samples, maps and tests its directions as one stack;
-    MAX_SAMPLES caps the total.
+    execution order; all their seeds are hashed in one pass.
+
+    A row is one (point, direction) sample, in point-major order.  Rows
+    are drawn and tested in blocks of whole points, at most BLOCK_ROWS
+    rows each, and every stage (base points, images, tangents,
+    differentials, margins) runs once over a block.  A point with more
+    than BLOCK_ROWS directions is a block of its own, its directions
+    taken BLOCK_ROWS at a time, so memory grows with BLOCK_ROWS * n^2.
+    MAX_SAMPLES caps the total.  A failing guard raises what testing one
+    point after another would: the error of the earliest failing point,
+    at its earliest stage.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
     if n_points * n_directions > MAX_SAMPLES:
         raise InvalidParameters(f"{n_points} x {n_directions} samples above the cap of {MAX_SAMPLES}")
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
-    boundary = [j % 2 == 0 for j in range(n_directions)]
-    # every stream is hashed up front; generators exist one point at a time
     point_words = derive_seed_words(seed, np.arange(n_points)[:, None])
     grid = np.stack(np.meshgrid(np.arange(n_points), np.arange(1, n_directions + 1), indexing="ij"), axis=2)
     direction_words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions, 4)
-    for i in range(n_points):
-        sigma = random_spd(spec.n, seeded_rngs(point_words[i:i + 1])[0], scale=0.7)
-        image = m.apply(sigma)
-        xs = sample_cone_tangents(spec, sigma, seeded_rngs(direction_words[i]), boundary)
-        outs = map_differentials(m, sigma, xs)
-        margins, _ = cone_margins(spec, np.broadcast_to(image.entries, outs.shape), outs)
-        for j, margin in enumerate(margins.tolist()):
-            if margin < report.min_output_margin:
-                report.min_output_margin = margin
-            if margin < -tol:
-                report.violations.append((sigma, SymTangent(xs[j], base=sigma, checked=True), margin))
+    boundary = np.arange(n_directions) % 2 == 0
+    per_block, width = max(1, BLOCK_ROWS // n_directions), min(n_directions, BLOCK_ROWS)
+    err = None
+    for start in range(0, n_points, per_block):
+        if err is not None:
+            break
+        # Each stage runs only on the points before the earliest failure so
+        # far, so any error it finds belongs to an earlier point and wins.
+        sigmas, err = _random_spd_stack(spec.n, seeded_rngs(point_words[start:start + per_block]), 0.7)
+        images, later = m._apply_stack(sigmas) if len(sigmas) else (sigmas, None)
+        err = later or err
+        # points that reach the tangent stage, and the later stages; they
+        # part only when a point's differential fails and its later chunks
+        # still draw tangents, whose errors come first
+        drawn = tested = len(images)
+        witnesses = {}  # one SpdMatrix per violating point of the block
+        for first in range(0, n_directions, width):
+            if not drawn:
+                break
+            span = min(width, n_directions - first)
+            # the generators, about 1 KB each, live only while the tangents are drawn
+            words = direction_words[start:start + drawn, first:first + span].reshape(-1, 4)
+            xs, later = _tangent_stack(spec, sigmas.head(drawn), seeded_rngs(words), np.tile(boundary[first:first + span], drawn))
+            if later is not None:
+                err, drawn = later, len(xs) // span
+                tested = min(tested, drawn)
+            if not tested:
+                continue
+            outs, later = _differential_stack(m, sigmas.head(tested), xs[:tested * span])
+            if later is not None:
+                err, tested = later, len(outs) // span
+            if err is None:
+                margins, _ = cone_margins(spec, np.repeat(images.entries, span, axis=0), outs)
+                _record(report, margins, xs, sigmas, span, witnesses, tol)
+    if err is not None:
+        raise err
     return report
 
 
-def trace_identity_residual(m: SmoothMap, sigma: SpdMatrix, x) -> float:
-    """Relative residual of tr(f_r(S)^-1 df_r X) = r tr(S^-1 X) for power maps."""
-    if m.kind != POWER or m.exponent is None or m.exponent <= 0:
-        raise InvalidParameters("identity holds for power maps with r > 0")
-    x = as_tangent(x)
-    image = m.apply(sigma)
-    lhs = float(np.trace(image.inv_apply(map_differential(m, sigma, x).entries)))
-    rhs = m.exponent * float(np.trace(sigma.inv_apply(x.entries)))
-    return abs(lhs - rhs) / (1.0 + abs(rhs))
-
-
-POWER_TRACE_LEMMA = "power_trace_lemma"
-SHIFT_INEQUALITY = "shift_inequality"
-
-
-def trace_inequality_fuzz(kind: str, param: int, seed: int, count: int) -> float:
-    """Fuzz one of the two trace inequalities low <= high and return the
-    worst relative slack (high - low, so that >= 0 means the inequality held).
-
-    power_trace_lemma(m): tr[(AB)^{2m}] <= tr[A^{2m} B^{2m}] for symmetric A, B.
-    shift_inequality(k):  tr(S^{-2-k} X S^k X) >= tr(S^{-1-k} X S^{-1+k} X).
-
-    A sample with a side that is not finite raises InvalidParameters, so
-    that an overflow never reads as an inequality that held.
-    """
-    if count < 1:
-        raise InvalidParameters("count must be >= 1")
-    if kind == POWER_TRACE_LEMMA and param < 1:
-        raise InvalidParameters("m must be >= 1")
-    if kind == SHIFT_INEQUALITY and param < 0:
-        raise InvalidParameters("k must be >= 0")
-    if kind not in (POWER_TRACE_LEMMA, SHIFT_INEQUALITY):
-        raise InvalidParameters(f"unknown inequality kind {kind!r}")
-    worst = math.inf
-    for i in range(count):
-        rng = derive_rng(seed, i)
-        n = int(rng.integers(2, 7))
-        if kind == POWER_TRACE_LEMMA:
-            a, b = random_sym(n, rng), random_sym(n, rng)
-            low = float(np.trace(np.linalg.matrix_power(a @ b, 2 * param)))
-            high = float(np.trace(np.linalg.matrix_power(a, 2 * param) @ np.linalg.matrix_power(b, 2 * param)))
-        else:
-            sigma = random_spd(n, rng, scale=0.8)
-            x = random_sym(n, rng)
-            spec = sigma.spectrum
-
-            def spower(e):
-                return spec.apply(lambda w: w**e)
-
-            high = float(np.trace(spower(-2 - param) @ x @ spower(param) @ x))
-            low = float(np.trace(spower(-1 - param) @ x @ spower(-1 + param) @ x))
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise InvalidParameters(f"{kind} sample {i} is not finite: cannot decide {low!r} <= {high!r}")
-        worst = min(worst, (high - low) / max(1.0, abs(low), abs(high)))
-    return worst
-
-
-@dataclass(frozen=True)
-class ContractionWitness:
-    """Boundary tangent at a diagonal point where the cone contraction by
-    the root maps is strict (strict is False when sigma1 == sigma2 and
-    the underlying trace inequality collapses to an equality)."""
-
-    sigma: SpdMatrix
-    tangent: SymTangent
-    delta: float
-    strict: bool
-    trace_gap: float
-
-
-def strict_contraction_witness(mu: float, n: int, sigma1: float, sigma2: float) -> ContractionWitness:
-    """Boundary witness at diag(sigma1, sigma2, ..., sigma2): the tangent
-    that copies the diagonal and carries the off-diagonal coupling
-    delta = sqrt(n (n - mu) sigma1 sigma2 / (2 mu)), which lands the
-    quadratic cone margin exactly at zero."""
-    if not (0.0 < mu < n):
-        raise InvalidParameters(f"mu={mu} outside open interval (0, {n})")
-    if n < 2:
-        raise InvalidParameters("need n >= 2")
-    _check_dimension(n)
-    if not (sigma1 >= sigma2 > 0):
-        raise InvalidParameters("need sigma1 >= sigma2 > 0")
-    diag = np.full(n, float(sigma2))
-    diag[0] = float(sigma1)
-    sigma = SpdMatrix(np.diag(diag))
-    delta = math.sqrt(n * (n - mu) * sigma1 * sigma2 / (2.0 * mu))
-    xmat = np.diag(diag)
-    xmat[0, 1] = xmat[1, 0] = delta
-    tangent = SymTangent(xmat, base=sigma)
-    inv = np.diag(1.0 / diag)
-    w = inv @ xmat
-    lhs = float(np.sum(w * w.T))            # tr(S^-1 X S^-1 X)
-    rhs = float(np.trace(inv @ inv @ xmat @ xmat))  # tr(S^-2 X^2)
-    return ContractionWitness(
-        sigma=sigma,
-        tangent=tangent,
-        delta=delta,
-        strict=sigma1 > sigma2,
-        trace_gap=rhs - lhs,
-    )
+def _record(report: PositivityReport, margins, xs, sigmas: SpdStack, span: int, witnesses: dict, tol: float):
+    """Fold a chunk's margins into the report as a row-by-row pass would:
+    the running minimum moves on a strictly smaller margin (never on NaN),
+    and each violation keeps a copy of its tangent and the SpdMatrix of
+    its point, one per point."""
+    below = np.flatnonzero(margins < report.min_output_margin)
+    if below.size:
+        report.min_output_margin = float(margins[below[np.argmin(margins[below])]])
+    rows = np.flatnonzero(margins < -tol)
+    kept = xs[rows]
+    kept.flags.writeable = False
+    for point, x, margin in zip((rows // span).tolist(), kept, margins[rows].tolist()):
+        if point not in witnesses:
+            witnesses[point] = sigmas.point(point)
+        report.violations.append((witnesses[point], SymTangent(x, base=witnesses[point], checked=True), margin))
 
 
 def find_order_counterexample(

@@ -26,13 +26,13 @@ from .cones import (
 from .core import (
     SpdMatrix,
     SymTangent,
-    derive_rng,
     random_spd,
     _validate_spd_stack,
     _validate_sym_stack,
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
 from .geometry import relative_eigenframe, relative_eigenvalues, riemannian_exp
+from .seeds import derive_rng
 
 LESS_EQUAL = "less_equal"
 GREATER_EQUAL = "greater_equal"
@@ -154,7 +154,8 @@ def conal_path_oracle(
         return True  # numerically constant path: zero velocity everywhere
     points, velocities = path(np.linspace(0.0, 1.0, samples)[:, None, None])
 
-    points, _, _, err = _validate_spd_stack(points)
+    valid, err = _validate_spd_stack(points)
+    points = valid.entries
     velocities, verr = _validate_sym_stack(velocities[: len(points)])
     if verr is not None:
         points, err = points[: len(velocities)], verr

@@ -66,6 +66,11 @@ class TestConeSpec:
             with pytest.raises(InvalidParameters):
                 ConeSpec.from_dict({"kind": "quad-affine", "n": n, "mu": 1.0})
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(InvalidParameters, match="dimension must be an integer"):
+            ConeSpec("loewner", n)
+
     @pytest.mark.parametrize("mu", [True, False, "1.0", [1.0]])
     def test_from_dict_mu_must_be_a_json_number(self, mu):
         with pytest.raises(InvalidParameters):
@@ -279,6 +284,11 @@ class TestSpectralCone:
             SpectralCone(1.0, n)
         with pytest.raises(InvalidParameters, match=f"dimension {n} above desk-scale cap {MAX_DIM}"):
             sample_spectral_boundary(1.0, n, derive_rng(0))
+
+    def test_fractional_dimension_rejected(self):
+        # mu = 2.2 lies inside (0, 2.5), and int(2.5) = 2 would have been stored
+        with pytest.raises(InvalidParameters, match="dimension must be an integer"):
+            SpectralCone(2.2, 2.5)
 
     def test_form_matrix_entries(self):
         q = SpectralCone(1.25, 3).form_matrix

@@ -22,20 +22,22 @@ import spdorders
 from spdorders.core import (
     MAX_DIM,
     SYM_RTOL,
+    SpdStack,
+    Spectrum,
     _validate_sym_stack,
     derive_rng,
-    derive_seed_words,
     random_sym,
-    seeded_rngs,
     sym_exp,
 )
 from spdorders.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     InvalidParameters,
     NotPositiveDefinite,
     NotSymmetric,
     SingularTransform,
 )
+from spdorders.seeds import derive_seed_words, seeded_rngs
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -242,6 +244,45 @@ class TestRandomSpd:
     def test_dimension_below_one(self, n, draw):
         with pytest.raises(InvalidParameters, match="dimension must be >= 1"):
             draw(n, 0)
+
+    # 2.5 used to reach np.full and raise a TypeError; True passed as 1
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("draw", [random_spd, random_sym])
+    def test_dimension_must_be_an_integer(self, n, draw):
+        with pytest.raises(InvalidParameters, match="dimension must be an integer"):
+            draw(n, 0)
+
+    def test_numpy_integer_dimension(self):
+        assert random_spd(np.int64(3), 0).n == 3
+
+
+class TestSpdStack:
+    def _stack(self):
+        sigma = random_spd(3, 1)
+        w, v = sigma._eig
+        # the middle row's eigenvector columns have norm 2: not orthogonal
+        return SpdStack(np.stack([sigma.entries] * 3), np.stack([w] * 3), np.stack([v, 2.0 * v, v]))
+
+    def test_orthogonality_guard_stops_at_the_first_failing_row(self):
+        w, v, err = self._stack().spectrum()
+        assert len(w) == len(v) == 1
+        assert isinstance(err, ConvergenceFailure) and "not orthogonal" in str(err)
+
+    def test_head_guards_its_own_rows(self):
+        stack = self._stack()
+        assert stack.head(3) is stack
+        assert "not orthogonal" in str(stack.head(2).spectrum()[2])
+        assert stack.head(1).spectrum()[2] is None
+
+    def test_spectrum_uses_the_same_guard(self):
+        with pytest.raises(ConvergenceFailure, match="not orthogonal"):
+            Spectrum(np.ones(2), 2.0 * np.eye(2))
+
+    def test_point_copies_its_row(self):
+        stack = self._stack()
+        sigma = stack.point(2)
+        assert np.array_equal(sigma.entries, stack.entries[2]) and not np.shares_memory(sigma.entries, stack.entries)
+        assert not sigma.entries.flags.writeable
 
 
 class TestTangent:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from spdorders import (
 )
 from spdorders.cones import DEFAULT_TOL, ConeSpec
 from spdorders.core import MAX_DIM, SpdMatrix, SymTangent, derive_rng, random_sym
-from spdorders.errors import DimensionMismatch, InvalidParameters
+from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
 from spdorders import monotone
 from spdorders.monotone import map_differentials, sylvester_residual
 
@@ -162,13 +163,11 @@ class TestTraceInequalities:
 
     def test_overflowing_sample_is_not_a_pass(self):
         # 86 of these 200 samples overflow to a NaN slack, which min() would skip
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InvalidParameters, match="power_trace_lemma sample 0 is not finite"):
+        with pytest.raises(InvalidParameters, match="power_trace_lemma sample 0 is not finite"):
             trace_inequality_fuzz("power_trace_lemma", 200, seed=5, count=200)
 
     def test_overflowing_shift_sample_is_not_a_pass(self):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InvalidParameters, match="shift_inequality sample 0 is not finite"):
+        with pytest.raises(InvalidParameters, match="shift_inequality sample 0 is not finite"):
             trace_inequality_fuzz("shift_inequality", 400, seed=5, count=3)
 
 
@@ -415,6 +414,70 @@ class TestBatchedPositivityMatchesLoop:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             map_differentials(power_map(0.5), random_spd(3, 1), np.zeros((2, 2, 2)))
+
+
+BLOCK_MAPS = {
+    "power": lambda n: power_map(1.5),
+    "inversion": lambda n: inversion_map(),
+    "congruence": lambda n: congruence_map(np.eye(n) + np.tril(np.ones((n, n)), -1)),
+    "scaling": lambda n: scaling_map(2.5),
+    "translation": lambda n: translation_map(0.5 * np.eye(n)),
+}
+CONE_KINDS = ["quad-affine", "quad-translate", "loewner", "half-space", "ray"]
+
+
+class TestBlocksMatchLoop:
+    # Sizes past BLOCK_ROWS: 3 x 300 splits each point's directions over
+    # several chunks, 30 x 20 makes several blocks of whole points.
+    @pytest.mark.parametrize("n_points, n_directions", [(3, 300), (30, 20)], ids=["split-points", "whole-points"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", CONE_KINDS)
+    @pytest.mark.parametrize("map_kind", list(BLOCK_MAPS))
+    def test_same_report_as_per_sample_loop(self, map_kind, kind, n, n_points, n_directions):
+        assert n_points * n_directions > monotone.BLOCK_ROWS
+        m = BLOCK_MAPS[map_kind](n)
+        spec = ConeSpec(kind, n, n / 2 if kind.startswith("quad") else None)
+        got = check_differential_positivity(m, spec, 11, n_points, n_directions)
+        samples, min_margin, violations = reference_positivity(m, spec, 11, n_points, n_directions)
+        assert got.samples_tested == samples
+        assert got.min_output_margin.hex() == float(min_margin).hex()
+        assert len(got.violations) == len(violations)
+        for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
+            assert hexes(sig.entries) == hexes(ref_sig.entries)
+            assert hexes(tan.entries) == hexes(ref_tan.entries)
+            assert tan.base is sig and margin.hex() == ref_margin.hex()
+        # one SpdMatrix per violating point, shared by its tangents across chunks
+        assert len({id(sig) for sig, _, _ in got.violations}) == len({id(sig) for sig, _, _ in violations})
+
+    # a shift of -0.2 I takes only a later point's image out of the cone: its
+    # smallest eigenvalue is the first one below 0.2 (point 18 of seed 6 at
+    # n = 2, in a later block; point 2 of seed 4 at n = 3, whose 300
+    # directions take several chunks)
+    @pytest.mark.parametrize("n, seed, n_points, n_directions, point", [(2, 6, 30, 20, 18), (3, 4, 3, 300, 2)])
+    def test_later_image_outside_the_cone_raises_as_the_loop_does(self, n, seed, n_points, n_directions, point):
+        assert point >= monotone.BLOCK_ROWS // n_directions or n_directions > monotone.BLOCK_ROWS
+        lam_min = [np.linalg.eigvalsh(random_spd(n, derive_rng(seed, i), 0.7).entries)[0] for i in range(n_points)]
+        assert min(lam_min[:point]) > 0.21 and lam_min[point] < 0.2
+        with pytest.warns(UserWarning, match="not positive semidefinite"):
+            m = translation_map(-0.2 * np.eye(n))
+        spec = quadratic_affine(n / 2, n)
+        with pytest.raises(NotPositiveDefinite) as want:
+            reference_positivity(m, spec, seed, n_points, n_directions)
+        with pytest.raises(NotPositiveDefinite) as got:
+            check_differential_positivity(m, spec, seed, n_points, n_directions)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_peak_memory_grows_with_the_block(self):
+        # 2000 directions of one point at n = 32: a stack of them all would
+        # take 16 MB per array, a chunk of BLOCK_ROWS = 128 about 1 MB
+        tracemalloc.start()
+        try:
+            report = check_differential_positivity(power_map(0.5), quadratic_affine(16, 32), 0, 1, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.samples_tested == 2000 and report.is_positive
+        assert peak < 32 * 10**6
 
 
 class TestOrderLevelMonotonicity:
