@@ -341,7 +341,7 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
         raise DimensionMismatch(f"cone n={spec.n}, point n={points.n}")
     rows = list(zip(rngs, boundary, strict=True))
     rngs = [rng for rng, _ in rows]
-    width = len(rows) // len(points)
+    width = len(rows) // max(len(points), 1)
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
         ys = np.ones((len(rows), 1, 1))
     elif spec.kind == RAY:  # the cone is the single ray spanned by sigma

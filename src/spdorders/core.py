@@ -95,10 +95,11 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     with, or None when every row passes.  A finite stack within SYM_RTOL
     everywhere passes whole: every row's tolerance is at least SYM_RTOL.
     """
-    err = None
+    err, huge = None, False
     at = a.swapaxes(1, 2)
-    # finiteness first, so that inf - inf never reaches the subtraction
-    if not (np.count_nonzero(np.isfinite(a)) == a.size and np.abs(a - at).max(initial=0.0) <= SYM_RTOL):
+    # finiteness (and |entries| < 2^1023) first, so that inf - inf never
+    # reaches the subtraction; NaN fails the bound too
+    if not (np.abs(a).max(initial=0.0) < 2.0**1023 and np.abs(a - at).max(initial=0.0) <= SYM_RTOL):
         amax = np.abs(a).max(axis=(1, 2), initial=0.0)
         finite = np.isfinite(amax)
         if not finite.all():
@@ -112,7 +113,9 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
             bad = int(symmetric.argmin())
             err = NotSymmetric(f"asymmetry {gap[bad]:.3e} exceeds tolerance {tolerance[bad]:.3e}")
             a, at = a[:bad], at[:bad]
-    sym = 0.5 * (a + at)
+        huge = amax[:len(a)].max(initial=0.0) >= 2.0**1023
+    # halving first keeps a + at from overflowing; it rounds subnormals, so only huge stacks take it
+    sym = 0.5 * a + 0.5 * at if huge else 0.5 * (a + at)
     sym.flags.writeable = False
     return sym, err
 
@@ -273,6 +276,13 @@ class SpdMatrix:
         if err is not None:
             raise err
         return Spectrum(w[0], v[0], checked=True)
+
+    @cached_property
+    def inv_root(self) -> np.ndarray:
+        """sigma^{-1/2}, the whitening factor, built once."""
+        root = self.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
+        root.flags.writeable = False
+        return root
 
     @cached_property
     def log_det(self) -> float:

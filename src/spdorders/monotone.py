@@ -58,13 +58,7 @@ class SmoothMap:
 
     @property
     def label(self) -> str:
-        if self.kind == POWER:
-            return f"power:{self.exponent:g}"
-        if self.kind == SCALING:
-            return f"scale:{self.factor:g}"
-        if self.kind == INVERSION:
-            return "inv"
-        return self.kind
+        return _RULES[self.kind][0].format(self)
 
     def _check_size(self, n: int) -> None:
         if self.matrix is not None and self.matrix.shape[0] != n:
@@ -75,15 +69,7 @@ class SmoothMap:
         first row that fails a guard (its point's spectrum, or SpdMatrix's
         guards on its image), and that row's error, or None."""
         self._check_size(points.n)
-        if self.kind == POWER:
-            return _matrix_function_stack(points, "power", self.exponent)
-        if self.kind == INVERSION:
-            return _matrix_function_stack(points, "inv")
-        if self.kind == CONGRUENCE:
-            return _congruence_stack(self.matrix, points)
-        if self.kind == SCALING:
-            return _validate_spd_stack(self.factor * points.entries)
-        return _validate_spd_stack(points.entries + self.matrix)
+        return _RULES[self.kind][1](self, points)
 
     def apply(self, sigma: SpdMatrix) -> SpdMatrix:
         """Evaluate the map; the result is SPD for every kind except
@@ -114,7 +100,8 @@ def scaling_map(factor: float) -> SmoothMap:
 
 def translation_map(c) -> SmoothMap:
     mat = _as_finite_square(c)
-    mat = 0.5 * (mat + mat.T)
+    # as _validate_sym_stack: halved first only where the sum could overflow
+    mat = 0.5 * mat + 0.5 * mat.T if np.abs(mat).max() >= 2.0**1023 else 0.5 * (mat + mat.T)
     if np.linalg.eigvalsh(mat)[0] < 0:
         warnings.warn("translation shift is not positive semidefinite; "
                       "images of near-singular points may leave the SPD cone")
@@ -136,6 +123,38 @@ def _power_divided_differences(w: np.ndarray, r: float) -> np.ndarray:
     return np.where(close, r * mid ** (r - 1.0), quotient)
 
 
+def _power_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
+    """power(r) in the eigenbasis of each point, through first divided differences."""
+    n, width = points.n, len(xs) // len(points)
+    w, v, err = points.spectrum()
+    v, vt = v[:, None], v.swapaxes(1, 2)[:, None]
+    xprime = vt @ xs[:len(w) * width].reshape(len(w), width, n, n) @ v
+    out = (v @ (_power_divided_differences(w, m.exponent)[:, None] * xprime) @ vt).reshape(-1, n, n)
+    return 0.5 * (out + out.swapaxes(1, 2)), err
+
+
+def _inversion_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
+    """-S^-1 X S^-1 for each point S."""
+    a = points.entries[:, None]
+    y = np.linalg.solve(a, xs.reshape(len(points), -1, points.n, points.n))
+    out = -np.linalg.solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(xs.shape)
+    return 0.5 * (out + out.swapaxes(1, 2)), None
+
+
+# Per map kind: its label, the map on a stack of points (as _apply_stack),
+# and its differential on a tangent stack before SymTangent's guards, with
+# the error of the first point whose spectrum fails (as _differential_stack)
+_RULES = {
+    POWER: ("power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent), _power_differentials),
+    INVERSION: ("inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
+    CONGRUENCE: (CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
+                 lambda m, p, xs: (m.matrix @ xs @ m.matrix.T, None)),
+    SCALING: ("scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
+              lambda m, p, xs: (m.factor * xs, None)),
+    TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: (xs, None)),
+}
+
+
 def _differential_stack(m: SmoothMap, points: SpdStack, xs: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     """map_differentials over a stack of base points, each owning an equal
     run of consecutive rows of the (k, n, n) tangent stack: the
@@ -143,25 +162,7 @@ def _differential_stack(m: SmoothMap, points: SpdStack, xs: np.ndarray) -> tuple
     point's spectrum, or SymTangent's guards on the differential), and
     that row's error, or None."""
     m._check_size(points.n)
-    n, width = points.n, len(xs) // len(points)
-    err = None
-    if m.kind == POWER:
-        w, v, err = points.spectrum()
-        v, vt = v[:, None], v.swapaxes(1, 2)[:, None]
-        xprime = vt @ xs[:len(w) * width].reshape(len(w), width, n, n) @ v
-        out = (v @ (_power_divided_differences(w, m.exponent)[:, None] * xprime) @ vt).reshape(-1, n, n)
-    elif m.kind == INVERSION:
-        a = points.entries[:, None]
-        y = np.linalg.solve(a, xs.reshape(len(points), width, n, n))
-        out = -np.linalg.solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(-1, n, n)
-    elif m.kind == CONGRUENCE:
-        out = m.matrix @ xs @ m.matrix.T
-    elif m.kind == SCALING:
-        out = m.factor * xs
-    else:
-        out = xs
-    if m.kind in (POWER, INVERSION):
-        out = 0.5 * (out + out.swapaxes(1, 2))
+    out, err = _RULES[m.kind][2](m, points, xs)
     sym, later = _validate_sym_stack(out)
     return sym, later or err
 

@@ -20,19 +20,32 @@ from .cones import (
     RAY,
     TRANSLATION_KINDS,
     ConeSpec,
+    _tangent_stack,
     cone_margins,
     sample_cone_tangent,
 )
 from .core import (
+    COND_CAP,
     SpdMatrix,
+    SpdStack,
     SymTangent,
+    _one_point,
+    _row_norms,
     random_spd,
     _validate_spd_stack,
     _validate_sym_stack,
 )
-from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
-from .geometry import relative_eigenframe, relative_eigenvalues, riemannian_exp
-from .seeds import derive_rng
+from .errors import DimensionMismatch, IllConditioned, InvalidParameters, NotOrdered, SpdError
+from .geometry import (
+    ILL_CONDITIONED_PAIR,
+    _exp_stack,
+    _inv_roots,
+    _norm,
+    _whitened,
+    relative_eigenframe,
+    relative_eigenvalues,
+)
+from .seeds import derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
 GREATER_EQUAL = "greater_equal"
@@ -59,16 +72,16 @@ class OrderVerdict:
 def _spectral_margins(d: np.ndarray, mu: float | None, kind: str) -> tuple[float, float]:
     """Forward/reverse margins of a spectral vector (log-eigenvalues for
     the affine families, plain difference eigenvalues for translation)."""
-    nrm = float(np.linalg.norm(d))
+    nrm = _norm(d)
     if nrm == 0.0:
         return 1.0, 1.0
     if kind == LOEWNER:
         return float(d[0]) / nrm, -float(d[-1]) / nrm
-    s = float(np.sum(d))
+    s = float(d.sum())
     if kind == RAY:
-        deviation = float(np.linalg.norm(d - s / d.shape[0])) / nrm
+        deviation = _norm(d - s / d.shape[0]) / nrm
         return min(-deviation, s / nrm), min(-deviation, -s / nrm)
-    quad = (s * s - mu * float(np.sum(d * d))) / nrm**2
+    quad = (s * s - mu * float((d * d).sum())) / nrm**2
     return min(s / nrm, quad), min(-s / nrm, quad)
 
 
@@ -84,12 +97,12 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     e1, e2 = sigma1.entries, sigma2.entries
     # ||sigma||_F <= sqrt(n) lambda_max: up to lambda_max = 2^500 the squares in the norms stay finite
     huge = max(sigma1._eig[0][-1], sigma2._eig[0][-1]) > 2.0**500
-    scale = np.inf if huge else max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    scale = np.inf if huge else max(_norm(e1), _norm(e2))
     if not 2.0**-500 <= scale <= 2.0**500:  # one exact power of two: largest |entry| into [0.5, 1)
         shift = -np.frexp(max(np.abs(e1).max(), np.abs(e2).max()))[1]
         e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
-        scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
-    if float(np.linalg.norm(e2 - e1)) <= EQUALITY_RTOL * scale:
+        scale = max(_norm(e1), _norm(e2))
+    if _norm(e2 - e1) <= EQUALITY_RTOL * scale:
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
     if spec.kind == HALF_SPACE:
@@ -107,6 +120,49 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     if rev >= -tol:
         return OrderVerdict(GREATER_EQUAL, fwd, rev)
     return OrderVerdict(INCOMPARABLE, fwd, rev)
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return a[rows if len(a) > 1 else np.zeros_like(rows)]  # a one-row stack pairs with every row
+
+
+def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
+    """order_compare over the row pairs of two stacks (a one-row stack pairs
+    with every row), its spectral vectors from one stacked eigensolve:
+    returns ordered(j, pair), whether pair j is less_equal or equal by the
+    scalar margin rule, raising what order_compare raises.  Pairs with
+    nothing to stack (half-space, a missing whitening factor, a norm
+    outside [2^-400, 2^400], where a whitened matrix could overflow) run
+    order_compare itself on pair()."""
+    e1, e2 = lows.entries, highs.entries
+    with np.errstate(over="ignore"):
+        scale = np.maximum(_row_norms(e1), _row_norms(e2))
+        equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * scale
+    opened = ~((2.0**-400 <= scale) & (scale <= 2.0**400))
+    affine = spec.kind not in TRANSLATION_KINDS + (HALF_SPACE,)
+    inv, err = _inv_roots(lows) if affine else (None, None)
+    if spec.kind == HALF_SPACE or err is not None:
+        opened[:] = True
+    rows = np.flatnonzero(~opened & ~equal)
+    if affine:
+        w = np.linalg.eigh(_whitened(_take(inv, rows), _take(e2, rows)))[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ill = (w[:, 0] <= 0) | (w[:, -1] / w[:, 0] > COND_CAP)
+        vectors = [None if bad else d for d, bad in zip(np.log(np.where(ill[:, None], 1.0, w)), ill)]
+    else:
+        vectors = np.linalg.eigvalsh(_take(e2, rows) - _take(e1, rows))
+    vectors = dict(zip(rows.tolist(), vectors))
+
+    def ordered(j: int, pair) -> bool:
+        if opened[j]:
+            return order_compare(spec, *pair()).relation in (LESS_EQUAL, EQUAL)
+        if equal[j]:
+            return True
+        if vectors[j] is None:
+            raise IllConditioned(ILL_CONDITIONED_PAIR)
+        return _spectral_margins(vectors[j], spec.mu, spec.kind)[0] >= -DEFAULT_TOL  # order_compare's less_equal
+
+    return ordered
 
 
 def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):
@@ -167,13 +223,26 @@ def conal_path_oracle(
     return True
 
 
-def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
-    """Move from sigma along a cone direction, staying on a conal path."""
+def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes) -> tuple[SpdStack, SpdError | None]:
+    """_conal_step from each base point along its direction by each size,
+    in row-major order: the steps before the first that fails a guard, and
+    that step's error, or None."""
+    n, width = bases.n, len(sizes)
     if spec.kind in TRANSLATION_KINDS:
         # unit-norm direction: a step below lambda_min keeps the sum SPD
-        lam_min = sigma.spectrum.eigenvalues[0]
-        return SpdMatrix(sigma.entries + size * 0.5 * lam_min * direction.entries)
-    return riemannian_exp(sigma, SymTangent(size * direction.entries))
+        w, _, err = bases.spectrum()
+        coef = (sizes * 0.5)[None, :] * w[:, :1]
+        raw = bases.entries[:len(w), None] + coef[:, :, None, None] * directions[:len(w), None]
+        steps, later = _validate_spd_stack(raw.reshape(-1, n, n))
+        return steps, later or err
+    xs = (sizes[:, None, None] * directions[:, None]).reshape(-1, n, n)
+    return _exp_stack(bases, _inv_roots(bases)[0], xs, width)
+
+
+def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
+    """Move from sigma along a cone direction, staying on a conal path:
+    the one-step view of _conal_steps."""
+    return _one_point(*_conal_steps(spec, SpdStack.of(sigma), direction.entries[None], np.array([size])))
 
 
 def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
@@ -185,6 +254,10 @@ def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, S
     return sigma1, _conal_step(spec, sigma1, direction, float(rng.uniform(0.3, 1.2)))
 
 
+# the nudges order_interval_sample tries, largest first (no numpy at import: its first ufunc call costs memory)
+STEP_SIZES = tuple(0.15 * 0.5**k for k in range(6))
+
+
 def order_interval_sample(
     spec: ConeSpec,
     sigma1: SpdMatrix,
@@ -194,42 +267,62 @@ def order_interval_sample(
 ) -> list[SpdMatrix]:
     """Sample points of the order interval [sigma1, sigma2].
 
-    The first sample is the path midpoint; the rest are random path
-    points nudged along local cone directions.  Every returned point is
-    re-verified against both endpoints with order_compare before being
-    accepted, falling back to the unperturbed path point.
+    The first sample is the path midpoint; sample i > 0 is a path point
+    nudged along a cone direction (both drawn from derive_rng(seed, i)) by
+    the first of STEP_SIZES whose step order_compare verifies against both
+    endpoints.  A step that fails a guard ends the sizes; without a valid
+    step the sample falls back to the path point if it verifies, else to
+    sigma1.  Points, directions, steps and comparisons run as stacks, then
+    the samples are walked in order, so the earliest sample's error wins.
     """
     pre = order_compare(spec, sigma1, sigma2)
     if pre.relation not in (LESS_EQUAL, EQUAL):
         raise NotOrdered(f"endpoints compare as {pre.relation}")
+    if count <= 0:
+        return []
+    path, _ = _conal_path(spec, sigma1, sigma2)
+    rngs = seeded_rngs(derive_seed_words(seed, np.arange(count)[:, None]))
+    ts = np.array([rng.uniform(0.05, 0.95) for rng in rngs[1:]])
+    # a float t keeps w**0.5 numpy's sqrt
+    bases, base_err = _validate_spd_stack(np.concatenate([path(0.5)[0][None], path(ts[:, None, None])[0]]))
+    moved = _rows(bases, 1)  # the samples that draw a direction
+    directions, tangent_err = _tangent_stack(spec, moved, rngs[1:len(bases)], [False] * len(moved))
+    # every size of every direction, up to the direction's first step that
+    # fails a guard; the directions after a failing step run again
+    parts, sizes = [bases], []
+    while len(sizes) < len(directions):
+        done = len(sizes)
+        steps, err = _conal_steps(spec, _rows(moved, done, len(directions)), directions[done:], np.array(STEP_SIZES))
+        parts.append(steps)
+        rows, kept = divmod(len(steps), len(STEP_SIZES))
+        sizes += [len(STEP_SIZES)] * rows + ([kept] if err is not None else [])
+    candidates = _concat(parts)  # the path points, then the steps
+    lo = _ordered_rows(spec, SpdStack.of(sigma1), candidates)
+    hi = _ordered_rows(spec, candidates, SpdStack.of(sigma2))
 
-    if count > 0:
-        path, _ = _conal_path(spec, sigma1, sigma2)
+    def valid(j: int) -> bool:
+        below = lo(j, lambda: (sigma1, candidates.point(j)))
+        above = hi(j, lambda: (candidates.point(j), sigma2))
+        return below and above
 
-    def valid(candidate: SpdMatrix) -> bool:
-        lo = order_compare(spec, sigma1, candidate)
-        hi = order_compare(spec, candidate, sigma2)
-        return lo.relation in (LESS_EQUAL, EQUAL) and hi.relation in (LESS_EQUAL, EQUAL)
-
-    out: list[SpdMatrix] = []
+    out, first = [], len(bases)
     for i in range(count):
-        rng = derive_rng(seed, i)
-        t = 0.5 if i == 0 else float(rng.uniform(0.05, 0.95))
-        base = SpdMatrix(path(t)[0])
+        if i == len(bases):
+            raise base_err
+        if i > len(directions):
+            raise tangent_err
         chosen = None
         if i > 0:
-            direction = sample_cone_tangent(spec, base, rng, boundary=False)
-            size = 0.15
-            for _ in range(6):
-                try:
-                    candidate = _conal_step(spec, base, direction, size)
-                except SpdError:
-                    break
-                if valid(candidate):
-                    chosen = candidate
-                    break
-                size *= 0.5
-        if chosen is None:
-            chosen = base if valid(base) else sigma1
-        out.append(chosen)
+            chosen = next((candidates.point(j) for j in range(first, first + sizes[i - 1]) if valid(j)), None)
+            first += sizes[i - 1]
+        out.append(chosen or (candidates.point(i) if valid(i) else sigma1))
     return out
+
+
+def _rows(points: SpdStack, start: int, stop: int | None = None) -> SpdStack:
+    return SpdStack(*(a[start:stop] for a in (points.entries, points.eigenvalues, points.eigenvectors)))
+
+
+def _concat(stacks) -> SpdStack:
+    parts = zip(*((s.entries, s.eigenvalues, s.eigenvectors) for s in stacks))
+    return SpdStack(*(np.concatenate(part) for part in parts))

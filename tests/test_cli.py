@@ -462,13 +462,7 @@ class TestOneLineDiagnostics:
         ("geodesic", "--tol", "1e-3", "--t", "0.5", "@eye", "@d21"),
         # numpy warnings on the way to an error
         ("monotone", "--map", "power:1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
-        ("monotone", "--map", "scale:1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
         ("monotone", "--map", "power:-1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
-        ("monotone", "--map", "translate:@huge", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
-        ("order", "--cone", "@qa2", "@huge", "@huge"),
-        ("geodesic", "--t", "0.5", "@huge", "@huge"),
-        ("mean", "@huge", "@huge"),
-        ("cone-member", "--cone", "@qa2", "--at", "@huge", "--dir", "@eye"),
         # a library warning on the way to an error
         ("monotone", "--map", "translate:@shift_neg", "--cone", "@loew2", "--points", "20", "--dirs", "2"),
         # a map matrix of the wrong size
@@ -478,6 +472,23 @@ class TestOneLineDiagnostics:
         code, out, err = run(capsys, *docs(*words))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # entries near the float limit once overflowed the symmetrization, and
+    # these ended in exit 2; diag(1e308, 1e308) is SPD, so they run
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("words, field, value", [
+        (("validate", "@huge"), "valid", True),
+        (("monotone", "--map", "scale:1e308", "--cone", "@qa2", "--points", "3", "--dirs", "2"), "violation_count", 0),
+        (("monotone", "--map", "translate:@huge", "--cone", "@qa2", "--points", "3", "--dirs", "2"), "violation_count", 0),
+        (("order", "--cone", "@qa2", "@huge", "@huge"), "relation", "equal"),
+        (("geodesic", "--t", "0.5", "@huge", "@huge"), "data", [[1e308, 0.0], [0.0, 1e308]]),
+        (("mean", "@huge", "@huge"), "data", [[1e308, 0.0], [0.0, 1e308]]),
+        (("cone-member", "--cone", "@qa2", "--at", "@huge", "--dir", "@eye"), "inside", True),
+    ])
+    def test_entries_near_the_float_limit_run(self, docs, capsys, words, field, value):
+        code, out, err = run(capsys, *docs(*words))
+        assert (code, err) == (0, "")
+        assert json.loads(out)[field] == value
 
     def test_warning_on_success_is_one_line(self, docs, capsys, tmp_path):
         shift = np.diag([-0.01, 0.02])

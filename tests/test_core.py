@@ -396,6 +396,34 @@ class TestSymmetryGuardAgainstPerRowRule:
         self._assert_matches(np.empty((0, 3, 3)))
 
 
+class TestHalvesFirstSymmetrization:
+    # stacks with an entry >= 2^1023 take 0.5 a + 0.5 a^T, whose sum cannot overflow
+
+    def test_bit_identical_to_the_halved_sum_in_the_normal_range(self):
+        rng = np.random.default_rng(7)
+        for exponent in range(-300, 301, 25):
+            a = rng.standard_normal((40, 3, 3)) * 10.0**exponent
+            a = a + a.swapaxes(1, 2) + 1e-14 * 10.0**exponent * rng.standard_normal((40, 3, 3))
+            at = a.swapaxes(1, 2)
+            assert (0.5 * a + 0.5 * at).tobytes() == (0.5 * (a + at)).tobytes()
+
+    def test_subnormal_entries_keep_the_halved_sum(self):
+        # halving first rounds the smallest subnormal away, so only stacks
+        # with an entry >= 2^1023 take it
+        tiny = np.array([[[1.0, 5e-324], [5e-324, 1.0]]])
+        assert (0.5 * tiny + 0.5 * tiny.swapaxes(1, 2))[0, 0, 1] == 0.0
+        sym, err = _validate_sym_stack(tiny)
+        assert err is None and sym.tobytes() == tiny.tobytes()
+
+    def test_entries_near_the_float_limit_stay_finite(self):
+        huge = np.finfo(float).max
+        a = np.array([[[1e308, 0.0], [0.0, 1e308]], [[huge, 1e308], [1e308, huge]]])
+        sym, err = _validate_sym_stack(a)
+        assert err is None and sym.tobytes() == a.tobytes()
+        sigma = spd_validate(np.diag([1e308, 1e308]))
+        assert np.array_equal(sigma.spectrum.eigenvalues, [1e308, 1e308])
+
+
 class TestSeedWords:
     SEEDS = [0, 1, -1, 2**40 + 3, 2**64 - 1]
     # tuples of 0 to 5 indices; values >= 2^32 take two words, so the last

@@ -98,6 +98,12 @@ class TestDifferential:
         c = random_spd(3, 4, 0.4).entries
         assert np.allclose(map_differential(translation_map(c), sigma, x).entries, x)
 
+    def test_translation_near_the_float_limit_stays_finite(self):
+        shift = translation_map(np.diag([1e308, 1e308])).matrix
+        assert np.array_equal(shift, np.diag([1e308, 1e308]))
+        image = translation_map([[1e308, 1.0], [3.0, 1e308]]).apply(SpdMatrix(np.eye(2)))
+        assert np.array_equal(image.entries, [[1e308, 2.0], [2.0, 1e308]])
+
     def test_near_degenerate_spectrum(self):
         # clustered eigenvalues exercise the divided-difference limit
         sigma = spd_validate(np.diag([2.0, 2.0 + 1e-12, 5.0]))

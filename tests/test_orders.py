@@ -23,8 +23,16 @@ from spdorders import (
     spd_validate,
 )
 from spdorders import orders
-from spdorders.core import derive_rng, matrix_function
-from spdorders.errors import IllConditioned, InvalidParameters, NotOrdered, NotPositiveDefinite, SpdError
+from spdorders.cones import sample_cone_tangent
+from spdorders.core import derive_rng, matrix_function, sym_eig
+from spdorders.errors import (
+    IllConditioned,
+    InvalidParameters,
+    NotOrdered,
+    NotPositiveDefinite,
+    NotSymmetric,
+    SpdError,
+)
 from spdorders.geometry import relative_eigenframe
 
 E = math.e
@@ -406,6 +414,346 @@ class TestIntervalSampling:
 
         spec = quadratic_affine(1.2, 3)
         s1, s2 = random_ordered_pair(spec, 3, 21)
-        monkeypatch.setattr(orders, "_conal_step", broken_step)
+        monkeypatch.setattr(orders, "_conal_steps", broken_step)
         with pytest.raises(TypeError, match="broken step"):
             order_interval_sample(spec, s1, s2, seed=5, count=3)
+
+
+# ---------------------------------------------------------------------------
+# The lean order_compare and the stacked interval sampler against the
+# scalar code they replace, kept here as references.
+# ---------------------------------------------------------------------------
+
+
+def reference_relative_eigenframe(sigma1, sigma2):
+    inv_root = sigma1.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
+    rel = inv_root @ sigma2.entries @ inv_root
+    rel = 0.5 * (rel + rel.T)
+    w, u = np.linalg.eigh(rel)
+    if w[0] <= 0 or w[-1] / w[0] > 1e12:
+        raise IllConditioned("relative matrix of the pair condition number exceeds 1.0e+12")
+    return sigma1.spectrum.apply(np.sqrt) @ u, w
+
+
+def reference_spectral_margins(d, mu, kind):
+    nrm = float(np.linalg.norm(d))
+    if nrm == 0.0:
+        return 1.0, 1.0
+    if kind == "loewner":
+        return float(d[0]) / nrm, -float(d[-1]) / nrm
+    s = float(np.sum(d))
+    if kind == "ray":
+        deviation = float(np.linalg.norm(d - s / d.shape[0])) / nrm
+        return min(-deviation, s / nrm), min(-deviation, -s / nrm)
+    quad = (s * s - mu * float(np.sum(d * d))) / nrm**2
+    return min(s / nrm, quad), min(-s / nrm, quad)
+
+
+def reference_compare(spec, sigma1, sigma2, tol=1e-10):
+    """order_compare as it was written before the lean rewrite."""
+    e1, e2 = sigma1.entries, sigma2.entries
+    huge = max(sigma1._eig[0][-1], sigma2._eig[0][-1]) > 2.0**500
+    scale = np.inf if huge else max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    if not 2.0**-500 <= scale <= 2.0**500:
+        shift = -np.frexp(max(np.abs(e1).max(), np.abs(e2).max()))[1]
+        e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
+        scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    if float(np.linalg.norm(e2 - e1)) <= 1e-10 * scale:
+        return "equal", 1.0, 1.0
+    if spec.kind == "half-space":
+        chol1, chol2 = np.linalg.cholesky(sigma1.entries), np.linalg.cholesky(sigma2.entries)
+        ld = 2.0 * float(np.sum(np.log(np.diag(chol2)))) - 2.0 * float(np.sum(np.log(np.diag(chol1))))
+        fwd, rev = ld, -ld
+    else:
+        if spec.kind in ("quad-translate", "loewner"):
+            d = np.linalg.eigvalsh(e2 - e1)
+        else:
+            d = np.log(reference_relative_eigenframe(sigma1, sigma2)[1])
+        fwd, rev = reference_spectral_margins(d, spec.mu, spec.kind)
+    if fwd >= -tol:
+        return "less_equal", fwd, rev
+    if rev >= -tol:
+        return "greater_equal", fwd, rev
+    return "incomparable", fwd, rev
+
+
+def reference_step(spec, sigma, direction, size):
+    """_conal_step as it was written before the stacked step kernel."""
+    if spec.kind in ("quad-translate", "loewner"):
+        lam_min = sigma.spectrum.eigenvalues[0]
+        return SpdMatrix(sigma.entries + size * 0.5 * lam_min * direction.entries)
+    inv_root = sigma.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
+    s = inv_root @ (size * direction.entries) @ inv_root
+    spec_s = sym_eig(0.5 * (s + s.T))
+    w = spec_s.eigenvalues
+    if w[-1] - w[0] > np.log(1e12):
+        raise IllConditioned("exponential image would exceed the condition cap")
+    root = sigma.spectrum.apply(np.sqrt)
+    return SpdMatrix(root @ spec_s.apply(np.exp) @ root)
+
+
+def reference_interval_sample(spec, sigma1, sigma2, seed, count, step=reference_step):
+    """order_interval_sample as a per-sample loop, as it was written before
+    the stacked sampler; returns each point with how it was chosen."""
+    if reference_compare(spec, sigma1, sigma2)[0] not in ("less_equal", "equal"):
+        raise NotOrdered(f"endpoints compare as {reference_compare(spec, sigma1, sigma2)[0]}")
+    if count > 0:
+        path, _ = orders._conal_path(spec, sigma1, sigma2)
+
+    def valid(candidate):
+        lo = reference_compare(spec, sigma1, candidate)[0]
+        hi = reference_compare(spec, candidate, sigma2)[0]
+        return lo in ("less_equal", "equal") and hi in ("less_equal", "equal")
+
+    out = []
+    for i in range(count):
+        rng = derive_rng(seed, i)
+        t = 0.5 if i == 0 else float(rng.uniform(0.05, 0.95))
+        base = SpdMatrix(path(t)[0])
+        chosen = None
+        if i > 0:
+            direction = sample_cone_tangent(spec, base, rng, boundary=False)
+            size = 0.15
+            for _ in range(6):
+                try:
+                    candidate = step(spec, base, direction, size)
+                except SpdError:
+                    break
+                if valid(candidate):
+                    chosen = (candidate, "step")
+                    break
+                size *= 0.5
+        if chosen is None:
+            chosen = (base, "path") if valid(base) else (sigma1, "sigma1")
+        out.append(chosen)
+    return out
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def compare_outcome(compare, spec, a, b):
+    try:
+        relation, fwd, rev = compare(spec, a, b)
+    except SpdError as exc:
+        return type(exc), str(exc)
+    return relation, hexes([fwd, rev])
+
+
+def lean_compare(spec, a, b):
+    verdict = order_compare(spec, a, b)
+    return verdict.relation, verdict.forward_margin, verdict.reverse_margin
+
+
+def specs_at(n):
+    return [ConeSpec("quad-affine", n, n / 3), ConeSpec("quad-translate", n, 2 * n / 3),
+            loewner(n), half_space_affine(n), ray_affine(n)]
+
+
+class TestLeanCompareMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_relations_and_margins_bit_for_bit(self, n):
+        from spdorders.geometry import distance, relative_eigenvalues
+
+        for spec in specs_at(n):
+            for seed in range(12):
+                a, b = random_spd(n, derive_rng(seed, 0), 0.8), random_spd(n, derive_rng(seed, 1), 0.8)
+                lo, hi = random_ordered_pair(spec, n, seed)
+                pairs = [(a, b), (b, a), (lo, hi), (hi, lo), (a, a), (lo, SpdMatrix(lo.entries))]
+                for k in (-520, -500, 500, 520):
+                    pairs.append((SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k))))
+                    pairs.append((SpdMatrix(np.ldexp(lo.entries, k)), SpdMatrix(np.ldexp(hi.entries, k))))
+                for x, y in pairs:
+                    want = compare_outcome(reference_compare, spec, x, y)
+                    assert compare_outcome(lean_compare, spec, x, y) == want
+                    try:
+                        ref_w = reference_relative_eigenframe(x, y)[1]
+                    except IllConditioned:
+                        with pytest.raises(IllConditioned):
+                            relative_eigenvalues(x, y)
+                        continue
+                    assert hexes(relative_eigenvalues(x, y)) == hexes(ref_w)
+                    assert distance(x, y).hex() == float(np.linalg.norm(np.log(ref_w))).hex()
+
+    def test_ill_conditioned_pair_raises_as_before(self):
+        a, b = spd_validate(np.diag([1e-7, 1.0])), spd_validate(np.diag([1.0, 1e-7]))
+        assert compare_outcome(lean_compare, quadratic_affine(1.0, 2), a, b) == (
+            compare_outcome(reference_compare, quadratic_affine(1.0, 2), a, b))
+
+
+def interval_outcome(sampler, *args, **kwargs):
+    try:
+        points = sampler(*args, **kwargs)
+    except SpdError as exc:
+        return type(exc), str(exc)
+    return [p.entries.tobytes() for p in points]
+
+
+def reference_outcome(*args, **kwargs):
+    try:
+        chosen = reference_interval_sample(*args, **kwargs)
+    except SpdError as exc:
+        return (type(exc), str(exc)), set()
+    return [p.entries.tobytes() for p, _ in chosen], {how for _, how in chosen}
+
+
+class TestIntervalSamplerMatchesLoop:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_same_points_as_per_sample_loop(self, n):
+        taken = set()
+        for spec in specs_at(n):
+            for pair_seed in (0, 7):
+                s1, s2 = random_ordered_pair(spec, n, pair_seed)
+                for seed in (0, 5, -3):
+                    for count in (0, 1, 2, 6):
+                        want, how = reference_outcome(spec, s1, s2, seed, count)
+                        taken |= how
+                        assert interval_outcome(order_interval_sample, spec, s1, s2, seed, count) == want
+        assert "step" in taken
+
+    def test_fallbacks_match(self):
+        # sigma2 - sigma1 is 2^-30 e1 e1^T exactly (2^-30 I for the ray): no
+        # nudge stays below sigma2, and a path point whose rounding leaves
+        # the thin interval falls back to sigma1
+        s1 = spd_validate([[1.3, 0.4], [0.4, 0.9]])
+        thin = spd_validate(s1.entries + np.diag([2.0**-30, 0.0]))
+        cases = [(quadratic_affine(0.5, 2), s1, thin), (quadratic_translation(0.5, 2), s1, thin),
+                 (loewner(2), s1, thin), (half_space_affine(2), s1, thin),
+                 (ray_affine(2), spd_validate(np.eye(2)), spd_validate((1.0 + 2.0**-30) * np.eye(2)))]
+        taken = set()
+        for spec, s1, s2 in cases:
+            for seed in range(4):
+                want, how = reference_outcome(spec, s1, s2, seed, 8)
+                taken |= how
+                assert interval_outcome(order_interval_sample, spec, s1, s2, seed, 8) == want
+        assert {"path", "sigma1"} <= taken
+
+    @pytest.mark.parametrize("k", [-520, -450, 450, 520])
+    def test_extreme_magnitudes_as_per_sample_loop(self, k):
+        # endpoints past 2^+-400 run order_compare itself, past 2^+-500 rescaled;
+        # a unit nudge at a tiny base point overflows its exponential
+        for spec in specs_at(2):
+            s1, s2 = random_ordered_pair(spec, 2, 4)
+            s1, s2 = SpdMatrix(np.ldexp(s1.entries, k)), SpdMatrix(np.ldexp(s2.entries, k))
+            for count in (1, 2, 6):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want, _ = reference_outcome(spec, s1, s2, 3, count)
+                    assert interval_outcome(order_interval_sample, spec, s1, s2, 3, count) == want
+
+    def test_equal_endpoints_fall_back_to_the_path(self):
+        s1 = random_spd(3, 4, 0.7)
+        for spec in specs_at(3):
+            want, how = reference_outcome(spec, s1, s1, 2, 5)
+            assert how == {"path"}
+            assert interval_outcome(order_interval_sample, spec, s1, s1, 2, 5) == want
+
+    def test_failing_steps_end_their_rows(self):
+        # from 1e-3 I towards I the whitened nudge grows as the base point
+        # shrinks: rows near sigma1 fail at the first size, later rows step
+        spec = quadratic_affine(1.0, 2)
+        s1, s2 = spd_validate(1e-3 * np.eye(2)), spd_validate(np.array([[1.0, 0.2], [0.2, 0.9]]))
+        failed = []
+
+        def counting_step(*args):
+            try:
+                return reference_step(*args)
+            except SpdError:
+                failed.append(args[-1])
+                raise
+
+        for seed in range(3):
+            want, _ = reference_outcome(spec, s1, s2, seed, 12, step=counting_step)
+            assert interval_outcome(order_interval_sample, spec, s1, s2, seed, 12) == want
+        assert failed
+
+    def test_step_failing_mid_sequence_ends_its_row(self, monkeypatch):
+        # every step of the third size fails: each row's search ends there
+        third = float(orders.STEP_SIZES[2])
+
+        def failing_step(spec, sigma, direction, size):
+            if size == third:
+                raise NotPositiveDefinite("third size")
+            return reference_step(spec, sigma, direction, size)
+
+        real = orders._conal_steps
+
+        def failing_steps(spec, bases, directions, sizes):
+            steps, err = real(spec, bases, directions, sizes)
+            cut = [i for i in range(len(bases) * len(sizes)) if sizes[i % len(sizes)] == third]
+            if cut and cut[0] < len(steps):
+                return steps.head(cut[0]), NotPositiveDefinite("third size")
+            return steps, err
+
+        monkeypatch.setattr(orders, "_conal_steps", failing_steps)
+        for spec in specs_at(3):
+            s1, s2 = random_ordered_pair(spec, 3, 3)
+            for seed in range(3):
+                want, _ = reference_outcome(spec, s1, s2, seed, 6, step=failing_step)
+                assert interval_outcome(order_interval_sample, spec, s1, s2, seed, 6) == want
+
+    def test_earliest_error_wins(self, monkeypatch):
+        # tangents whose leading entry is above a threshold fail, each with
+        # its own message; every count pins the row whose error is raised
+        import spdorders.cones as cones
+
+        real = cones._tangent_stack
+
+        def failing_tangents(spec, points, rngs, boundary):
+            ys, err = real(spec, points, rngs, boundary)
+            high = np.flatnonzero(ys[:, 0, 0] > 0.6)
+            if len(high):
+                return ys[:high[0]], NotSymmetric(f"tangent {ys[high[0], 0, 0]!r}")
+            return ys, err
+
+        pairs = [(spec, *random_ordered_pair(spec, 2, 5)) for spec in [quadratic_affine(1.0, 2), loewner(2)]]
+        monkeypatch.setattr(cones, "_tangent_stack", failing_tangents)
+        monkeypatch.setattr(orders, "_tangent_stack", failing_tangents)
+        errors = set()
+        for spec, s1, s2 in pairs:
+            for seed in range(4):
+                for count in range(8):
+                    want, _ = reference_outcome(spec, s1, s2, seed, count)
+                    got = interval_outcome(order_interval_sample, spec, s1, s2, seed, count)
+                    assert got == want
+                    if isinstance(want, tuple):
+                        errors.add(want)
+        assert len(errors) > 1
+
+
+class TestOrderedRowsMatchCompare:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_row_as_order_compare(self, n):
+        from spdorders.core import SpdStack
+
+        def stack(points):
+            return orders._concat([SpdStack.of(p) for p in points])
+
+        def ordered_or_error(spec, a, b):
+            try:
+                return order_compare(spec, a, b).relation in ("less_equal", "equal")
+            except SpdError as exc:
+                return type(exc), str(exc)
+
+        for spec in specs_at(n):
+            base = random_spd(n, 1, 0.8)
+            lows, highs = [], []
+            for seed in range(10):
+                lo, hi = random_ordered_pair(spec, n, seed)
+                other = random_spd(n, derive_rng(seed, 2), 0.8)
+                lows += [lo, hi, other, lo, SpdMatrix(np.ldexp(lo.entries, 520)), SpdMatrix(np.ldexp(lo.entries, -520))]
+                highs += [hi, lo, base, SpdMatrix(lo.entries), SpdMatrix(np.ldexp(hi.entries, 520)),
+                          SpdMatrix(np.ldexp(hi.entries, -520))]
+            # relative spread 1e14: ill conditioned for the affine kinds
+            lows.append(spd_validate(np.diag([1e-7] + [1.0] * (n - 1))))
+            highs.append(spd_validate(np.diag([1.0] * (n - 1) + [1e-7])))
+            pairs = [(lows, highs), (lows[:1], highs), (lows, highs[:1])]
+            for low, high in pairs:
+                ordered = orders._ordered_rows(spec, stack(low), stack(high))
+                for j in range(max(len(low), len(high))):
+                    a, b = low[j % len(low)], high[j % len(high)]
+                    try:
+                        got = ordered(j, lambda: (a, b))
+                    except SpdError as exc:
+                        got = type(exc), str(exc)
+                    assert got == ordered_or_error(spec, a, b)
