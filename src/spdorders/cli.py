@@ -22,7 +22,7 @@ from .cones import DEFAULT_TOL, cone_membership
 from .core import spd_validate
 from .errors import NotPositiveDefinite, NotSymmetric, SpdError
 from .flows import integrate_flow, projected_monotonicity, trajectory_csv
-from .geometry import geodesic, geometric_mean
+from .geometry import geodesic
 from .monotone import (
     check_differential_positivity,
     inversion_map,
@@ -110,13 +110,6 @@ def _cmd_geodesic(args) -> int:
     a = spd_validate(docio.read_matrix_file(args.a))
     b = spd_validate(docio.read_matrix_file(args.b))
     sys.stdout.write(docio.matrix_document(geodesic(a, b, args.t).entries))
-    return 0
-
-
-def _cmd_mean(args) -> int:
-    a = spd_validate(docio.read_matrix_file(args.a))
-    b = spd_validate(docio.read_matrix_file(args.b))
-    sys.stdout.write(docio.matrix_document(geometric_mean(a, b).entries))
     return 0
 
 
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mean", help="geometric mean of two SPD matrices")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=_cmd_mean)
+    p.set_defaults(func=_cmd_geodesic, t=0.5)  # the geometric mean is the geodesic midpoint
 
     p = sub.add_parser("monotone", parents=[common], help="sample a map for differential positivity")
     p.add_argument("--map", required=True, help="power:<r> | inv | scale:<l> | translate:<c.json>")

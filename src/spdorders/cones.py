@@ -367,9 +367,8 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
             ys = ys + shift[:, None, None] * _identity(n)
     err = None
     if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
-        w, v, err = points.spectrum()
-        root = _spectral_apply(w, v, np.sqrt)[:, None]
-        ys = (root @ ys[:len(w) * width].reshape(len(w), width, n, n) @ root).reshape(-1, n, n)
+        root, err = points.root(0.5)
+        ys = (root[:, None] @ ys[:len(root) * width].reshape(len(root), width, n, n) @ root[:, None]).reshape(-1, n, n)
 
     ys = 0.5 * (ys + ys.swapaxes(1, 2))
     norms = _row_norms(ys)

@@ -107,7 +107,8 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
             a, amax, err = a[:bad], amax[:bad], InvalidParameters("matrix entries must be finite")
         at = a.swapaxes(1, 2)
         tolerance = SYM_RTOL * (1.0 + amax)
-        gap = np.abs(a - at).max(axis=(1, 2), initial=0.0)
+        with np.errstate(over="ignore"):  # a gap beyond the float range reads inf, and fails
+            gap = np.abs(a - at).max(axis=(1, 2), initial=0.0)
         symmetric = gap <= tolerance
         if not symmetric.all():
             bad = int(symmetric.argmin())
@@ -135,9 +136,10 @@ def _validate_spd_stack(a: np.ndarray) -> tuple[SpdStack, SpdError | None]:
     positive = w[:, 0] > a.shape[-1] * PD_RTOL * w[:, -1]
     if np.count_nonzero(positive) < len(positive):
         bad = int(positive.argmin())
-        err = NotPositiveDefinite(
-            f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}] fails positivity test"
-        )
+        span = f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}]"
+        err = NotPositiveDefinite(f"{span} fails positivity test")
+        if not np.isfinite(w[bad]).all():  # no verdict: the input's spectrum cannot be represented
+            err = InvalidParameters(f"{span} lies beyond the float range")
         sym, w, v = sym[:bad], w[:bad], v[:bad]
     return SpdStack(sym, w, v), err
 
@@ -278,13 +280,6 @@ class SpdMatrix:
         return Spectrum(w[0], v[0], checked=True)
 
     @cached_property
-    def inv_root(self) -> np.ndarray:
-        """sigma^{-1/2}, the whitening factor, built once."""
-        root = self.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
-        root.flags.writeable = False
-        return root
-
-    @cached_property
     def log_det(self) -> float:
         # Cholesky keeps the computation stable across the full dynamic range.
         chol = np.linalg.cholesky(self.entries)
@@ -307,16 +302,17 @@ class SpdStack:
     eigenvectors (k, n, n).  The stacked kernels take their base points
     this way, and an SpdMatrix is the point of a one-row stack.
 
-    Spectrum's orthogonality guard runs when a kernel first asks for the
-    spectrum, once per stack: an SpdMatrix checks its point once, however
-    many one-base views it goes through.
+    Spectrum's orthogonality guard and each square root are built when a
+    kernel first asks for them, once per stack: an SpdMatrix checks its
+    point and builds its roots once, however many views it goes through.
     """
 
-    __slots__ = ("entries", "eigenvalues", "eigenvectors", "_orthogonal")
+    __slots__ = ("entries", "eigenvalues", "eigenvectors", "_orthogonal", "_roots")
 
     def __init__(self, entries, eigenvalues, eigenvectors):
         self.entries, self.eigenvalues, self.eigenvectors = entries, eigenvalues, eigenvectors
         self._orthogonal = None  # (leading rows that pass, the next row's error), once checked
+        self._roots = {}  # power: (sigma^power, spectrum()'s error), once built
 
     @staticmethod
     def of(sigma: SpdMatrix) -> SpdStack:
@@ -339,11 +335,20 @@ class SpdStack:
         count, err = self._orthogonal
         return self.eigenvalues[:count], self.eigenvectors[:count], err
 
-    def head(self, k: int) -> SpdStack:
-        """The first k rows (the stack itself when it has no more)."""
-        if k >= len(self):
+    def root(self, power: float) -> tuple[np.ndarray, SpdError | None]:
+        """sigma^power (power 1/2 or -1/2) of the rows spectrum() returns, and spectrum()'s error."""
+        if power not in self._roots:
+            w, v, err = self.spectrum()
+            root = _spectral_apply(w, v, np.sqrt if power > 0 else lambda w: 1.0 / np.sqrt(w))
+            root.flags.writeable = False
+            self._roots[power] = root, err
+        return self._roots[power]
+
+    def __getitem__(self, rows: slice) -> SpdStack:
+        """The rows of a slice: the stack itself, its guard and roots built, when it takes every row."""
+        if range(len(self))[rows] == range(len(self)):
             return self
-        return SpdStack(self.entries[:k], self.eigenvalues[:k], self.eigenvectors[:k])
+        return SpdStack(self.entries[rows], self.eigenvalues[rows], self.eigenvectors[rows])
 
     def point(self, i: int) -> SpdMatrix:
         """Row i as an SpdMatrix, without running the guards again; the row

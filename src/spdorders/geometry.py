@@ -68,7 +68,10 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
     """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring says."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
-    w, u = np.linalg.eigh(_whitened(sigma1.inv_root, sigma2.entries))
+    inv, err = SpdStack.of(sigma1).root(-0.5)
+    if err is not None:
+        raise err
+    w, u = np.linalg.eigh(_whitened(inv[0], sigma2.entries))
     if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
         raise IllConditioned(ILL_CONDITIONED_PAIR)
     return w, u
@@ -77,11 +80,11 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
 def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The frame (b, w) that diagonalizes a pair: sigma1 = b b^T and
     sigma2 = b diag(w) b^T, with w the ascending eigenvalues and u the
-    eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2}, and b = sigma1^{1/2} u.
-    Raises IllConditioned when the relative spectrum spans more than COND_CAP.
-    """
+    eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2} (both roots read from
+    sigma1's stack, which builds each once), and b = sigma1^{1/2} u.  Raises
+    IllConditioned when the relative spectrum spans more than COND_CAP."""
     w, u = _relative_eigh(sigma1, sigma2)
-    return sigma1.spectrum.apply(np.sqrt) @ u, w
+    return SpdStack.of(sigma1).root(0.5)[0][0] @ u, w  # _relative_eigh raised the stack's error, if any
 
 
 def relative_eigenvalues(sigma1: SpdMatrix, sigma2: SpdMatrix) -> np.ndarray:
@@ -91,37 +94,45 @@ def relative_eigenvalues(sigma1: SpdMatrix, sigma2: SpdMatrix) -> np.ndarray:
     return _relative_eigh(sigma1, sigma2)[0]
 
 
+def _geodesic_curve(sigma1: SpdMatrix, sigma2: SpdMatrix):
+    """The invariant geodesic from sigma1 to sigma2 in their relative
+    eigenframe (b, w): the map from t (a float, or a (k, 1, 1) array) to the
+    raw entries of the point b diag(w^t) b^T and of its velocity
+    b diag(log(w) w^t) b^T, and whether it is numerically constant."""
+    b, w = relative_eigenframe(sigma1, sigma2)
+    logw = np.log(w)
+
+    def curve(t):
+        powers = w**t  # a float t keeps numpy's scalar-exponent path: w**0.5 is sqrt(w)
+        return (b * powers) @ b.T, (b * (logw * powers)) @ b.T
+
+    return curve, bool(np.linalg.norm(logw) <= 1e-10)
+
+
 def geodesic(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SpdMatrix:
     """Point at parameter t on the invariant geodesic from sigma1 to sigma2:
     sigma1^{1/2} (sigma1^{-1/2} sigma2 sigma1^{-1/2})^t sigma1^{1/2}.
 
     Defined for every real t; t=0 and t=1 reproduce the endpoints.
     """
-    b, w = relative_eigenframe(sigma1, sigma2)
-    return SpdMatrix((b * w**t) @ b.T)
+    curve, _ = _geodesic_curve(sigma1, sigma2)
+    return SpdMatrix(curve(t)[0])
 
 
 def geodesic_velocity(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SymTangent:
     """Analytic velocity of the geodesic at parameter t."""
-    b, w = relative_eigenframe(sigma1, sigma2)
-    return SymTangent((b * (np.log(w) * w**t)) @ b.T)
+    curve, _ = _geodesic_curve(sigma1, sigma2)
+    return SymTangent(curve(t)[1])
 
 
-def _inv_roots(points: SpdStack) -> tuple[np.ndarray, SpdError | None]:
-    """sigma^{-1/2} of the rows points.spectrum() returns, and its error."""
-    w, v, err = points.spectrum()
-    return _spectral_apply(w, v, lambda w: 1.0 / np.sqrt(w)), err
-
-
-def _exp_stack(points: SpdStack, inv: np.ndarray, xs: np.ndarray, width: int) -> tuple[SpdStack, SpdError | None]:
-    """riemannian_exp over a stack of base points with their whitening
-    factors inv (those _inv_roots gives), each point owning `width`
-    consecutive rows of the tangent stack xs: the images of the rows before
-    the first row that fails a guard, and that row's error, or None."""
-    w, v, err = points.spectrum()
-    inv, root = (np.repeat(a, width, axis=0) for a in (inv, _spectral_apply(w, v, np.sqrt)))
-    s = inv @ xs[:len(inv)] @ inv
-    sym, later = _validate_sym_stack(0.5 * (s + s.swapaxes(1, 2)))
+def _exp_stack(points: SpdStack, xs: np.ndarray) -> tuple[SpdStack, SpdError | None]:
+    """riemannian_exp over a stack of base points, each owning an equal run
+    of consecutive rows of the tangent stack xs, whitened and mapped back by
+    the roots the stack builds once: the images of the rows before the
+    first row that fails a guard, and that row's error, or None."""
+    inv, err = points.root(-0.5)
+    inv, root = (np.repeat(a, len(xs) // len(points), axis=0) for a in (inv, points.root(0.5)[0]))
+    sym, later = _validate_sym_stack(_whitened(inv, xs[:len(inv)]))
     w, v, last = _sym_eig_stack(sym)
     err = last or later or err
     wide = w[:, -1] - w[:, 0] > np.log(COND_CAP)
@@ -138,14 +149,13 @@ def riemannian_exp(sigma: SpdMatrix, x) -> SpdMatrix:
     x = as_tangent(x)
     if x.n != sigma.n:
         raise DimensionMismatch("tangent dimension differs from base point")
-    return _one_point(*_exp_stack(SpdStack.of(sigma), sigma.inv_root[None], x.entries[None], 1))
+    return _one_point(*_exp_stack(SpdStack.of(sigma), x.entries[None]))
 
 
 def riemannian_log(sigma1: SpdMatrix, sigma2: SpdMatrix) -> SymTangent:
     """Inverse of riemannian_exp: the initial velocity of the geodesic
     from sigma1 to sigma2."""
-    b, w = relative_eigenframe(sigma1, sigma2)
-    return SymTangent((b * np.log(w)) @ b.T, base=sigma1)
+    return SymTangent(geodesic_velocity(sigma1, sigma2, 0.0).entries, base=sigma1, checked=True)
 
 
 def geometric_mean(sigma1: SpdMatrix, sigma2: SpdMatrix) -> SpdMatrix:

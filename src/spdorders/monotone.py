@@ -299,13 +299,13 @@ def check_differential_positivity(
             span = min(width, n_directions - first)
             # the generators, about 1 KB each, live only while the tangents are drawn
             words = direction_words[start:start + drawn, first:first + span].reshape(-1, 4)
-            xs, later = _tangent_stack(spec, sigmas.head(drawn), seeded_rngs(words), np.tile(boundary[first:first + span], drawn))
+            xs, later = _tangent_stack(spec, sigmas[:drawn], seeded_rngs(words), np.tile(boundary[first:first + span], drawn))
             if later is not None:
                 err, drawn = later, len(xs) // span
                 tested = min(tested, drawn)
             if not tested:
                 continue
-            outs, later = _differential_stack(m, sigmas.head(tested), xs[:tested * span])
+            outs, later = _differential_stack(m, sigmas[:tested], xs[:tested * span])
             if later is not None:
                 err, tested = later, len(outs) // span
             if err is None:

@@ -39,10 +39,9 @@ from .errors import DimensionMismatch, IllConditioned, InvalidParameters, NotOrd
 from .geometry import (
     ILL_CONDITIONED_PAIR,
     _exp_stack,
-    _inv_roots,
+    _geodesic_curve,
     _norm,
     _whitened,
-    relative_eigenframe,
     relative_eigenvalues,
 )
 from .seeds import derive_rng, derive_seed_words, seeded_rngs
@@ -140,7 +139,7 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
         equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * scale
     opened = ~((2.0**-400 <= scale) & (scale <= 2.0**400))
     affine = spec.kind not in TRANSLATION_KINDS + (HALF_SPACE,)
-    inv, err = _inv_roots(lows) if affine else (None, None)
+    inv, err = lows.root(-0.5) if affine else (None, None)
     if spec.kind == HALF_SPACE or err is not None:
         opened[:] = True
     rows = np.flatnonzero(~opened & ~equal)
@@ -170,20 +169,13 @@ def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):
     (k, 1, 1) array) to raw point and velocity entries, and whether it is
     numerically constant.  Translation specs use the straight line (their
     cone field is constant, so the segment is conal exactly when the order
-    holds), the others the invariant geodesic b diag(w^t) b^T."""
+    holds), the others the invariant geodesic."""
     if spec.kind in TRANSLATION_KINDS:
         def line(t):
             points = (1.0 - t) * sigma1.entries + t * sigma2.entries
             return points, np.broadcast_to(sigma2.entries - sigma1.entries, points.shape)
         return line, False
-    b, w = relative_eigenframe(sigma1, sigma2)
-    logw = np.log(w)
-
-    def curve(t):
-        powers = w**t  # a float t keeps numpy's scalar-exponent path: w**0.5 is sqrt(w)
-        return (b * powers) @ b.T, (b * (logw * powers)) @ b.T
-
-    return curve, bool(np.linalg.norm(logw) <= 1e-10)
+    return _geodesic_curve(sigma1, sigma2)
 
 
 def conal_path_oracle(
@@ -227,7 +219,7 @@ def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes)
     """_conal_step from each base point along its direction by each size,
     in row-major order: the steps before the first that fails a guard, and
     that step's error, or None."""
-    n, width = bases.n, len(sizes)
+    n = bases.n
     if spec.kind in TRANSLATION_KINDS:
         # unit-norm direction: a step below lambda_min keeps the sum SPD
         w, _, err = bases.spectrum()
@@ -236,7 +228,7 @@ def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes)
         steps, later = _validate_spd_stack(raw.reshape(-1, n, n))
         return steps, later or err
     xs = (sizes[:, None, None] * directions[:, None]).reshape(-1, n, n)
-    return _exp_stack(bases, _inv_roots(bases)[0], xs, width)
+    return _exp_stack(bases, xs)
 
 
 def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
@@ -285,14 +277,14 @@ def order_interval_sample(
     ts = np.array([rng.uniform(0.05, 0.95) for rng in rngs[1:]])
     # a float t keeps w**0.5 numpy's sqrt
     bases, base_err = _validate_spd_stack(np.concatenate([path(0.5)[0][None], path(ts[:, None, None])[0]]))
-    moved = _rows(bases, 1)  # the samples that draw a direction
+    moved = bases[1:]  # the samples that draw a direction
     directions, tangent_err = _tangent_stack(spec, moved, rngs[1:len(bases)], [False] * len(moved))
     # every size of every direction, up to the direction's first step that
     # fails a guard; the directions after a failing step run again
     parts, sizes = [bases], []
     while len(sizes) < len(directions):
         done = len(sizes)
-        steps, err = _conal_steps(spec, _rows(moved, done, len(directions)), directions[done:], np.array(STEP_SIZES))
+        steps, err = _conal_steps(spec, moved[done:len(directions)], directions[done:], np.array(STEP_SIZES))
         parts.append(steps)
         rows, kept = divmod(len(steps), len(STEP_SIZES))
         sizes += [len(STEP_SIZES)] * rows + ([kept] if err is not None else [])
@@ -317,10 +309,6 @@ def order_interval_sample(
             first += sizes[i - 1]
         out.append(chosen or (candidates.point(i) if valid(i) else sigma1))
     return out
-
-
-def _rows(points: SpdStack, start: int, stop: int | None = None) -> SpdStack:
-    return SpdStack(*(a[start:stop] for a in (points.entries, points.eigenvalues, points.eigenvectors)))
 
 
 def _concat(stacks) -> SpdStack:

@@ -417,6 +417,8 @@ class TestDeterminism:
 # Documents the diagnostics tests below refer to by name.
 DOCS = {
     "huge": matrix_document(np.diag([1e308, 1e308])),
+    "huge_skew": '{"n": 2, "data": [[1.0, 1e308], [-1e308, 1.0]]}',
+    "huge_spectrum": '{"n": 2, "data": [[1e308, 1e308], [1e308, 1.5e308]]}',
     "eye": matrix_document(np.eye(2)),
     "d21": matrix_document(np.diag([2.0, 1.0])),
     "shift_neg": matrix_document(-0.9 * np.eye(2)),
@@ -467,6 +469,8 @@ class TestOneLineDiagnostics:
         ("monotone", "--map", "translate:@shift_neg", "--cone", "@loew2", "--points", "20", "--dirs", "2"),
         # a map matrix of the wrong size
         ("monotone", "--map", "translate:@shift_1x1", "--cone", "@loew2", "--points", "3", "--dirs", "2"),
+        # an SPD matrix whose largest eigenvalue lies beyond the float range
+        ("validate", "@huge_spectrum"),
     ])
     def test_exit_two_prints_one_error_line(self, docs, capsys, words):
         code, out, err = run(capsys, *docs(*words))
@@ -489,6 +493,11 @@ class TestOneLineDiagnostics:
         code, out, err = run(capsys, *docs(*words))
         assert (code, err) == (0, "")
         assert json.loads(out)[field] == value
+
+    def test_asymmetry_beyond_the_float_range_is_a_verdict(self, docs, capsys):
+        code, out, err = run(capsys, *docs("validate", "@huge_skew"))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["error"] == "NotSymmetric"
 
     def test_warning_on_success_is_one_line(self, docs, capsys, tmp_path):
         shift = np.diag([-0.01, 0.02])

@@ -268,11 +268,58 @@ class TestSpdStack:
         assert len(w) == len(v) == 1
         assert isinstance(err, ConvergenceFailure) and "not orthogonal" in str(err)
 
-    def test_head_guards_its_own_rows(self):
+    def test_slice_guards_its_own_rows(self):
         stack = self._stack()
-        assert stack.head(3) is stack
-        assert "not orthogonal" in str(stack.head(2).spectrum()[2])
-        assert stack.head(1).spectrum()[2] is None
+        assert stack[:3] is stack and stack[0:] is stack
+        assert "not orthogonal" in str(stack[:2].spectrum()[2])
+        assert stack[:1].spectrum()[2] is None
+        assert stack[2:].spectrum()[2] is None
+
+    @staticmethod
+    def _count_spectral_applies(monkeypatch):
+        """Record the row count of every core._spectral_apply call."""
+        import spdorders.core as core
+
+        calls, real = [], core._spectral_apply
+
+        def counting(w, v, f):
+            calls.append(len(w))
+            return real(w, v, f)
+
+        monkeypatch.setattr(core, "_spectral_apply", counting)
+        return calls, real
+
+    def test_roots_are_built_once_per_stack(self, monkeypatch):
+        from spdorders.core import _validate_spd_stack
+
+        stack, _ = _validate_spd_stack(np.stack([random_spd(3, seed, 0.8).entries for seed in range(4)]))
+        calls, real = self._count_spectral_applies(monkeypatch)
+        for view in (stack, stack, stack[:]):
+            root, root_err = view.root(0.5)
+            inv, inv_err = view.root(-0.5)
+            assert root_err is None and inv_err is None
+        assert calls == [4, 4]
+        w, v, _ = stack.spectrum()
+        assert root.tobytes() == real(w, v, np.sqrt).tobytes() and not root.flags.writeable
+        assert inv.tobytes() == real(w, v, lambda w: 1.0 / np.sqrt(w)).tobytes() and not inv.flags.writeable
+        # a strict slice is a new stack, with roots of its own
+        assert stack[1:].root(0.5)[0].tobytes() == root[1:].tobytes() and calls == [4, 4, 3]
+
+    def test_a_point_builds_its_roots_once(self, monkeypatch):
+        from spdorders import order_compare, quadratic_affine, riemannian_exp
+        from spdorders.geometry import relative_eigenframe
+
+        s1, s2 = random_spd(3, 1, 0.8), random_spd(3, 2, 0.8)
+        calls, _ = self._count_spectral_applies(monkeypatch)
+        for _ in range(3):
+            relative_eigenframe(s1, s2)
+            riemannian_exp(s1, 0.1 * np.eye(3))
+            order_compare(quadratic_affine(1.5, 3), s1, s2)
+        assert calls == [1, 1]  # sigma1^{1/2} and sigma1^{-1/2}
+
+    def test_roots_carry_the_guard_error(self):
+        root, err = self._stack().root(-0.5)
+        assert len(root) == 1 and "not orthogonal" in str(err)
 
     def test_spectrum_uses_the_same_guard(self):
         with pytest.raises(ConvergenceFailure, match="not orthogonal"):
@@ -422,6 +469,15 @@ class TestHalvesFirstSymmetrization:
         assert err is None and sym.tobytes() == a.tobytes()
         sigma = spd_validate(np.diag([1e308, 1e308]))
         assert np.array_equal(sigma.spectrum.eigenvalues, [1e308, 1e308])
+
+    def test_spectrum_beyond_the_float_range_is_no_verdict(self):
+        # det > 0, but lambda_max (about 2.3e308) is not representable
+        with pytest.raises(InvalidParameters, match=r"\[2\.19\d*e\+307, inf\] lies beyond the float range"):
+            spd_validate([[1e308, 1e308], [1e308, 1.5e308]])
+
+    def test_asymmetry_beyond_the_float_range_fails_without_overflow(self):
+        with pytest.raises(NotSymmetric, match="asymmetry inf"):
+            spd_validate([[1.0, 1e308], [-1e308, 1.0]])
 
 
 class TestSeedWords:

@@ -19,9 +19,11 @@ from spdorders import (
     riemannian_log,
     spd_validate,
 )
+from spdorders import ConeSpec, SpdMatrix, SymTangent, sym_eig
 from spdorders.core import derive_rng, random_sym
-from spdorders.errors import InvalidParameters
-from spdorders.geometry import geodesic_velocity
+from spdorders.errors import IllConditioned, InvalidParameters, NotPositiveDefinite
+from spdorders.geometry import geodesic_velocity, relative_eigenframe
+from spdorders.orders import _conal_path
 
 
 class TestInnerProduct:
@@ -191,3 +193,71 @@ class TestLeafAndDistance:
         ga = spd_validate(g @ a.entries @ g.T)
         gb = spd_validate(g @ b.entries @ g.T)
         assert distance(ga, gb) == pytest.approx(distance(a, b), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The frame views against their bodies from before the relative eigenframe
+# had one implementation (roots built per call, the curve written out in
+# each view), kept here as references: every output is the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def reference_frame(sigma1, sigma2):
+    inv_root = sigma1.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
+    rel = inv_root @ sigma2.entries @ inv_root
+    w, u = np.linalg.eigh(0.5 * (rel + rel.T))
+    if w[0] <= 0 or w[-1] / w[0] > 1e12:
+        raise IllConditioned("relative matrix of the pair condition number exceeds 1.0e+12")
+    return sigma1.spectrum.apply(np.sqrt) @ u, w
+
+
+def reference_exp(sigma, x):
+    inv_root = sigma.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
+    s = inv_root @ x @ inv_root
+    spectrum = sym_eig(0.5 * (s + s.T))
+    w = spectrum.eigenvalues
+    if w[-1] - w[0] > np.log(1e12):
+        raise IllConditioned("exponential image would exceed the condition cap")
+    root = sigma.spectrum.apply(np.sqrt)
+    return SpdMatrix(root @ spectrum.apply(np.exp) @ root).entries
+
+
+def frame_pairs(n, scale):
+    for seed in range(12):
+        a, b = random_spd(n, derive_rng(seed, 0), 0.8), random_spd(n, derive_rng(seed, 1), 0.8)
+        yield spd_validate(a.entries * scale), spd_validate(b.entries * scale), random_sym(n, seed, 0.2) * scale
+
+
+def exp_outcome(exp, sigma, x):
+    try:
+        out = exp(sigma, x)
+    except (IllConditioned, NotPositiveDefinite) as exc:  # a step past the condition cap or SpdMatrix's guards
+        return type(exc), str(exc)
+    return np.asarray(out).tobytes()
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestFrameViewsBitForBit:
+    @pytest.mark.parametrize("scale", [1.0, 2.0**520, 2.0**-520], ids=["unit", "2^520", "2^-520"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_views_match_the_written_out_bodies(self, n, scale):
+        ts = np.linspace(0.0, 1.0, 9)[:, None, None]
+        for s1, s2, x in frame_pairs(n, scale):
+            b, w = reference_frame(s1, s2)
+            frame = relative_eigenframe(s1, s2)
+            assert same_bytes(frame[0], b) and same_bytes(frame[1], w)
+            for t in (0.0, 0.3, 0.5, 1.0, -0.7, 2):
+                assert same_bytes(geodesic(s1, s2, t).entries, SpdMatrix((b * w**t) @ b.T).entries)
+                assert same_bytes(geodesic_velocity(s1, s2, t).entries, SymTangent((b * (np.log(w) * w**t)) @ b.T).entries)
+            assert same_bytes(riemannian_log(s1, s2).entries, SymTangent((b * np.log(w)) @ b.T).entries)
+            assert same_bytes(geometric_mean(s1, s2).entries, SpdMatrix((b * w**0.5) @ b.T).entries)
+            assert exp_outcome(riemannian_exp, s1, x) == exp_outcome(reference_exp, s1, x)
+            path, constant = _conal_path(ConeSpec("ray", n), s1, s2)
+            assert constant == bool(np.linalg.norm(np.log(w)) <= 1e-10)
+            for t in (0.5, ts):
+                points, velocities = path(t)
+                assert same_bytes(points, (b * w**t) @ b.T)
+                assert same_bytes(velocities, (b * (np.log(w) * w**t)) @ b.T)

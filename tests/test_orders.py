@@ -22,7 +22,7 @@ from spdorders import (
     ray_affine,
     spd_validate,
 )
-from spdorders import orders
+from spdorders import geometry, orders
 from spdorders.cones import sample_cone_tangent
 from spdorders.core import derive_rng, matrix_function, sym_eig
 from spdorders.errors import (
@@ -373,7 +373,7 @@ class TestIntervalSampling:
             calls.append(1)
             return relative_eigenframe(sigma1, sigma2)
 
-        monkeypatch.setattr(orders, "relative_eigenframe", counting)
+        monkeypatch.setattr(geometry, "relative_eigenframe", counting)
         spec = quadratic_affine(1.2, 3)
         s1, s2 = random_ordered_pair(spec, 3, 11)
         assert len(order_interval_sample(spec, s1, s2, seed=0, count=6)) == 6
@@ -682,7 +682,7 @@ class TestIntervalSamplerMatchesLoop:
             steps, err = real(spec, bases, directions, sizes)
             cut = [i for i in range(len(bases) * len(sizes)) if sizes[i % len(sizes)] == third]
             if cut and cut[0] < len(steps):
-                return steps.head(cut[0]), NotPositiveDefinite("third size")
+                return steps[:cut[0]], NotPositiveDefinite("third size")
             return steps, err
 
         monkeypatch.setattr(orders, "_conal_steps", failing_steps)
