@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io as docio
@@ -83,12 +84,7 @@ def _cmd_order(args) -> int:
     spec = docio.read_cone_spec_file(args.cone)
     a = spd_validate(docio.read_matrix_file(args.a))
     b = spd_validate(docio.read_matrix_file(args.b))
-    verdict = order_compare(spec, a, b, tol=tol)
-    _emit({
-        "relation": verdict.relation,
-        "forward_margin": verdict.forward_margin,
-        "reverse_margin": verdict.reverse_margin,
-    })
+    _emit(asdict(order_compare(spec, a, b, tol=tol)))
     return 0
 
 
@@ -98,11 +94,7 @@ def _cmd_cone_member(args) -> int:
     sigma = spd_validate(docio.read_matrix_file(args.at))
     direction = docio.read_matrix_file(args.direction)
     report = cone_membership(spec, sigma, direction, tol=tol)
-    _emit({
-        "inside": report.inside,
-        "margin": report.margin,
-        "binding_constraint": report.binding_constraint,
-    })
+    _emit(asdict(report))
     return 0 if report.inside else 1
 
 

@@ -11,7 +11,9 @@ Five tangent-cone families are supported at each base point Sigma:
 The quadratic parameter mu must lie strictly inside (0, n); the mu -> 0
 and mu -> n limits are exposed as the distinct half-space and ray kinds.
 Membership is closed (margin >= -tol); the zero tangent is inside every
-cone with margin +1 by convention.
+cone with margin +1 by convention.  Margins read W = S^-1 X (X for the
+translation kinds); the ray's is -sqrt(tr((W - (t/n) I)^2) / tr(W^2)),
+t = tr W, so every affine kind's margin is invariant under congruence.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ from .core import (
     SpdStack,
     SymTangent,
     _check_dimension,
+    _checked,
     _identity,
     _is_json_number,
+    _rescaled,
     _row_norms,
+    _scaled_row_norms,
     _spectral_apply,
     _validate_sym_stack,
     as_tangent,
@@ -129,9 +134,7 @@ class SpectralCone:
     """
 
     def __init__(self, mu: float, n: int):
-        _check_dimension(n)
-        if not (0.0 < mu < n):
-            raise InvalidParameters(f"mu={mu} outside open interval (0, {n})")
+        ConeSpec(QUAD_TRANSLATE, n, mu)  # the checks of n and 0 < mu < n
         self.mu = float(mu)
         self.n = int(n)
 
@@ -145,14 +148,25 @@ class SpectralCone:
         return f"SpectralCone(mu={self.mu}, n={self.n})"
 
 
-def _quad_margins(t, tr2, magnitude, mu: float):
-    """The quadratic-cone rule: the smaller of the normalized trace margin and
-    quadratic margin (t^2 - mu tr2) / magnitude^2, ties going to the quadratic
-    constraint."""
-    t_margin = t / magnitude
-    q_margin = (t * t - mu * tr2) / magnitude**2
-    quad_binds = q_margin <= t_margin
-    return np.where(quad_binds, q_margin, t_margin), np.where(quad_binds, _QUADRATIC_FORM, _TRACE_SIGN)
+def _kind_margin(spec: ConeSpec, m, t, tr2, dev):
+    """Each kind's margin rule over the moments of a tangent X: its norm m
+    and, called only by the kinds that read them, its trace t(), squared
+    norm tr2() and axis distance dev(t).  Returns the rule of X, or with
+    reverse set of -X, mapping (reverse, low()), low() the smallest
+    eigenvalue of that tangent, to (own margin, trace margin or inf, own
+    code); the margin is the smaller, ties to the own.  Arrays come from
+    cone_margins, Python floats from orders."""
+    if spec.kind == LOEWNER:
+        return lambda reverse, low: (low() / m, math.inf, _EIGENVALUE_MIN)
+    trace = t()
+    margin = trace / m  # its negation is exactly the trace margin of -X
+    if spec.kind == HALF_SPACE:
+        return lambda reverse, low: (-margin if reverse else margin, math.inf, _TRACE_SIGN)
+    if spec.kind == RAY:
+        own, code = -dev(trace) / m, _RAY_DEVIATION
+    else:
+        own, code = (trace * trace - spec.mu * tr2()) / m**2, _QUADRATIC_FORM
+    return lambda reverse, low: (own, -margin if reverse else margin, code)
 
 
 def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -162,59 +176,49 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     sigmas and xs are (k, n, n) stacks of SPD points and symmetric
     tangents that passed SpdMatrix's and SymTangent's guards.  Returns the
     k margins and the k binding constraints as integer codes into
-    BINDINGS; row i is inside iff its margin is >= -tol.  Margins are
-    invariant under rescaling of the tangent (and, for the affine
-    families, under congruence), so one tolerance works across
-    magnitudes; a row whose largest |entry| is >= 2^500 is brought into
-    [0.5, 1) by an exact power of two before it is squared, and smaller
-    rows are left untouched.  A tangent whose norm or invariant magnitude
-    is zero (or underflows to zero) is inside every cone with margin +1,
-    reported against the tie-breaking quadratic constraint.  An empty
-    stack gives empty results.
+    BINDINGS; row i is inside iff its margin is >= -tol.  The rule reads
+    the moments of W = S^-1 X (X for the translation kinds; the ray's
+    deviation is sqrt(tr((W - (t/n) I)^2))), so margins are invariant
+    under rescaling of the tangent and, for the affine families, under
+    congruence, and one tolerance works across magnitudes; a row whose
+    largest |entry| is >= 2^500 is brought into [0.5, 1) by an exact power
+    of two before it is squared, and smaller rows are left untouched.  A
+    tangent whose norm or invariant magnitude is zero (or underflows to
+    zero) is inside every cone with margin +1, reported against the
+    tie-breaking quadratic constraint.  An empty stack gives empty results.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or sigmas.shape != xs.shape or xs.shape[1:] != (spec.n, spec.n):
         raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
-    abs_xs = np.abs(xs)
-    if abs_xs.max(initial=0.0) >= 2.0**500:
-        peak = abs_xs.max(axis=(1, 2))
-        xs = np.ldexp(xs, -np.where(peak >= 2.0**500, np.frexp(peak)[1], 0)[:, None, None])
-    affine = spec.kind not in TRANSLATION_KINDS
-    xnorm = _row_norms(xs)
-    zero = xnorm == 0.0
-    if affine:
+    if np.abs(xs).max(initial=0.0) >= 2.0**500:
+        xs, _ = _rescaled(xs)
+    m = _row_norms(xs)
+    zero = m == 0.0
+    if spec.kind in TRANSLATION_KINDS:
+        w, tr2 = xs, m**2
+    else:
         w = np.linalg.solve(sigmas, xs)
-        t = w.diagonal(0, 1, 2).sum(axis=1)
         tr2 = (w * w.swapaxes(1, 2)).sum(axis=(1, 2))
-        # sqrt(tr(W^2)) for W = S^-1 X: this equals the Frobenius norm of
-        # the symmetrized conjugate S^-1/2 X S^-1/2 and is congruence
-        # invariant, which keeps margins stable under the group action.
-        magnitude = np.sqrt(np.maximum(tr2, 0.0))
-        zero |= magnitude == 0.0
-    # zero rows get the +1 convention at the end; unit norms keep them
-    # from dividing by zero meanwhile
+        # sqrt(tr(W^2)) equals the Frobenius norm of the symmetrized
+        # conjugate S^-1/2 X S^-1/2, which is congruence invariant
+        m = np.sqrt(np.maximum(tr2, 0.0))
+        zero |= m == 0.0
+    # zero rows get the +1 convention at the end; a unit magnitude keeps
+    # them from dividing by zero meanwhile
     any_zero = zero.any()
     if any_zero:
-        xnorm = np.where(zero, 1.0, xnorm)
-        if affine:
-            magnitude = np.where(zero, 1.0, magnitude)
-    if spec.kind == LOEWNER:
-        margin = np.linalg.eigvalsh(xs)[:, 0] / xnorm
-        binding = np.full(len(xs), _EIGENVALUE_MIN)
-    elif spec.kind == QUAD_TRANSLATE:
-        margin, binding = _quad_margins(xs.diagonal(0, 1, 2).sum(axis=1), xnorm**2, xnorm, spec.mu)
-    elif spec.kind == QUAD_AFFINE:
-        margin, binding = _quad_margins(t, tr2, magnitude, spec.mu)
-    elif spec.kind == HALF_SPACE:
-        margin = t / magnitude
-        binding = np.full(len(xs), _TRACE_SIGN)
-    else:  # ray: X must be a nonnegative multiple of sigma
-        deviation = _row_norms(xs - (t / spec.n)[:, None, None] * sigmas) / xnorm
-        t_margin = t / magnitude
-        ray_binds = -deviation <= t_margin
-        margin = np.where(ray_binds, -deviation, t_margin)
-        binding = np.where(ray_binds, _RAY_DEVIATION, _TRACE_SIGN)
+        m = np.where(zero, 1.0, m)
+
+    def dev(t):  # sqrt(tr((W - (t/n) I)^2)), not tr2 - t^2/n, which cancels
+        gap = w - (t / spec.n)[:, None, None] * _identity(spec.n)
+        return np.sqrt(np.maximum((gap * gap.swapaxes(1, 2)).sum(axis=(1, 2)), 0.0))
+
+    rule = _kind_margin(spec, m, lambda: w.diagonal(0, 1, 2).sum(axis=1), lambda: tr2, dev)
+    # the Loewner cone, a translation kind, reads the eigenvalues of X itself
+    own, trace, code = rule(False, lambda: np.linalg.eigvalsh(xs)[:, 0])
+    binds = own <= trace
+    margin, binding = np.where(binds, own, trace), np.where(binds, code, _TRACE_SIGN)
     if any_zero:
         margin, binding = np.where(zero, 1.0, margin), np.where(zero, _QUADRATIC_FORM, binding)
     return margin, binding
@@ -342,6 +346,7 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
     rows = list(zip(rngs, boundary, strict=True))
     rngs = [rng for rng, _ in rows]
     width = len(rows) // max(len(points), 1)
+    degenerate = ()
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
         ys = np.ones((len(rows), 1, 1))
     elif spec.kind == RAY:  # the cone is the single ray spanned by sigma
@@ -365,19 +370,18 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
             ys = _spectral_apply(w, v, lambda x: x)
         else:
             ys = ys + shift[:, None, None] * _identity(n)
+        degenerate = np.flatnonzero(_row_norms(ys) < 1e-12)  # told on the draw, before the congruence scales it
     err = None
     if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
         root, err = points.root(0.5)
         ys = (root[:, None] @ ys[:len(root) * width].reshape(len(root), width, n, n) @ root[:, None]).reshape(-1, n, n)
 
     ys = 0.5 * (ys + ys.swapaxes(1, 2))
-    norms = _row_norms(ys)
-    degenerate = norms < 1e-12
-    if degenerate.any():  # degenerate draw (e.g. constant spectrum); fall back to the axis
-        axis = points.entries[np.flatnonzero(degenerate) // width]
-        ys[degenerate] = axis
-        norms[degenerate] = _row_norms(axis)
-    sym, later = _validate_sym_stack(ys / norms[:, None, None])
+    for i in degenerate:  # a degenerate draw (e.g. constant spectrum) falls back to its point's axis
+        if i < len(ys):  # rows past a failing root were dropped
+            ys[i] = points.entries[i // width]
+    # a norm that neither overflows nor underflows: the tangent is the same at every scale of sigma
+    sym, later = _validate_sym_stack(ys / _scaled_row_norms(ys, 2.0**-500)[:, None, None])
     return sym, later or err
 
 
@@ -386,10 +390,7 @@ def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np
     a boundary ray where boundary[i] is set, else a strictly interior ray.
     The view of _tangent_stack with sigma owning every row; returns a
     read-only (k, n, n) stack that passed SymTangent's guards."""
-    ys, err = _tangent_stack(spec, SpdStack.of(sigma), rngs, boundary)
-    if err is not None:
-        raise err
-    return ys
+    return _checked(*_tangent_stack(spec, SpdStack.of(sigma), rngs, boundary))
 
 
 def sample_cone_tangent(spec: ConeSpec, sigma: SpdMatrix, rng: np.random.Generator,

@@ -79,6 +79,35 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
 
 
+def _rescaled(a: np.ndarray, tiny: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n, n) stack a with each row whose largest |entry| lies
+    outside [tiny, 2^500) scaled by the power of two 2^-e that brings it
+    into [0.5, 1), and the exponents e (0 for the rows that keep every bit)."""
+    peak = np.abs(a).max(axis=(1, 2), initial=0.0)
+    e = np.where((peak < tiny) | (peak >= 2.0**500), np.frexp(peak)[1], 0)
+    return np.ldexp(a, -e[:, None, None]), e
+
+
+def _scaled_row_norms(a: np.ndarray, tiny: float = 0.0) -> np.ndarray:
+    """_row_norms at any scale: a row whose largest |entry| lies outside
+    [tiny, 2^500) is taken _rescaled and its norm scaled back (inf only
+    past the float range); the other rows keep every bit."""
+    if abs(a).max(initial=0.0) < 2.0**500:
+        norms = _row_norms(a)
+        if norms.min(initial=math.inf) >= 2.0 * a.shape[-1] * tiny:  # ||row||_F <= n max|row|
+            return norms
+    scaled, e = _rescaled(a, tiny)
+    with np.errstate(over="ignore"):
+        return np.ldexp(_row_norms(scaled), e)
+
+
+def _symmetrized(a: np.ndarray, peak: float) -> np.ndarray:
+    """(a + a^T) / 2 for an a whose largest |entry| is peak: halved first only
+    at peak >= 2^1023, where the sum could overflow (halving rounds subnormals)."""
+    at = a.swapaxes(-1, -2)
+    return 0.5 * a + 0.5 * at if peak >= 2.0**1023 else 0.5 * (a + at)
+
+
 # The stacked guards and kernels below return the rows before the first
 # row that fails, and that row's error (None when every row passes).  A
 # kernel that runs guards in turn ends with `later or err`: each guard sees
@@ -95,7 +124,7 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     with, or None when every row passes.  A finite stack within SYM_RTOL
     everywhere passes whole: every row's tolerance is at least SYM_RTOL.
     """
-    err, huge = None, False
+    err, peak = None, 0.0
     at = a.swapaxes(1, 2)
     # finiteness (and |entries| < 2^1023) first, so that inf - inf never
     # reaches the subtraction; NaN fails the bound too
@@ -113,10 +142,9 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
         if not symmetric.all():
             bad = int(symmetric.argmin())
             err = NotSymmetric(f"asymmetry {gap[bad]:.3e} exceeds tolerance {tolerance[bad]:.3e}")
-            a, at = a[:bad], at[:bad]
-        huge = amax[:len(a)].max(initial=0.0) >= 2.0**1023
-    # halving first keeps a + at from overflowing; it rounds subnormals, so only huge stacks take it
-    sym = 0.5 * a + 0.5 * at if huge else 0.5 * (a + at)
+            a = a[:bad]
+        peak = amax[:len(a)].max(initial=0.0)
+    sym = _symmetrized(a, peak)
     sym.flags.writeable = False
     return sym, err
 
@@ -168,11 +196,15 @@ def _spectral_apply(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
     return (v * f(w)[..., None, :]) @ v.swapaxes(-1, -2)  # v * d is v @ diag(d): one product per entry
 
 
-def _check_symmetry(a: np.ndarray) -> np.ndarray:
-    sym, err = _validate_sym_stack(a[None])
+def _checked(value, err: SpdError | None):
+    """A kernel's value, or the error its first failing row failed with."""
     if err is not None:
         raise err
-    return sym[0]
+    return value
+
+
+def _check_symmetry(a: np.ndarray) -> np.ndarray:
+    return _checked(*_validate_sym_stack(a[None]))[0]
 
 
 class Spectrum:
@@ -186,9 +218,7 @@ class Spectrum:
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=float)
         if not checked:
-            _, err = _orthogonal_rows(v[None])
-            if err is not None:
-                raise err
+            _checked(*_orthogonal_rows(v[None]))
         w.flags.writeable = False
         v.flags.writeable = False
         self.eigenvalues = w
@@ -212,8 +242,10 @@ def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | 
     count, err = _orthogonal_rows(v)
     if err is not None:
         w, v, sym = w[:count], v[:count], sym[:count]
-    recon = _row_norms((v * w[:, None, :]) @ v.swapaxes(1, 2) - sym)
-    too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
+    # |w| < 2^500 keeps every square in both norms inside the float range
+    norms = _row_norms if abs(w).max(initial=0.0) < 2.0**500 else _scaled_row_norms
+    recon = norms((v * w[:, None, :]) @ v.swapaxes(1, 2) - sym)
+    too_large = recon > RECON_RTOL * np.maximum(norms(sym), 1e-300)
     if np.count_nonzero(too_large):
         bad = int(too_large.argmax())
         err = ConvergenceFailure(f"reconstruction error {recon[bad]:.3e} too large")
@@ -244,7 +276,9 @@ def _sym_exp_stack(sym: np.ndarray) -> tuple[SpdStack, SpdError | None]:
     exponentials of the rows before the first row that fails a guard of
     sym_eig or of SpdMatrix, and that row's error, or None."""
     w, v, err = _sym_eig_stack(sym)
-    points, later = _validate_spd_stack(_spectral_apply(w, v, np.exp))
+    with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails SpdMatrix's guard
+        images = _spectral_apply(w, v, np.exp)
+    points, later = _validate_spd_stack(images)
     return points, later or err
 
 
@@ -257,10 +291,7 @@ class SpdMatrix:
     """
 
     def __init__(self, raw):
-        points, err = _validate_spd_stack(_as_square(raw)[None])
-        if err is not None:
-            raise err
-        self._hold(points)
+        self._hold(_checked(*_validate_spd_stack(_as_square(raw)[None])))
 
     def _hold(self, points: SpdStack) -> None:
         """Become the point of a one-row stack, which the one-base views hand their kernels."""
@@ -408,19 +439,11 @@ def _matrix_function_stack(points: SpdStack, kind: str, exponent: float | None =
     points: the images of the rows before the first row that fails a guard
     (its point's spectrum, or SpdMatrix's guards on its image), and that
     row's error, or None."""
-    if kind == "sqrt":
-        f = np.sqrt
-    elif kind == "inv":
-        def f(w):
-            return 1.0 / w
-    elif kind == "power":
-        if exponent is None:
-            raise InvalidParameters("power requires an exponent")
-        r = float(exponent)
-
-        def f(w):
-            return w ** r
-    else:
+    if kind == "power" and exponent is None:
+        raise InvalidParameters("power requires an exponent")
+    fs = {"sqrt": np.sqrt, "inv": lambda w: 1.0 / w, "power": lambda w: w ** float(exponent)}
+    f = fs.get(kind) if isinstance(kind, str) else None
+    if f is None:
         raise InvalidParameters(f"unknown matrix function kind {kind!r}")
     w, v, err = points.spectrum()
     images, later = _validate_spd_stack(_spectral_apply(w, v, f))
@@ -438,20 +461,13 @@ def matrix_function(sigma: SpdMatrix, kind: str, exponent: float | None = None):
         sigma = spd_validate(sigma)
     if kind == "log":
         return SymTangent(sigma.spectrum.apply(np.log))
-    return _one_point(*_matrix_function_stack(SpdStack.of(sigma), kind, exponent))
-
-
-def _one_point(points: SpdStack, err: SpdError | None) -> SpdMatrix:
-    """The SpdMatrix of a one-row kernel result, or the error its row failed with."""
-    if err is not None:
-        raise err
-    return points.point(0)
+    return _checked(*_matrix_function_stack(SpdStack.of(sigma), kind, exponent)).point(0)
 
 
 def sym_exp(x) -> SpdMatrix:
     """Matrix exponential of a symmetric matrix (always SPD): the one-row
     view of _sym_exp_stack."""
-    return _one_point(*_sym_exp_stack(_as_sym(x)[None]))
+    return _checked(*_sym_exp_stack(_as_sym(x)[None])).point(0)
 
 
 def _congruence_stack(a, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
@@ -477,7 +493,7 @@ def congruence(a, sigma: SpdMatrix) -> SpdMatrix:
     Rejects A with |det A| <= 1e-12 * ||A||_2^n.  The result is positive
     definite by Sylvester's law of inertia.
     """
-    return _one_point(*_congruence_stack(a, SpdStack.of(sigma)))
+    return _checked(*_congruence_stack(a, SpdStack.of(sigma))).point(0)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -511,4 +527,4 @@ def random_spd(n: int, seed, scale: float = 1.0) -> SpdMatrix:
     ill-conditioned regimes.  Deterministic for a fixed integer seed.
     The one-row view of _random_spd_stack.
     """
-    return _one_point(*_random_spd_stack(n, [seed], scale))
+    return _checked(*_random_spd_stack(n, [seed], scale)).point(0)

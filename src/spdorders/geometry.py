@@ -18,7 +18,7 @@ from .core import (
     SpdMatrix,
     SpdStack,
     SymTangent,
-    _one_point,
+    _checked,
     _spectral_apply,
     _sym_eig_stack,
     _validate_spd_stack,
@@ -68,9 +68,7 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
     """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring says."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
-    inv, err = SpdStack.of(sigma1).root(-0.5)
-    if err is not None:
-        raise err
+    inv = _checked(*SpdStack.of(sigma1).root(-0.5))
     w, u = np.linalg.eigh(_whitened(inv[0], sigma2.entries))
     if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
         raise IllConditioned(ILL_CONDITIONED_PAIR)
@@ -139,7 +137,9 @@ def _exp_stack(points: SpdStack, xs: np.ndarray) -> tuple[SpdStack, SpdError | N
     if np.count_nonzero(wide):
         bad = int(wide.argmax())
         w, v, err = w[:bad], v[:bad], IllConditioned("exponential image would exceed the condition cap")
-    images, later = _validate_spd_stack(root[:len(w)] @ _spectral_apply(w, v, np.exp) @ root[:len(w)])
+    with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails SpdMatrix's guard
+        images = root[:len(w)] @ _spectral_apply(w, v, np.exp) @ root[:len(w)]
+    images, later = _validate_spd_stack(images)
     return images, later or err
 
 
@@ -149,7 +149,7 @@ def riemannian_exp(sigma: SpdMatrix, x) -> SpdMatrix:
     x = as_tangent(x)
     if x.n != sigma.n:
         raise DimensionMismatch("tangent dimension differs from base point")
-    return _one_point(*_exp_stack(SpdStack.of(sigma), x.entries[None]))
+    return _checked(*_exp_stack(SpdStack.of(sigma), x.entries[None])).point(0)
 
 
 def riemannian_log(sigma1: SpdMatrix, sigma2: SpdMatrix) -> SymTangent:

@@ -23,10 +23,11 @@ from .core import (
     SpdStack,
     SymTangent,
     _as_finite_square,
+    _checked,
     _congruence_stack,
     _matrix_function_stack,
-    _one_point,
     _random_spd_stack,
+    _symmetrized,
     _validate_spd_stack,
     _validate_sym_stack,
     as_tangent,
@@ -75,7 +76,7 @@ class SmoothMap:
         """Evaluate the map; the result is SPD for every kind except
         translation with a non-psd shift on near-singular inputs.  The
         one-row view of _apply_stack."""
-        return _one_point(*self._apply_stack(SpdStack.of(sigma)))
+        return _checked(*self._apply_stack(SpdStack.of(sigma))).point(0)
 
 
 def power_map(r: float) -> SmoothMap:
@@ -100,8 +101,7 @@ def scaling_map(factor: float) -> SmoothMap:
 
 def translation_map(c) -> SmoothMap:
     mat = _as_finite_square(c)
-    # as _validate_sym_stack: halved first only where the sum could overflow
-    mat = 0.5 * mat + 0.5 * mat.T if np.abs(mat).max() >= 2.0**1023 else 0.5 * (mat + mat.T)
+    mat = _symmetrized(mat, np.abs(mat).max())
     if np.linalg.eigvalsh(mat)[0] < 0:
         warnings.warn("translation shift is not positive semidefinite; "
                       "images of near-singular points may leave the SPD cone")
@@ -179,10 +179,7 @@ def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[1:] != (sigma.n, sigma.n):
         raise DimensionMismatch("tangent dimension differs from base point")
-    out, err = _differential_stack(m, SpdStack.of(sigma), xs)
-    if err is not None:
-        raise err
-    return out
+    return _checked(*_differential_stack(m, SpdStack.of(sigma), xs))
 
 
 def map_differential(m: SmoothMap, sigma: SpdMatrix, x) -> SymTangent:
@@ -203,9 +200,7 @@ def sylvester_residual(p: int, sigma: SpdMatrix, x) -> float:
     powers = [np.eye(sigma.n)]
     for _ in range(p - 1):
         powers.append(powers[-1] @ root)
-    acc = np.zeros_like(y)
-    for j in range(p):
-        acc += powers[p - 1 - j] @ y @ powers[j]
+    acc = sum(powers[p - 1 - j] @ y @ powers[j] for j in range(p))
     return float(np.linalg.norm(acc - x.entries) / np.linalg.norm(x.entries))
 
 
@@ -311,9 +306,7 @@ def check_differential_positivity(
             if err is None:
                 margins, _ = cone_margins(spec, np.repeat(images.entries, span, axis=0), outs)
                 _record(report, margins, xs, sigmas, span, witnesses, tol)
-    if err is not None:
-        raise err
-    return report
+    return _checked(report, err)
 
 
 def _record(report: PositivityReport, margins, xs, sigmas: SpdStack, span: int, witnesses: dict, tol: float):

@@ -16,10 +16,9 @@ import numpy as np
 from .cones import (
     DEFAULT_TOL,
     HALF_SPACE,
-    LOEWNER,
-    RAY,
     TRANSLATION_KINDS,
     ConeSpec,
+    _kind_margin,
     _tangent_stack,
     cone_margins,
     sample_cone_tangent,
@@ -29,7 +28,7 @@ from .core import (
     SpdMatrix,
     SpdStack,
     SymTangent,
-    _one_point,
+    _checked,
     _row_norms,
     random_spd,
     _validate_spd_stack,
@@ -68,20 +67,18 @@ class OrderVerdict:
     reverse_margin: float
 
 
-def _spectral_margins(d: np.ndarray, mu: float | None, kind: str) -> tuple[float, float]:
-    """Forward/reverse margins of a spectral vector (log-eigenvalues for
-    the affine families, plain difference eigenvalues for translation)."""
+def _spectral_margins(d: np.ndarray, spec: ConeSpec) -> tuple[float, float]:
+    """Forward and reverse margins of a spectral vector (log-eigenvalues for
+    the affine families, plain difference eigenvalues for translation): the
+    kind's margin rule on the moments of d and of -d, as Python floats."""
     nrm = _norm(d)
     if nrm == 0.0:
         return 1.0, 1.0
-    if kind == LOEWNER:
-        return float(d[0]) / nrm, -float(d[-1]) / nrm
-    s = float(d.sum())
-    if kind == RAY:
-        deviation = _norm(d - s / d.shape[0]) / nrm
-        return min(-deviation, s / nrm), min(-deviation, -s / nrm)
-    quad = (s * s - mu * float((d * d).sum())) / nrm**2
-    return min(s / nrm, quad), min(-s / nrm, quad)
+    # np.add.reduce(d) is d.sum() without the method's dispatch
+    rule = _kind_margin(spec, nrm, lambda: float(np.add.reduce(d)), lambda: float(np.add.reduce(d * d)),
+                        lambda t: _norm(d - t / d.shape[0]))
+    (own, trace, _), (rev_own, rev_trace, _) = rule(False, lambda: float(d[0])), rule(True, lambda: -float(d[-1]))
+    return min(own, trace), min(rev_own, rev_trace)
 
 
 def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
@@ -112,7 +109,7 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
             d = np.linalg.eigvalsh(e2 - e1)
         else:
             d = np.log(relative_eigenvalues(sigma1, sigma2))
-        fwd, rev = _spectral_margins(d, spec.mu, spec.kind)
+        fwd, rev = _spectral_margins(d, spec)
 
     if fwd >= -tol:
         return OrderVerdict(LESS_EQUAL, fwd, rev)
@@ -159,7 +156,7 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
             return True
         if vectors[j] is None:
             raise IllConditioned(ILL_CONDITIONED_PAIR)
-        return _spectral_margins(vectors[j], spec.mu, spec.kind)[0] >= -DEFAULT_TOL  # order_compare's less_equal
+        return _spectral_margins(vectors[j], spec)[0] >= -DEFAULT_TOL  # order_compare's less_equal
 
     return ordered
 
@@ -210,9 +207,7 @@ def conal_path_oracle(
     margins, _ = cone_margins(spec, points, velocities)
     if np.any(margins < -10.0 * tol):
         return False
-    if err is not None:
-        raise err
-    return True
+    return _checked(True, err)
 
 
 def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes) -> tuple[SpdStack, SpdError | None]:
@@ -234,7 +229,7 @@ def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes)
 def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
     """Move from sigma along a cone direction, staying on a conal path:
     the one-step view of _conal_steps."""
-    return _one_point(*_conal_steps(spec, SpdStack.of(sigma), direction.entries[None], np.array([size])))
+    return _checked(*_conal_steps(spec, SpdStack.of(sigma), direction.entries[None], np.array([size]))).point(0)
 
 
 def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:

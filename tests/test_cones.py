@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdorders import (
@@ -193,9 +193,10 @@ class TestMembership:
         with pytest.raises(DimensionMismatch):
             cone_margins(loewner(2), sigmas, sigmas)
 
-    @pytest.mark.parametrize("n,mu", GRID)
-    def test_affine_invariance_of_margins(self, n, mu):
-        spec = quadratic_affine(mu, n)
+    @pytest.mark.parametrize("kind,n,mu", [("quad-affine", n, mu) for n, mu in GRID]
+                             + [(kind, n, None) for kind in ("half-space", "ray") for n in (2, 3, 5)])
+    def test_affine_invariance_of_margins(self, kind, n, mu):
+        spec = ConeSpec(kind, n, mu)
         rng = np.random.default_rng(17)
         for _ in range(25):
             sigma = random_spd(n, int(rng.integers(1 << 30)), 0.7)
@@ -207,6 +208,29 @@ class TestMembership:
             )
             assert before.inside == after.inside
             assert after.margin == pytest.approx(before.margin, rel=1e-8, abs=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["quad-affine", "half-space", "ray"]), n=st.integers(2, 5), seed=seeds)
+    def test_congruence_invariance_over_random_transforms(self, kind, n, seed):
+        # the gap is rounding in the whitening W = S^-1 X, which grows with
+        # cond(A S A^T) <= cond(A)^2 cond(S); transforms past cond(A) = 1e3 are skipped
+        rng = np.random.default_rng(seed)
+        spec = ConeSpec(kind, n, 0.4 * n if kind == "quad-affine" else None)
+        sigma, x, a = random_spd(n, rng, 0.7), random_sym(n, rng), rng.standard_normal((n, n))
+        assume(np.linalg.cond(a) < 1e3)
+        cond = np.linalg.cond(a) ** 2 * np.linalg.cond(sigma.entries)
+        before = cone_membership(spec, sigma, x).margin
+        after = cone_membership(spec, spd_validate(a @ sigma.entries @ a.T), a @ x @ a.T).margin
+        assert abs(after - before) <= 16 * n * cond * np.finfo(float).eps
+
+    def test_ray_margin_is_congruence_invariant(self):
+        # measured in raw coordinates, the ray margin shrank 70-fold under A = diag(1, 100)
+        x, a = np.array([[1.0, 0.1], [0.1, 1.0]]), np.diag([1.0, 100.0])
+        before = cone_membership(ray_affine(2), spd_validate(np.eye(2)), x)
+        after = cone_membership(ray_affine(2), spd_validate(a @ a.T), a @ x @ a.T)
+        assert before.margin == pytest.approx(-0.1 / math.sqrt(1.01), rel=1e-12)
+        assert after.margin == pytest.approx(before.margin, rel=1e-8, abs=1e-10)
+        assert before.binding_constraint == after.binding_constraint == "ray_deviation"
 
     def test_rotation_invariance_at_identity(self):
         rng = np.random.default_rng(23)
@@ -411,12 +435,21 @@ class TestSampling:
             x = sample_cone_tangent(spec, sigma, derive_rng(6, i), boundary=True)
             assert abs(cone_membership(spec, sigma, x).margin) <= 1e-9
 
-    def test_interior_rays_have_positive_margin(self):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 2.0**-520, 2.0**520])
+    def test_interior_rays_have_positive_margin(self, scale):
+        # at scale * sigma every kind draws the unit tangent it draws at sigma,
+        # boundary rays too: the affine kinds' congruence scales the draw
         for kind_spec in (quadratic_affine(1.5, 3), loewner(3), half_space_affine(3), ray_affine(3)):
             for i in range(30):
                 sigma = random_spd(3, derive_rng(7, i), 0.7)
                 x = sample_cone_tangent(kind_spec, sigma, derive_rng(8, i), boundary=False)
                 assert cone_membership(kind_spec, sigma, x).inside
+                scaled = spd_validate(scale * sigma.entries)
+                for boundary in (False, True):
+                    want = sample_cone_tangent(kind_spec, sigma, derive_rng(8, i), boundary).entries
+                    got = sample_cone_tangent(kind_spec, scaled, derive_rng(8, i), boundary).entries
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -557,16 +590,15 @@ def _reference_cone_tangents(spec, sigma, rngs, boundary):
     else:
         for row, rng in enumerate(rngs):
             ys[row] = rng.uniform(0.2, 2.0) * sigma.entries
+    # a degenerate draw is told before the congruence; the ray draws a scale
+    degenerate = [n > 1 and spec.kind != "ray" and np.linalg.norm(y) < 1e-12 for y in ys]
     if n > 1 and spec.kind in ("quad-affine", "half-space"):
         root = sigma.spectrum.apply(np.sqrt)
         ys = root @ ys @ root
     out = []
-    for y in ys:
-        y = 0.5 * (y + y.T)
-        norm = np.linalg.norm(y)
-        if norm < 1e-12:
-            y, norm = sigma.entries, np.linalg.norm(sigma.entries)
-        y = y / norm
+    for y, axis in zip(ys, degenerate):
+        y = sigma.entries if axis else 0.5 * (y + y.T)
+        y = y / np.linalg.norm(y)
         out.append(0.5 * (y + y.T))
     return np.array(out).reshape(len(rngs), n, n)
 

@@ -166,6 +166,12 @@ class TestMatrixFunctions:
         inv = matrix_function(sigma, "inv").entries
         assert np.allclose(inv @ sigma.entries, np.eye(5), atol=1e-10)
 
+    @pytest.mark.parametrize("x", [800.0 * np.eye(2), np.diag([800.0, -800.0])])
+    def test_exponential_past_the_float_range_fails_its_guard(self, x):
+        # SpdMatrix's finiteness guard decides, not an overflow warning
+        with pytest.raises(InvalidParameters, match="finite"):
+            sym_exp(x)
+
 
 class TestCongruence:
     def test_identity_transform(self):

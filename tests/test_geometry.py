@@ -114,6 +114,12 @@ class TestExpLog:
         reference = scipy.linalg.expm(x)  # independent Pade-based oracle
         assert np.linalg.norm(ours - reference) / np.linalg.norm(reference) <= 1e-10
 
+    def test_exponential_past_the_float_range_fails_its_guard(self):
+        # equal eigenvalues pass the condition cap; SpdMatrix's finiteness guard
+        # decides, not an overflow warning
+        with pytest.raises(InvalidParameters, match="finite"):
+            riemannian_exp(spd_validate(np.eye(2)), 800.0 * np.eye(2))
+
     def test_log_of_same_point_is_zero(self):
         sigma = random_spd(3, 4, 0.8)
         assert np.linalg.norm(riemannian_log(sigma, sigma).entries) <= 1e-10
