@@ -180,12 +180,14 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     the moments of W = S^-1 X (X for the translation kinds; the ray's
     deviation is sqrt(tr((W - (t/n) I)^2))), so margins are invariant
     under rescaling of the tangent and, for the affine families, under
-    congruence, and one tolerance works across magnitudes; a row whose
-    largest |entry| is >= 2^500 is brought into [0.5, 1) by an exact power
-    of two before it is squared, and smaller rows are left untouched.  A
-    tangent whose norm or invariant magnitude is zero (or underflows to
-    zero) is inside every cone with margin +1, reported against the
-    tie-breaking quadratic constraint.  An empty stack gives empty results.
+    congruence, and one tolerance works across magnitudes; a tangent row
+    whose largest |entry| is >= 2^500, and for the affine kinds a point
+    row whose largest |entry| lies outside [2^-500, 2^500), is brought
+    into [0.5, 1) by an exact power of two, and the other rows keep every
+    bit.  A tangent whose norm or invariant magnitude is zero (or
+    underflows to zero) is inside every cone with margin +1, reported
+    against the tie-breaking quadratic constraint.  An empty stack gives
+    empty results.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -193,6 +195,11 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
     if np.abs(xs).max(initial=0.0) >= 2.0**500:
         xs, _ = _rescaled(xs)
+    if spec.kind not in TRANSLATION_KINDS:  # W = S^-1 X only scales, and the margins have degree 0 in it
+        diagonal = sigmas.diagonal(0, 1, 2)  # an SPD row's largest |entry| lies on its diagonal
+        low, high = np.minimum.reduce(diagonal, None, initial=1.0), np.maximum.reduce(diagonal, None, initial=0.0)
+        if not (2.0**-500 <= low and high < 2.0**500):
+            sigmas, _ = _rescaled(sigmas, 2.0**-500)
     m = _row_norms(xs)
     zero = m == 0.0
     if spec.kind in TRANSLATION_KINDS:

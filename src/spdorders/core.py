@@ -30,6 +30,7 @@ ORTHO_TOL = 1e-10         # ||V^T V - I||_F on eigenvector matrices
 RECON_RTOL = 1e-10        # ||V L V^T - A||_F <= RECON_RTOL * ||A||_F
 COND_CAP = 1e12           # condition numbers beyond this raise IllConditioned
 MAX_DIM = 64
+BLOCK_ROWS = 128          # rows a stacked check builds and tests at once: memory grows with BLOCK_ROWS * n^2
 
 
 def _check_dimension(n: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpdMatrix, _as_square, _check_symmetry, sym_eig
+from .core import BLOCK_ROWS, SpdMatrix, _as_square, _check_symmetry, sym_eig
 from .errors import (
     DimensionMismatch,
     InvalidParameters,
@@ -101,6 +101,21 @@ def _check_state_budget(t_end: float, step: float, n: int) -> int:
     return math.ceil(ratio) + 2
 
 
+def _drift_error(drift: float, t: float) -> SpectrumDrift:
+    return SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {DRIFT_LIMIT:.1e} at t={t:.6g}")
+
+
+def _drifts(states: np.ndarray, initial_spectrum: np.ndarray) -> np.ndarray:
+    """Largest absolute deviation of each state's sorted eigenvalues from
+    initial_spectrum, NaN for a state LAPACK rejects."""
+    try:
+        return np.abs(np.linalg.eigvalsh(states) - initial_spectrum).max(axis=1)
+    except np.linalg.LinAlgError:  # numpy rejects the stack as a whole: ask state by state
+        if len(states) == 1:
+            return np.array([math.nan])
+        return np.concatenate([_drifts(state[None], initial_spectrum) for state in states])
+
+
 def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     """Integrate the Toda flow X' = [X, skew(X)] or the QR flow
     S' = [S, skew(log S)] with fixed-step RK4.
@@ -109,10 +124,11 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     t_end must be finite and positive, and the trajectory may store at
     most MAX_STATE_ENTRIES floats, (ceil(t_end / step) + 2) * n^2; both
     are checked before the first step, and the states are written into
-    one array of that size.  Raises SpectrumDrift as soon as any sorted
-    eigenvalue deviates from the initial spectrum by more than
-    DRIFT_LIMIT, or a step leaves the finite numbers, which signals that
-    the step is too large.
+    one array of that size.  Raises SpectrumDrift at the first state
+    whose sorted eigenvalues deviate from the initial spectrum by more
+    than DRIFT_LIMIT, or that leaves the finite numbers, which signals
+    that the step is too large.  The stored states are checked in blocks
+    of BLOCK_ROWS, and before an error of a step propagates.
     """
     if not (0.0 < step < math.inf and 0.0 < t_end < math.inf):
         raise InvalidParameters("step and t_end must be finite and positive")
@@ -130,9 +146,21 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     max_drift = 0.0
     times = np.empty(capacity)
     states = np.empty((capacity,) + x.shape)
-    times[0], states[0], count = 0.0, x, 1
+    times[0], states[0], count, checked = 0.0, x, 1, 1
+
+    def check() -> None:
+        """Fold the drifts of the unchecked states into max_drift, raising at the first that fails."""
+        nonlocal max_drift, checked
+        drifts = _drifts(states[checked:count], initial_spectrum)
+        failing = ~(drifts <= DRIFT_LIMIT)  # a non-finite state gives a NaN drift
+        if failing.any():
+            bad = int(failing.argmax())
+            raise _drift_error(drifts[bad], times[checked + bad])
+        max_drift = max(max_drift, float(drifts.max(initial=0.0)))
+        checked = count
+
     t = 0.0
-    # An overflowing step ends in SpectrumDrift below, so numpy's warnings add nothing.
+    # An overflowing step ends in SpectrumDrift, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-12 * max(t_end, 1.0):
             h = min(step, t_end - t)
@@ -141,17 +169,20 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
                 k2 = field(x + 0.5 * h * k1)
                 k3 = field(x + 0.5 * h * k2)
                 k4 = field(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                x = 0.5 * (x + x.T)
-                drift = np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum))
+            except SpectrumDrift:  # an earlier state's drift wins
+                check()
+                raise
             except np.linalg.LinAlgError:  # LAPACK may reject a non-finite state outright
-                drift = math.nan
+                check()
+                raise _drift_error(math.nan, t + h) from None
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = 0.5 * (x + x.T)
             t = t + h
-            if not drift <= DRIFT_LIMIT:  # a non-finite state gives a NaN drift
-                raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {DRIFT_LIMIT:.1e} at t={t:.6g}")
-            max_drift = max(max_drift, float(drift))
             times[count], states[count] = t, x
             count += 1
+            if count - checked == BLOCK_ROWS:
+                check()
+        check()
 
     return FlowTrajectory(
         times=times[:count],

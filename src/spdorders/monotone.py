@@ -19,6 +19,7 @@ import numpy as np
 
 from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins, cone_membership, sample_cone_tangent
 from .core import (
+    BLOCK_ROWS,
     SpdMatrix,
     SpdStack,
     SymTangent,
@@ -45,7 +46,6 @@ SCALING = "scaling"
 TRANSLATION = "translation"
 
 MAX_SAMPLES = 10**5  # points x directions per check_differential_positivity call
-BLOCK_ROWS = 128  # (point, direction) samples check_differential_positivity draws and tests as one stack
 
 
 @dataclass(frozen=True)

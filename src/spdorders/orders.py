@@ -24,6 +24,7 @@ from .cones import (
     sample_cone_tangent,
 )
 from .core import (
+    BLOCK_ROWS,
     COND_CAP,
     SpdMatrix,
     SpdStack,
@@ -185,11 +186,12 @@ def conal_path_oracle(
     """Cross-validation oracle: discretize the conal path from sigma1 to
     sigma2 and test the velocity against the cone at every sample.
 
-    True iff every membership margin is >= -10*tol.  All samples are
-    built and tested as one stack, with SpdMatrix's and SymTangent's
-    guards on every point and velocity; the first sample that fails
-    decides, so an invalid point raises only when no earlier sample is
-    outside the cone.
+    True iff every membership margin is >= -10*tol.  The samples are
+    built and tested with SpdMatrix's and SymTangent's guards on every
+    point and velocity: sample 0 alone (the margin is constant along the
+    path, so on an unordered pair it decides), then the rest in stacks
+    of at most BLOCK_ROWS.  The first sample that fails decides, so an
+    invalid point raises only when no earlier sample is outside the cone.
     """
     if samples < 2:
         raise InvalidParameters("need at least two path samples")
@@ -197,17 +199,20 @@ def conal_path_oracle(
     path, constant = _conal_path(spec, sigma1, sigma2)
     if constant:
         return True  # numerically constant path: zero velocity everywhere
-    points, velocities = path(np.linspace(0.0, 1.0, samples)[:, None, None])
-
-    valid, err = _validate_spd_stack(points)
-    points = valid.entries
-    velocities, verr = _validate_sym_stack(velocities[: len(points)])
-    if verr is not None:
-        points, err = points[: len(velocities)], verr
-    margins, _ = cone_margins(spec, points, velocities)
-    if np.any(margins < -10.0 * tol):
-        return False
-    return _checked(True, err)
+    ts = np.linspace(0.0, 1.0, samples)[:, None, None]
+    bounds = [0, *range(1, samples, BLOCK_ROWS), samples]
+    for lo, hi in zip(bounds, bounds[1:]):
+        points, velocities = path(ts[lo:hi])
+        valid, err = _validate_spd_stack(points)
+        points = valid.entries
+        velocities, verr = _validate_sym_stack(velocities[: len(points)])
+        if verr is not None:
+            points, err = points[: len(velocities)], verr
+        margins, _ = cone_margins(spec, points, velocities)
+        if np.any(margins < -10.0 * tol):
+            return False
+        _checked(None, err)
+    return True
 
 
 def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes) -> tuple[SpdStack, SpdError | None]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from spdorders import check_differential_positivity, loewner, random_spd, translation_map
 from spdorders.cli import MAX_STDERR_LINE, main
+from spdorders.core import random_sym
 from spdorders.io import matrix_document, parse_matrix_document
 
 
@@ -130,6 +131,22 @@ class TestConeMember:
             assert (code, err) == (1, "")
             doc = json.loads(out)
             assert doc["inside"] is False and doc["margin"] == pytest.approx(margin, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift", [-520, 520])
+    def test_base_points_out_of_range_get_their_true_margins(self, files, capsys, shift):
+        # at 2^-520 S the affine margin once read 0.0 against trace_sign, with overflow warnings
+        _, _, matrix, cone = files
+        sigma, x = random_spd(3, 4).entries, np.eye(3) / math.sqrt(3.0) + 0.2 * random_sym(3, 5)
+        spec = cone("cone.json", kind="quad-affine", n=3, mu=1.5)
+        _, expected, _ = run(capsys, "cone-member", "--cone", spec, "--at", matrix("s.json", sigma),
+                             "--dir", matrix("d.json", x))
+        code, out, err = run(capsys, "cone-member", "--cone", spec, "--at", matrix("s.json", np.ldexp(sigma, shift)),
+                             "--dir", matrix("d.json", x))
+        assert (code, err) == (0, "")
+        doc, expected = json.loads(out), json.loads(expected)
+        assert doc["inside"] is True and doc["binding_constraint"] == expected["binding_constraint"]
+        assert doc["margin"] == pytest.approx(expected["margin"], rel=1e-12)
 
 
 class TestGeometryCommands:

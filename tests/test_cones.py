@@ -134,6 +134,33 @@ class TestMembership:
             alone, _ = cone_margins(spec, np.array([sigma] * 2), rows[:2])
             assert together[0] == alone[0] and together[1] == alone[1]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.5, 3), half_space_affine(3), ray_affine(3)],
+                             ids=lambda s: s.kind)
+    def test_base_points_out_of_range_get_their_rescaled_margins(self, spec):
+        # the affine margins have degree 0 in S: 2^+-520 S reads as S, bit
+        # for bit when the largest |entry| of S lies in [0.5, 1)
+        raw = random_spd(3, 12).entries
+        sigma = np.ldexp(raw, -np.frexp(np.abs(raw).max())[1])
+        xs = np.array([random_sym(3, 13), -np.eye(3), sigma, np.eye(3) + 0.1 * random_sym(3, 14)])
+        expected = cone_margins(spec, np.array([sigma] * len(xs)), xs)
+        for shift in (-520, 520):
+            margins, binding = cone_margins(spec, np.array([np.ldexp(sigma, shift)] * len(xs)), xs)
+            assert margins.tolist() == expected[0].tolist() and binding.tolist() == expected[1].tolist()
+        # an in-range row keeps every bit beside an out-of-range one
+        together, _ = cone_margins(spec, np.array([raw, np.ldexp(sigma, -520)]), xs[:2])
+        alone, _ = cone_margins(spec, raw[None], xs[:1])
+        assert together[0] == alone[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), half_space_affine(2), ray_affine(2)],
+                             ids=lambda s: s.kind)
+    def test_negative_tangent_at_a_huge_base_point_is_outside(self, spec):
+        # S^-1 X = -1e-200 I: its invariant magnitude once underflowed to the zero-tangent +1
+        rep = cone_membership(spec, spd_validate(1e200 * np.eye(2)), -np.eye(2))
+        assert not rep.inside
+        assert rep.margin == pytest.approx(-math.sqrt(2.0), rel=1e-15)
+
     def test_ray_membership(self):
         sigma = random_spd(3, 9, 0.6)
         spec = ray_affine(3)

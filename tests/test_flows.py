@@ -45,7 +45,8 @@ def start(kind, n, seed):
 def reference_rk4(kind, x0, t_end, step):
     """The RK4 loop with the field code as it stood before the skew mask was
     cached and log S was formed as (v * log w) @ v.T: per-call np.tril,
-    an explicit diagonal matrix, and a copy of every state."""
+    an explicit diagonal matrix, a copy of every state, and the drift
+    monitor run after every step, raising at the first state that fails."""
 
     def skew(a):
         lower = np.tril(a, k=-1)
@@ -54,6 +55,8 @@ def reference_rk4(kind, x0, t_end, step):
     def field(x):
         if kind == "qr":
             w, v = np.linalg.eigh(x)
+            if w[0] <= 0:
+                raise SpectrumDrift("state left the positive definite cone; step too large")
             x_log = v @ np.diag(np.log(w)) @ v.T
             return x @ skew(x_log) - skew(x_log) @ x
         return x @ skew(x) - skew(x) @ x
@@ -63,18 +66,25 @@ def reference_rk4(kind, x0, t_end, step):
     max_drift = 0.0
     times, states = [0.0], [x.copy()]
     t = 0.0
-    while t < t_end - 1e-12 * max(t_end, 1.0):
-        h = min(step, t_end - t)
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x = 0.5 * (x + x.T)
-        t = t + h
-        max_drift = max(max_drift, float(np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum))))
-        times.append(t)
-        states.append(x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-12 * max(t_end, 1.0):
+            h = min(step, t_end - t)
+            try:
+                k1 = field(x)
+                k2 = field(x + 0.5 * h * k1)
+                k3 = field(x + 0.5 * h * k2)
+                k4 = field(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = 0.5 * (x + x.T)
+                drift = float(np.max(np.abs(np.linalg.eigvalsh(x) - initial_spectrum)))
+            except np.linalg.LinAlgError:
+                drift = math.nan
+            t = t + h
+            if not drift <= 1e-5:
+                raise SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds 1.0e-05 at t={t:.6g}")
+            max_drift = max(max_drift, drift)
+            times.append(t)
+            states.append(x.copy())
     return np.array(times), np.array(states), max_drift
 
 
@@ -253,6 +263,25 @@ class TestBitIdentity:
         assert hexes(traj.times) == hexes(times)
         assert hexes(traj.states) == hexes(states)
         assert traj.max_drift.hex() == max_drift.hex()
+
+    @pytest.mark.parametrize("kind, x0, t_end, step", [
+        ("toda", 10.0 * random_sym(4, 2), 5.0, 0.5),
+        # a weak coupling swaps the diagonal late: the drift fails at state 314 (toda), 158 (qr)
+        ("toda", np.array([[1.0, 1e-12], [1e-12, 100.0]]), 1.0, 1e-3),
+        ("qr", np.array([[1.0, 1e-8], [1e-8, 1e4]]), 16.0, 0.016),
+        ("qr", random_spd(4, 6).entries, 40.0, 1.3),  # a stage leaves the positive definite cone
+        ("toda", 1e150 * random_sym(3, 1), 1.0, 1e-3),  # the first step overflows
+        ("toda", start("toda", 3, 0), 1e150, 1e150),
+        ("qr", start("qr", 3, 0), 1e150, 1e150),
+    ], ids=["toda-step", "toda-late", "qr-late", "qr-cone-exit", "toda-overflow", "toda-huge-step", "qr-huge-step"])
+    def test_oversized_step_raises_as_the_per_step_monitor(self, kind, x0, t_end, step):
+        with pytest.raises(SpectrumDrift) as expected:
+            reference_rk4(kind, x0, t_end, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectrumDrift) as raised:
+                integrate_flow(kind, x0, t_end, step)
+        assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("kind, n, seed", CASES)
     def test_projected_eigenvalues_match_per_state_loop(self, kind, n, seed):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spdorders import (
 )
 from spdorders import geometry, orders
 from spdorders.cones import sample_cone_tangent
-from spdorders.core import derive_rng, matrix_function, sym_eig
+from spdorders.core import BLOCK_ROWS, derive_rng, matrix_function, sym_eig
 from spdorders.errors import (
     IllConditioned,
     InvalidParameters,
@@ -289,7 +290,7 @@ class TestBatchedOracleMatchesLoop:
         mu_frac=st.floats(0.05, 0.95),
         pair=st.sampled_from(["random", "forward", "reverse", "equal"]),
         seed=st.integers(0, 2**31 - 1),
-        samples=st.integers(2, 40),
+        samples=st.one_of(st.integers(2, 40), st.integers(BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3)),
     )
     def test_same_verdict_as_per_sample_loop(self, kind, n, mu_frac, pair, seed, samples):
         mu = mu_frac * n if kind.startswith("quad") else None
@@ -307,6 +308,42 @@ class TestBatchedOracleMatchesLoop:
         if pair in ("forward", "equal"):
             assert expected is True
 
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.5, 3), half_space_affine(3), ray_affine(3)],
+                             ids=lambda s: s.kind)
+    def test_unordered_pair_guards_one_sample(self, spec, monkeypatch):
+        # the margin is constant along the geodesic, so sample 0 decides
+        guarded = []
+
+        def counting(a):
+            guarded.append(len(a))
+            return validate(a)
+
+        validate = orders._validate_spd_stack
+        monkeypatch.setattr(orders, "_validate_spd_stack", counting)
+        sigma1, sigma2 = random_ordered_pair(spec, 3, 5)
+        assert conal_path_oracle(spec, sigma2, sigma1, 300) is False
+        assert guarded == [1]
+        guarded.clear()
+        assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
+        assert guarded == [1, BLOCK_ROWS, BLOCK_ROWS, 300 - 1 - 2 * BLOCK_ROWS]
+
+    @pytest.mark.parametrize("spec", [quadratic_affine(2.5, 5), loewner(5)], ids=lambda s: s.kind)
+    def test_memory_is_bounded_by_the_block(self, spec):
+        # an ordered pair runs every sample; one stack of 20,000 points
+        # holds 4 MB per array (the one-stack oracle peaked at 17-21 MB),
+        # a block of BLOCK_ROWS about 26 KB
+        samples, n = 20_000, spec.n
+        sigma1, sigma2 = random_ordered_pair(spec, n, 3)
+        tracemalloc.start()
+        try:
+            assert conal_path_oracle(spec, sigma1, sigma2, samples) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_stack = samples * n * n * 8
+        assert peak <= one_stack / 5
+        assert peak <= samples * 8 + 20 * BLOCK_ROWS * n * n * 8  # the sample times, and a few block arrays
+
     def test_margin_failure_before_an_invalid_point_decides(self):
         # the velocity diag(0, -2) leaves the Loewner cone at the first
         # sample; the path diag(1, 1 - 2t) stops being SPD past t = 1/2
@@ -323,6 +360,18 @@ class TestBatchedOracleMatchesLoop:
             reference_oracle(spec, sigma1, sigma2, 11)
         with pytest.raises(NotPositiveDefinite):
             conal_path_oracle(spec, sigma1, sigma2, 11)
+
+    @pytest.mark.parametrize("spec, end, verdict", [
+        # the velocity leaves the Loewner cone at sample 0: the invalid points come later
+        (loewner(2), [1.0, -1.0], False),
+        # the velocity is inside: the points past t = 1/1.02, in the last block, fail
+        (quadratic_translation(0.3, 2), [4.0, -0.02], NotPositiveDefinite),
+    ], ids=["margin", "invalid"])
+    def test_first_failure_decides_across_blocks(self, spec, end, verdict):
+        sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag(end))
+        for samples in (BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 300):
+            expected = outcome(reference_oracle, spec, sigma1, sigma2, samples)
+            assert outcome(conal_path_oracle, spec, sigma1, sigma2, samples) == expected == verdict
 
     def test_overflowing_velocity_after_margin_failure_decides(self):
         # the geodesic from I to diag(M/2, M/4) leaves the ray at the first
