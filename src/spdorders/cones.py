@@ -30,6 +30,7 @@ from .core import (
     _check_dimension,
     _checked,
     _identity,
+    _in_range,
     _is_json_number,
     _rescaled,
     _row_norms,
@@ -180,33 +181,31 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     the moments of W = S^-1 X (X for the translation kinds; the ray's
     deviation is sqrt(tr((W - (t/n) I)^2))), so margins are invariant
     under rescaling of the tangent and, for the affine families, under
-    congruence, and one tolerance works across magnitudes; a tangent row
-    whose largest |entry| is >= 2^500, and for the affine kinds a point
-    row whose largest |entry| lies outside [2^-500, 2^500), is brought
-    into [0.5, 1) by an exact power of two, and the other rows keep every
-    bit.  A tangent whose norm or invariant magnitude is zero (or
-    underflows to zero) is inside every cone with margin +1, reported
-    against the tie-breaking quadratic constraint.  An empty stack gives
-    empty results.
+    congruence, and one tolerance works across magnitudes; a nonzero
+    tangent row, and for the affine kinds a point row and a row of W,
+    whose largest |entry| lies outside [2^-500, 2^500) is brought into
+    [0.5, 1) by an exact power of two, and the other rows keep every bit.
+    The zero tangent (or, for the affine kinds, one whose invariant
+    magnitude rounds to zero) is inside every cone with margin +1,
+    reported against the tie-breaking quadratic constraint.  An empty
+    stack gives empty results.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or sigmas.shape != xs.shape or xs.shape[1:] != (spec.n, spec.n):
         raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
-    if np.abs(xs).max(initial=0.0) >= 2.0**500:
-        xs, _ = _rescaled(xs)
+    xs, _, m = _in_range(xs, _row_norms, 2.0 * spec.n * 2.0**-500)  # ||X||_F <= n max|X|
     if spec.kind not in TRANSLATION_KINDS:  # W = S^-1 X only scales, and the margins have degree 0 in it
         diagonal = sigmas.diagonal(0, 1, 2)  # an SPD row's largest |entry| lies on its diagonal
         low, high = np.minimum.reduce(diagonal, None, initial=1.0), np.maximum.reduce(diagonal, None, initial=0.0)
         if not (2.0**-500 <= low and high < 2.0**500):
             sigmas, _ = _rescaled(sigmas, 2.0**-500)
-    m = _row_norms(xs)
     zero = m == 0.0
     if spec.kind in TRANSLATION_KINDS:
         w, tr2 = xs, m**2
-    else:
-        w = np.linalg.solve(sigmas, xs)
-        tr2 = (w * w.swapaxes(1, 2)).sum(axis=(1, 2))
+    else:  # tr(W^2) <= n^2 max|W|^2
+        w, _, tr2 = _in_range(np.linalg.solve(sigmas, xs), lambda w: (w * w.swapaxes(1, 2)).sum(axis=(1, 2)),
+                              (2.0 * spec.n * 2.0**-500)**2)
         # sqrt(tr(W^2)) equals the Frobenius norm of the symmetrized
         # conjugate S^-1/2 X S^-1/2, which is congruence invariant
         m = np.sqrt(np.maximum(tr2, 0.0))

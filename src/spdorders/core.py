@@ -89,17 +89,25 @@ def _rescaled(a: np.ndarray, tiny: float = 0.0) -> tuple[np.ndarray, np.ndarray]
     return np.ldexp(a, -e[:, None, None]), e
 
 
+def _in_range(a: np.ndarray, size, bound: float, tiny: float = 2.0**-500):
+    """a with each row whose largest |entry| lies outside [tiny, 2^500) _rescaled,
+    the exponents e (0 when no row is) and size(a): one reduction rules out huge
+    rows before size squares an entry, and a row under tiny gives a size below bound."""
+    if np.abs(a).max(initial=0.0) < 2.0**500:
+        sizes = size(a)
+        if sizes.min(initial=math.inf) >= bound:
+            return a, 0, sizes
+    a, e = _rescaled(a, tiny)
+    return a, e, size(a)
+
+
 def _scaled_row_norms(a: np.ndarray, tiny: float = 0.0) -> np.ndarray:
     """_row_norms at any scale: a row whose largest |entry| lies outside
     [tiny, 2^500) is taken _rescaled and its norm scaled back (inf only
     past the float range); the other rows keep every bit."""
-    if abs(a).max(initial=0.0) < 2.0**500:
-        norms = _row_norms(a)
-        if norms.min(initial=math.inf) >= 2.0 * a.shape[-1] * tiny:  # ||row||_F <= n max|row|
-            return norms
-    scaled, e = _rescaled(a, tiny)
+    _, e, norms = _in_range(a, _row_norms, 2.0 * a.shape[-1] * tiny, tiny)  # ||row||_F <= n max|row|
     with np.errstate(over="ignore"):
-        return np.ldexp(_row_norms(scaled), e)
+        return np.ldexp(norms, e)
 
 
 def _symmetrized(a: np.ndarray, peak: float) -> np.ndarray:
@@ -152,17 +160,19 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
 
 def _validate_spd_stack(a: np.ndarray) -> tuple[SpdStack, SpdError | None]:
     """SpdMatrix's guards over a (k, n, n) stack, row by row: the guards of
-    _validate_sym_stack, then lambda_min > n * PD_RTOL * lambda_max.
+    _validate_sym_stack, then _positive_rows.  Returns the rows before the
+    first failing row, as an SpdStack, and the error that row fails with,
+    or None when every row passes."""
+    return _positive_rows(*_validate_sym_stack(a))
 
-    Returns the rows before the first failing row, as an SpdStack, and
-    the error that row fails with, or None when every row passes.  An
-    eigensolver failure, which numpy reports for the stack as a whole,
-    raises ConvergenceFailure.
-    """
-    sym, err = _validate_sym_stack(a)
+
+def _positive_rows(sym: np.ndarray, err: SpdError | None) -> tuple[SpdStack, SpdError | None]:
+    """The eigen test lambda_min > n * PD_RTOL * lambda_max, the one rule for its
+    verdict and messages, on rows that passed _validate_sym_stack with error err.
+    An eigensolver failure (numpy's, for the whole stack) raises ConvergenceFailure."""
     w, v = _eigh(sym)
     # w ascends, so a row with lambda_max <= 0 fails here as well
-    positive = w[:, 0] > a.shape[-1] * PD_RTOL * w[:, -1]
+    positive = w[:, 0] > sym.shape[-1] * PD_RTOL * w[:, -1]
     if np.count_nonzero(positive) < len(positive):
         bad = int(positive.argmin())
         span = f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}]"
@@ -171,6 +181,31 @@ def _validate_spd_stack(a: np.ndarray) -> tuple[SpdStack, SpdError | None]:
             err = InvalidParameters(f"{span} lies beyond the float range")
         sym, w, v = sym[:bad], w[:bad], v[:bad]
     return SpdStack(sym, w, v), err
+
+
+def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
+    """_validate_spd_stack's entries and error, without eigenpairs when a
+    certificate holds: if the |entries| lie within 2^400, every row norm is
+    at least 2^-400 and every row A - tau I, tau = 4 n PD_RTOL ||A||_F,
+    factors by one stacked Cholesky, every row passes; else the eigen test
+    decides.  Sound: Cholesky's backward error (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm 10.3) gives lambda_min(A) >= tau -
+    O(n^2 eps ||A||_2), eigh's eigenvalues lie within O(n^2 eps ||A||_2) of
+    A's, and ||A||_2 <= ||A||_F, so eigh's lambda_min beats n PD_RTOL times its
+    lambda_max by (3 n PD_RTOL - O(n^2 eps)) ||A||_2, with n^2 eps <= n 1.5e-14
+    far below 3 n PD_RTOL = n 3e-12 for n <= 64."""
+    sym, err = _validate_sym_stack(a)
+    n = sym.shape[-1]
+    if np.abs(sym).max(initial=1.0) <= 2.0**400:  # told before any square, so none overflows
+        norms = _row_norms(sym)
+        try:  # numpy raises for a row with a pivot <= 0 or NaN; a row that factors has a finite diagonal
+            if norms.min(initial=1.0) >= 2.0**-400:
+                np.linalg.cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
+                return sym, err
+        except np.linalg.LinAlgError:
+            pass
+    points, err = _positive_rows(sym, err)
+    return points.entries, err
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,6 +325,8 @@ class SpdMatrix:
     are asymmetric beyond tolerance or whose smallest eigenvalue is not
     safely positive (lambda_min > n * 1e-12 * lambda_max).
     """
+
+    _relative = (lambda: None, None, None)  # geometry._relative_eigh's memo: weak sigma2, w, u
 
     def __init__(self, raw):
         self._hold(_checked(*_validate_spd_stack(_as_square(raw)[None])))

@@ -9,6 +9,7 @@ ranges do not overlap in meaning and must not be conflated.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +66,20 @@ ILL_CONDITIONED_PAIR = f"relative matrix of the pair condition number exceeds {C
 
 
 def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring says."""
+    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring
+    says, read-only and kept by sigma1 for its last sigma2: one eigh per pair."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
+    pair, w, u = sigma1._relative
+    if pair() is sigma2:  # a weak reference: the memo keeps no point alive
+        return w, u
     inv = _checked(*SpdStack.of(sigma1).root(-0.5))
     w, u = np.linalg.eigh(_whitened(inv[0], sigma2.entries))
     if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
         raise IllConditioned(ILL_CONDITIONED_PAIR)
+    w.setflags(write=False)  # shared by every call on the pair
+    u.setflags(write=False)
+    sigma1._relative = weakref.ref(sigma2), w, u
     return w, u
 
 
@@ -79,7 +87,8 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     """The frame (b, w) that diagonalizes a pair: sigma1 = b b^T and
     sigma2 = b diag(w) b^T, with w the ascending eigenvalues and u the
     eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2} (both roots read from
-    sigma1's stack, which builds each once), and b = sigma1^{1/2} u.  Raises
+    sigma1's stack, which builds each once), and b = sigma1^{1/2} u.  w is
+    read-only and shared with relative_eigenvalues of the same pair.  Raises
     IllConditioned when the relative spectrum spans more than COND_CAP."""
     w, u = _relative_eigh(sigma1, sigma2)
     return SpdStack.of(sigma1).root(0.5)[0][0] @ u, w  # _relative_eigh raised the stack's error, if any
@@ -88,7 +97,8 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
 def relative_eigenvalues(sigma1: SpdMatrix, sigma2: SpdMatrix) -> np.ndarray:
     """Ascending eigenvalues of sigma2 sigma1^{-1}, computed through the
     symmetric similar matrix sigma1^{-1/2} sigma2 sigma1^{-1/2} so the
-    output is guaranteed real and positive; the frame is not built."""
+    output is guaranteed real and positive; the frame is not built.  The
+    array is read-only and shared with relative_eigenframe of the same pair."""
     return _relative_eigh(sigma1, sigma2)[0]
 
 

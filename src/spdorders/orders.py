@@ -32,6 +32,7 @@ from .core import (
     _checked,
     _row_norms,
     random_spd,
+    _validate_spd_entries,
     _validate_spd_stack,
     _validate_sym_stack,
 )
@@ -186,12 +187,12 @@ def conal_path_oracle(
     """Cross-validation oracle: discretize the conal path from sigma1 to
     sigma2 and test the velocity against the cone at every sample.
 
-    True iff every membership margin is >= -10*tol.  The samples are
-    built and tested with SpdMatrix's and SymTangent's guards on every
-    point and velocity: sample 0 alone (the margin is constant along the
-    path, so on an unordered pair it decides), then the rest in stacks
-    of at most BLOCK_ROWS.  The first sample that fails decides, so an
-    invalid point raises only when no earlier sample is outside the cone.
+    True iff every membership margin is >= -10*tol.  Every point and
+    velocity passes SpdMatrix's guards (_validate_spd_entries) and
+    SymTangent's: sample 0 alone (the margin is constant along the path,
+    so on an unordered pair it decides), then the rest in stacks of at
+    most BLOCK_ROWS.  The first sample that fails decides, so an invalid
+    point raises only when no earlier sample is outside the cone.
     """
     if samples < 2:
         raise InvalidParameters("need at least two path samples")
@@ -203,8 +204,7 @@ def conal_path_oracle(
     bounds = [0, *range(1, samples, BLOCK_ROWS), samples]
     for lo, hi in zip(bounds, bounds[1:]):
         points, velocities = path(ts[lo:hi])
-        valid, err = _validate_spd_stack(points)
-        points = valid.entries
+        points, err = _validate_spd_entries(points)
         velocities, verr = _validate_sym_stack(velocities[: len(points)])
         if verr is not None:
             points, err = points[: len(velocities)], verr

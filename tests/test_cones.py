@@ -102,15 +102,38 @@ class TestMembership:
         assert rep.binding_constraint == "eigenvalue_min"
 
     def test_zero_tangent_inside_every_cone(self):
-        # exact zero, and a tangent whose squared entries underflow to zero,
-        # also at a small base point where S^-1 X does not underflow
+        # only the exact zero: a tiny tangent is rescaled and gets its own margin
         for sigma in (random_spd(3, 1), spd_validate(np.diag([1e-10, 2e-10, 3e-10]))):
             for spec in (quadratic_affine(1.0, 3), quadratic_translation(2.0, 3),
                          loewner(3), half_space_affine(3), ray_affine(3)):
-                for x in (np.zeros((3, 3)), 1e-170 * random_sym(3, 2)):
-                    rep = cone_membership(spec, sigma, x)
-                    assert rep.inside and rep.margin == 1.0
-                    assert rep.binding_constraint == "quadratic_form"
+                rep = cone_membership(spec, sigma, np.zeros((3, 3)))
+                assert rep.inside and rep.margin == 1.0
+                assert rep.binding_constraint == "quadratic_form"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 3), quadratic_translation(2.0, 3), loewner(3),
+                                      half_space_affine(3), ray_affine(3)], ids=lambda s: s.kind)
+    def test_tiny_tangents_get_their_rescaled_margins(self, spec):
+        # tangents whose squares underflow once read as the zero tangent;
+        # with the largest |entry| of x in [0.5, 1), 2^-k x reads as x, bit for bit
+        raw = random_sym(3, 2)
+        x = np.ldexp(raw, -np.frexp(np.abs(raw).max())[1])
+        for sigma in (random_spd(3, 1).entries, np.diag([1e-10, 2e-10, 3e-10])):
+            expected = cone_margins(spec, sigma[None], x[None])
+            for k in (520, 560, 1000):
+                margins, binding = cone_margins(spec, sigma[None], np.ldexp(x, -k)[None])
+                assert margins.tolist() == expected[0].tolist() and binding.tolist() == expected[1].tolist()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), half_space_affine(2), ray_affine(2)],
+                             ids=lambda s: s.kind)
+    def test_underflowing_relative_tangent_gets_its_margin(self, spec):
+        # S = 2^499 I and X = 2^-499 x both lie in range, but S^-1 X = 2^-998 x
+        # once underflowed in tr(W^2) and read as the zero tangent
+        x = np.array([[0.3, -0.9], [-0.9, 0.2]])
+        rep = cone_membership(spec, spd_validate(2.0**499 * np.eye(2)), 2.0**-499 * x)
+        assert rep == cone_membership(spec, spd_validate(np.eye(2)), x)
+        assert rep.margin != 1.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), quadratic_translation(0.5, 2), loewner(2),

@@ -318,8 +318,8 @@ class TestBatchedOracleMatchesLoop:
             guarded.append(len(a))
             return validate(a)
 
-        validate = orders._validate_spd_stack
-        monkeypatch.setattr(orders, "_validate_spd_stack", counting)
+        validate = orders._validate_spd_entries
+        monkeypatch.setattr(orders, "_validate_spd_entries", counting)
         sigma1, sigma2 = random_ordered_pair(spec, 3, 5)
         assert conal_path_oracle(spec, sigma2, sigma1, 300) is False
         assert guarded == [1]
@@ -807,3 +807,175 @@ class TestOrderedRowsMatchCompare:
                     except SpdError as exc:
                         got = type(exc), str(exc)
                     assert got == ordered_or_error(spec, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The path oracle without throwaway eigensolves: its certified point guard
+# against the eigh-guarded body it replaces, and the relative-frame memo.
+# ---------------------------------------------------------------------------
+
+
+def eigh_guarded_oracle(spec, sigma1, sigma2, samples, tol=1e-10):
+    """conal_path_oracle as it was written before the certified point guard:
+    every block's points pass _validate_spd_stack and its stacked eigh."""
+    from spdorders.core import _checked, _validate_spd_stack, _validate_sym_stack
+    from spdorders.cones import cone_margins
+
+    if samples < 2:
+        raise InvalidParameters("need at least two path samples")
+    path, constant = orders._conal_path(spec, sigma1, sigma2)
+    if constant:
+        return True
+    ts = np.linspace(0.0, 1.0, samples)[:, None, None]
+    bounds = [0, *range(1, samples, BLOCK_ROWS), samples]
+    for lo, hi in zip(bounds, bounds[1:]):
+        points, velocities = path(ts[lo:hi])
+        valid, err = _validate_spd_stack(points)
+        points = valid.entries
+        velocities, verr = _validate_sym_stack(velocities[: len(points)])
+        if verr is not None:
+            points, err = points[: len(velocities)], verr
+        margins, _ = cone_margins(spec, points, velocities)
+        if np.any(margins < -10.0 * tol):
+            return False
+        _checked(None, err)
+    return True
+
+
+def oracle_outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except SpdError as exc:
+        return type(exc), str(exc)
+
+
+def counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record the ndim of each input it solves."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestCertifiedOracleMatchesEighGuard:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_pairs_of_every_kind(self, n):
+        for spec in specs_at(n):
+            pairs = []
+            for seed in range(6):
+                lo, hi = random_ordered_pair(spec, n, seed)
+                other = random_spd(n, derive_rng(seed, 3), 0.8)
+                pairs += [(lo, hi), (hi, lo), (lo, other), (lo, lo), (lo, SpdMatrix(lo.entries))]
+            # relative spectra spanning just below and just above COND_CAP
+            for spread in (0.5e12, 0.99e12, 1.01e12):
+                a = 1.0 / math.sqrt(spread)
+                pairs.append((spd_validate(np.diag([1.0] + [0.5] * (n - 2) + [a])),
+                              spd_validate(np.diag([a] + [0.5] * (n - 2) + [1.0]))))
+            pairs += [(SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k)))
+                      for a, b in pairs[:10] for k in (-520, 520)]
+            for a, b in pairs:
+                for samples in (2, 100, BLOCK_ROWS + 3):
+                    expected = oracle_outcome(eigh_guarded_oracle, spec, a, b, samples)
+                    assert oracle_outcome(conal_path_oracle, spec, a, b, samples) == expected
+
+    @pytest.mark.parametrize("spec, end", [
+        (loewner(2), [1.0, -1.0]),
+        (quadratic_translation(0.3, 2), [4.0, -0.02]),
+        (quadratic_translation(0.3, 2), [4.0, 0.0]),
+        (quadratic_translation(0.3, 2), [4.0, 1e-13]),
+    ])
+    def test_paths_leaving_the_spd_set(self, spec, end):
+        # the last points fail the eigen test the certificate falls back to
+        sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag(end))
+        for samples in (11, BLOCK_ROWS + 2, 300):
+            expected = oracle_outcome(eigh_guarded_oracle, spec, sigma1, sigma2, samples)
+            assert oracle_outcome(conal_path_oracle, spec, sigma1, sigma2, samples) == expected
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_ordered_pair_runs_no_stacked_eigh(self, spec, monkeypatch):
+        sigma1, sigma2 = random_ordered_pair(spec, 3, 7)
+        calls = counting_eigh(monkeypatch)
+        assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
+        assert 3 not in calls
+        # the eigh-guarded body solved each block: sample 0, then three blocks
+        assert eigh_guarded_oracle(spec, sigma1, sigma2, 300) is True
+        assert calls.count(3) == 4
+
+
+class TestRelativeFrameMemo:
+    def test_compare_and_oracle_share_one_whitened_eigh(self, monkeypatch):
+        spec = quadratic_affine(1.5, 3)
+        sigma1, sigma2 = random_ordered_pair(spec, 3, 7)
+        other = SpdMatrix(sigma2.entries)  # the same entries, a new point
+        calls = counting_eigh(monkeypatch)
+        verdict = order_compare(spec, sigma1, sigma2)
+        assert verdict.relation == "less_equal"
+        assert conal_path_oracle(spec, sigma1, sigma2, 50) is True
+        assert calls == [2]
+        # the memo holds one pair, told by identity: a new sigma2 solves again
+        assert order_compare(spec, sigma1, other) == verdict
+        assert calls == [2, 2]
+
+    def test_shared_arrays_are_read_only_and_bit_for_bit(self):
+        from spdorders.geometry import relative_eigenvalues
+
+        sigma1, sigma2 = random_spd(4, 1, 0.8), random_spd(4, 2, 0.8)
+        ref_b, ref_w = reference_relative_eigenframe(sigma1, sigma2)
+        w = relative_eigenvalues(sigma1, sigma2)
+        b, frame_w = relative_eigenframe(sigma1, sigma2)
+        assert frame_w is w and not w.flags.writeable
+        assert hexes(w) == hexes(ref_w)
+        assert b.tobytes() == relative_eigenframe(sigma1, SpdMatrix(sigma2.entries))[0].tobytes()
+
+    def test_ill_conditioned_pair_is_not_memoised(self, monkeypatch):
+        sigma1, sigma2 = spd_validate(np.diag([1.0, 1e-7])), spd_validate(np.diag([1e-7, 1.0]))
+        calls = counting_eigh(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(IllConditioned):
+                order_compare(quadratic_affine(1.0, 2), sigma1, sigma2)
+        assert calls == [2, 2]
+
+    def test_threads_sharing_a_point_read_their_own_pair(self):
+        import sys
+        import threading
+
+        from spdorders.geometry import relative_eigenvalues
+
+        sigma1 = random_spd(3, 1, 0.8)
+        others = [random_spd(3, 10 + i, 0.8) for i in range(5)]
+        expected = [hexes(reference_relative_eigenframe(sigma1, other)[1]) for other in others]
+        wrong = []
+
+        def work(k):
+            for i in range(300):
+                j = (k + i) % len(others)
+                if hexes(relative_eigenvalues(sigma1, others[j])) != expected[j]:
+                    wrong.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_memo_keeps_no_point_alive(self):
+        import gc
+        import weakref
+
+        sigma1, sigma2 = random_spd(3, 1, 0.8), random_spd(3, 2, 0.8)
+        order_compare(quadratic_affine(1.5, 3), sigma1, sigma2)
+        alive = weakref.ref(sigma2)
+        del sigma2
+        gc.collect()
+        assert alive() is None
