@@ -36,7 +36,8 @@ from .viz2 import cone_cross_section, hyperboloid_leaf, phi
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Write obj as one line of strict JSON: a NaN or an infinity raises ValueError, an internal error."""
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _float(text: str, what: str) -> float:

@@ -13,7 +13,8 @@ and mu -> n limits are exposed as the distinct half-space and ray kinds.
 Membership is closed (margin >= -tol); the zero tangent is inside every
 cone with margin +1 by convention.  Margins read W = S^-1 X (X for the
 translation kinds); the ray's is -sqrt(tr((W - (t/n) I)^2) / tr(W^2)),
-t = tr W, so every affine kind's margin is invariant under congruence.
+t = tr W, so every affine kind's margin is invariant under congruence;
+with rows first brought into core.WINDOW, margins have degree 0 in S and X.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    WINDOW,
     SpdMatrix,
     SpdStack,
     SymTangent,
     _check_dimension,
     _checked,
     _identity,
-    _in_range,
     _is_json_number,
-    _rescaled,
     _row_norms,
-    _scaled_row_norms,
     _spectral_apply,
     _validate_sym_stack,
+    _windowed,
     as_tangent,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
@@ -181,31 +181,29 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     the moments of W = S^-1 X (X for the translation kinds; the ray's
     deviation is sqrt(tr((W - (t/n) I)^2))), so margins are invariant
     under rescaling of the tangent and, for the affine families, under
-    congruence, and one tolerance works across magnitudes; a nonzero
-    tangent row, and for the affine kinds a point row and a row of W,
-    whose largest |entry| lies outside [2^-500, 2^500) is brought into
-    [0.5, 1) by an exact power of two, and the other rows keep every bit.
-    The zero tangent (or, for the affine kinds, one whose invariant
-    magnitude rounds to zero) is inside every cone with margin +1,
-    reported against the tie-breaking quadratic constraint.  An empty
-    stack gives empty results.
+    congruence, and one tolerance works across magnitudes.  Tangent rows,
+    and for the affine kinds point rows, outside core.WINDOW are brought
+    into it by an exact power of two before W is solved, so W and tr(W^2)
+    stay finite and normal; the other rows keep every bit.  The zero
+    tangent (or, for the affine kinds, one whose invariant magnitude
+    rounds to zero) is inside every cone with margin +1, reported against
+    the tie-breaking quadratic constraint.  An empty stack gives empty results.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or sigmas.shape != xs.shape or xs.shape[1:] != (spec.n, spec.n):
         raise DimensionMismatch(f"cone n={spec.n}, points {sigmas.shape}, tangents {xs.shape}")
-    xs, _, m = _in_range(xs, _row_norms, 2.0 * spec.n * 2.0**-500)  # ||X||_F <= n max|X|
-    if spec.kind not in TRANSLATION_KINDS:  # W = S^-1 X only scales, and the margins have degree 0 in it
-        diagonal = sigmas.diagonal(0, 1, 2)  # an SPD row's largest |entry| lies on its diagonal
-        low, high = np.minimum.reduce(diagonal, None, initial=1.0), np.maximum.reduce(diagonal, None, initial=0.0)
-        if not (2.0**-500 <= low and high < 2.0**500):
-            sigmas, _ = _rescaled(sigmas, 2.0**-500)
+    xs, _, m = _windowed(xs)
     zero = m == 0.0
     if spec.kind in TRANSLATION_KINDS:
         w, tr2 = xs, m**2
-    else:  # tr(W^2) <= n^2 max|W|^2
-        w, _, tr2 = _in_range(np.linalg.solve(sigmas, xs), lambda w: (w * w.swapaxes(1, 2)).sum(axis=(1, 2)),
-                              (2.0 * spec.n * 2.0**-500)**2)
+    else:  # the margins have degree 0 in S, and S and X in the window keep W and tr(W^2) finite and normal
+        diagonal = sigmas.diagonal(0, 1, 2)  # an SPD row's largest |entry| lies on its diagonal
+        low, high = np.minimum.reduce(diagonal, None, initial=1.0), np.maximum.reduce(diagonal, None, initial=0.0)
+        if not (1.0 / WINDOW <= low and high <= WINDOW):
+            sigmas = _windowed(sigmas)[0]
+        w = np.linalg.solve(sigmas, xs)
+        tr2 = (w * w.swapaxes(1, 2)).sum(axis=(1, 2))
         # sqrt(tr(W^2)) equals the Frobenius norm of the symmetrized
         # conjugate S^-1/2 X S^-1/2, which is congruence invariant
         m = np.sqrt(np.maximum(tr2, 0.0))
@@ -386,8 +384,8 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
     for i in degenerate:  # a degenerate draw (e.g. constant spectrum) falls back to its point's axis
         if i < len(ys):  # rows past a failing root were dropped
             ys[i] = points.entries[i // width]
-    # a norm that neither overflows nor underflows: the tangent is the same at every scale of sigma
-    sym, later = _validate_sym_stack(ys / _scaled_row_norms(ys, 2.0**-500)[:, None, None])
+    ys, _, norms = _windowed(ys)  # norms that neither overflow nor underflow: the same tangent at every scale of sigma
+    sym, later = _validate_sym_stack(ys / norms[:, None, None])
     return sym, later or err
 
 

@@ -31,6 +31,7 @@ RECON_RTOL = 1e-10        # ||V L V^T - A||_F <= RECON_RTOL * ||A||_F
 COND_CAP = 1e12           # condition numbers beyond this raise IllConditioned
 MAX_DIM = 64
 BLOCK_ROWS = 128          # rows a stacked check builds and tests at once: memory grows with BLOCK_ROWS * n^2
+WINDOW = 2.0**200         # rows outside the scale window [1/WINDOW, WINDOW] are first _windowed
 
 
 def _check_dimension(n: int) -> None:
@@ -80,34 +81,21 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))  # bit for bit np.linalg.norm of each row
 
 
-def _rescaled(a: np.ndarray, tiny: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n, n) stack a with each row whose largest |entry| lies
-    outside [tiny, 2^500) scaled by the power of two 2^-e that brings it
-    into [0.5, 1), and the exponents e (0 for the rows that keep every bit)."""
+def _windowed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
+    """The (k, n, m) stack a with each row whose largest |entry| lies outside
+    [1/WINDOW, WINDOW] scaled by the power of two 2^-e that brings it into
+    [0.5, 1), the exponents e (0 for the rows that keep every bit) and the
+    result's _row_norms.  In the window no square, nor S^-1 X of a guarded
+    pair, leaves the normal range, and eigh(2^k A) is 2^k eigh(A) bit for bit
+    (OpenBLAS 0.3.31: max|A| in [2^-400, 2^485]; outside, LAPACK scales)."""
+    if np.abs(a).max(initial=0.0) <= WINDOW:  # one reduction, before any square, tells most stacks
+        norms = _row_norms(a)
+        if norms.min(initial=math.inf) * WINDOW >= math.sqrt(a.shape[1] * a.shape[2]):  # ||row|| <= this max|row|
+            return a, 0, norms
     peak = np.abs(a).max(axis=(1, 2), initial=0.0)
-    e = np.where((peak < tiny) | (peak >= 2.0**500), np.frexp(peak)[1], 0)
-    return np.ldexp(a, -e[:, None, None]), e
-
-
-def _in_range(a: np.ndarray, size, bound: float, tiny: float = 2.0**-500):
-    """a with each row whose largest |entry| lies outside [tiny, 2^500) _rescaled,
-    the exponents e (0 when no row is) and size(a): one reduction rules out huge
-    rows before size squares an entry, and a row under tiny gives a size below bound."""
-    if np.abs(a).max(initial=0.0) < 2.0**500:
-        sizes = size(a)
-        if sizes.min(initial=math.inf) >= bound:
-            return a, 0, sizes
-    a, e = _rescaled(a, tiny)
-    return a, e, size(a)
-
-
-def _scaled_row_norms(a: np.ndarray, tiny: float = 0.0) -> np.ndarray:
-    """_row_norms at any scale: a row whose largest |entry| lies outside
-    [tiny, 2^500) is taken _rescaled and its norm scaled back (inf only
-    past the float range); the other rows keep every bit."""
-    _, e, norms = _in_range(a, _row_norms, 2.0 * a.shape[-1] * tiny, tiny)  # ||row||_F <= n max|row|
-    with np.errstate(over="ignore"):
-        return np.ldexp(norms, e)
+    e = np.where((peak < 1.0 / WINDOW) | (peak > WINDOW), np.frexp(peak)[1], 0)
+    a = np.ldexp(a, -e[:, None, None])
+    return a, e, _row_norms(a)
 
 
 def _symmetrized(a: np.ndarray, peak: float) -> np.ndarray:
@@ -185,8 +173,8 @@ def _positive_rows(sym: np.ndarray, err: SpdError | None) -> tuple[SpdStack, Spd
 
 def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     """_validate_spd_stack's entries and error, without eigenpairs when a
-    certificate holds: if the |entries| lie within 2^400, every row norm is
-    at least 2^-400 and every row A - tau I, tau = 4 n PD_RTOL ||A||_F,
+    certificate holds: if _windowed tells the stack inside the window as
+    it is, and every row A - tau I, tau = 4 n PD_RTOL ||A||_F,
     factors by one stacked Cholesky, every row passes; else the eigen test
     decides.  Sound: Cholesky's backward error (Higham, Accuracy and Stability
     of Numerical Algorithms, 2nd ed., Thm 10.3) gives lambda_min(A) >= tau -
@@ -196,14 +184,13 @@ def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     far below 3 n PD_RTOL = n 3e-12 for n <= 64."""
     sym, err = _validate_sym_stack(a)
     n = sym.shape[-1]
-    if np.abs(sym).max(initial=1.0) <= 2.0**400:  # told before any square, so none overflows
-        norms = _row_norms(sym)
-        try:  # numpy raises for a row with a pivot <= 0 or NaN; a row that factors has a finite diagonal
-            if norms.min(initial=1.0) >= 2.0**-400:
-                np.linalg.cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
-                return sym, err
-        except np.linalg.LinAlgError:
-            pass
+    windowed, _, norms = _windowed(sym)
+    try:  # numpy raises for a row with a pivot <= 0 or NaN; a row that factors has a finite diagonal
+        if windowed is sym:  # told by the whole-stack test: every row inside the window
+            np.linalg.cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
+            return sym, err
+    except np.linalg.LinAlgError:
+        pass
     points, err = _positive_rows(sym, err)
     return points.entries, err
 
@@ -273,15 +260,17 @@ def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | 
     """sym_eig over a (k, n, n) stack that passed _validate_sym_stack: the
     eigenvalues and eigenvectors of the rows before the first row that
     fails the orthogonality or reconstruction check, and that row's
-    error, or None."""
+    error, or None (a row brought into the window reports its error there)."""
     w, v = _eigh(sym)
     count, err = _orthogonal_rows(v)
     if err is not None:
         w, v, sym = w[:count], v[:count], sym[:count]
-    # |w| < 2^500 keeps every square in both norms inside the float range
-    norms = _row_norms if abs(w).max(initial=0.0) < 2.0**500 else _scaled_row_norms
-    recon = norms((v * w[:, None, :]) @ v.swapaxes(1, 2) - sym)
-    too_large = recon > RECON_RTOL * np.maximum(norms(sym), 1e-300)
+    ws = w  # |w| <= WINDOW keeps every square in both norms inside the float range
+    if abs(w).max(initial=0.0) > WINDOW:  # past it, rows are checked at the scale _windowed brings them to
+        sym, e, _ = _windowed(sym)
+        ws = np.ldexp(w, -np.reshape(e, (-1, 1)))
+    recon = _row_norms((v * ws[:, None, :]) @ v.swapaxes(1, 2) - sym)
+    too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
     if np.count_nonzero(too_large):
         bad = int(too_large.argmax())
         err = ConvergenceFailure(f"reconstruction error {recon[bad]:.3e} too large")

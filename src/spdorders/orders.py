@@ -26,6 +26,7 @@ from .cones import (
 from .core import (
     BLOCK_ROWS,
     COND_CAP,
+    WINDOW,
     SpdMatrix,
     SpdStack,
     SymTangent,
@@ -35,6 +36,7 @@ from .core import (
     _validate_spd_entries,
     _validate_spd_stack,
     _validate_sym_stack,
+    _windowed,
 )
 from .errors import DimensionMismatch, IllConditioned, InvalidParameters, NotOrdered, SpdError
 from .geometry import (
@@ -93,14 +95,9 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
         raise DimensionMismatch(f"spec n={spec.n}, points n={sigma1.n}, {sigma2.n}")
 
     e1, e2 = sigma1.entries, sigma2.entries
-    # ||sigma||_F <= sqrt(n) lambda_max: up to lambda_max = 2^500 the squares in the norms stay finite
-    huge = max(sigma1._eig[0][-1], sigma2._eig[0][-1]) > 2.0**500
-    scale = np.inf if huge else max(_norm(e1), _norm(e2))
-    if not 2.0**-500 <= scale <= 2.0**500:  # one exact power of two: largest |entry| into [0.5, 1)
-        shift = -np.frexp(max(np.abs(e1).max(), np.abs(e2).max()))[1]
-        e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
-        scale = max(_norm(e1), _norm(e2))
-    if _norm(e2 - e1) <= EQUALITY_RTOL * scale:
+    if not 1.0 / WINDOW <= max(sigma1._eig[0][-1], sigma2._eig[0][-1]) <= WINDOW:  # lambda_max >= max|entry|
+        e1, e2 = np.split(_windowed(np.concatenate((e1, e2))[None])[0][0], 2)  # one row: one power of two for both
+    if _norm(e2 - e1) <= EQUALITY_RTOL * max(_norm(e1), _norm(e2)):
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
     if spec.kind == HALF_SPACE:
@@ -129,14 +126,14 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
     with every row), its spectral vectors from one stacked eigensolve:
     returns ordered(j, pair), whether pair j is less_equal or equal by the
     scalar margin rule, raising what order_compare raises.  Pairs with
-    nothing to stack (half-space, a missing whitening factor, a norm
-    outside [2^-400, 2^400], where a whitened matrix could overflow) run
-    order_compare itself on pair()."""
+    nothing to stack (half-space, a missing whitening factor, a pair whose
+    larger lambda_max lies outside core.WINDOW) run order_compare itself
+    on pair()."""
     e1, e2 = lows.entries, highs.entries
     with np.errstate(over="ignore"):
-        scale = np.maximum(_row_norms(e1), _row_norms(e2))
-        equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * scale
-    opened = ~((2.0**-400 <= scale) & (scale <= 2.0**400))
+        equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * np.maximum(_row_norms(e1), _row_norms(e2))
+    top = np.maximum(lows.eigenvalues[:, -1], highs.eigenvalues[:, -1])
+    opened = ~((1.0 / WINDOW <= top) & (top <= WINDOW))
     affine = spec.kind not in TRANSLATION_KINDS + (HALF_SPACE,)
     inv, err = lows.root(-0.5) if affine else (None, None)
     if spec.kind == HALF_SPACE or err is not None:

@@ -148,6 +148,28 @@ class TestConeMember:
         assert doc["inside"] is True and doc["binding_constraint"] == expected["binding_constraint"]
         assert doc["margin"] == pytest.approx(expected["margin"], rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, code, margin", [
+        ("quad-affine", 0, 1.2653102393448728e-11),
+        ("ray", 1, -0.707106781182074),
+        ("half-space", 0, 1.0000000000063265),
+    ])
+    def test_overflowing_relative_tangent_gets_a_finite_margin(self, files, capsys, kind, code, margin):
+        # S^-1 X = 2^998 diag(1, 1e11) x once overflowed inside the solve and
+        # printed "margin": NaN (quad-affine, ray) or Infinity (half-space)
+        _, _, matrix, cone = files
+        spec = cone("cone.json", kind=kind, n=2, **({"mu": 1.0} if kind == "quad-affine" else {}))
+        sigma = matrix("s.json", 2.0**-499 * np.diag([1.0, 1e-11]))
+        x = matrix("d.json", 2.0**499 * np.array([[0.5, 0.2], [0.2, 0.7]]))
+        got = run(capsys, "cone-member", "--cone", spec, "--at", sigma, "--dir", x)
+        assert (got[0], got[2]) == (code, "")
+        doc = json.loads(got[1], parse_constant=_no_constant)
+        assert doc["inside"] is (code == 0) and doc["margin"] == pytest.approx(margin, rel=1e-12)
+
+
+def _no_constant(name):
+    raise ValueError(f"stdout is not strict JSON: {name}")
+
 
 class TestGeometryCommands:
     def test_geodesic_endpoint(self, files, capsys):
@@ -770,3 +792,4 @@ class TestArgvFuzz:
             assert len(lines) == 1 and lines[0].startswith("internal error:"), (argv, lines)
         else:
             assert all(line.startswith("warning:") for line in lines), (argv, lines)
+            json.loads(out.getvalue(), parse_constant=_no_constant)  # a non-finite value is exit 3

@@ -127,13 +127,20 @@ class TestMembership:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), half_space_affine(2), ray_affine(2)],
                              ids=lambda s: s.kind)
-    def test_underflowing_relative_tangent_gets_its_margin(self, spec):
-        # S = 2^499 I and X = 2^-499 x both lie in range, but S^-1 X = 2^-998 x
-        # once underflowed in tr(W^2) and read as the zero tangent
-        x = np.array([[0.3, -0.9], [-0.9, 0.2]])
-        rep = cone_membership(spec, spd_validate(2.0**499 * np.eye(2)), 2.0**-499 * x)
-        assert rep == cone_membership(spec, spd_validate(np.eye(2)), x)
-        assert rep.margin != 1.0
+    @pytest.mark.parametrize("s, x, shift", [
+        # S^-1 X = 2^-998 x once underflowed in tr(W^2) and read as the zero tangent
+        (np.eye(2), np.array([[0.3, -0.9], [-0.9, 0.2]]), 499),
+        # S^-1 X = 2^998 diag(1, 1e11) x once overflowed inside the solve, and
+        # read as margin NaN (quad-affine, ray) or inf (half-space)
+        (np.diag([1.0, 1e-11]), np.array([[0.5, 0.2], [0.2, 0.7]]), -499),
+    ], ids=["underflow", "overflow"])
+    def test_underflowing_relative_tangent_gets_its_margin(self, spec, s, x, shift):
+        # S = 2^shift s and X = 2^-shift x each lie in the float range; both
+        # are brought into the scale window by exact powers of two, and the
+        # solve scales exactly, so the margin is that at (s, x) bit for bit
+        rep = cone_membership(spec, spd_validate(2.0**shift * s), 2.0**-shift * x)
+        assert math.isfinite(rep.margin) and rep.margin != 1.0
+        assert rep == cone_membership(spec, spd_validate(s), x)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), quadratic_translation(0.5, 2), loewner(2),
@@ -174,6 +181,25 @@ class TestMembership:
         together, _ = cone_margins(spec, np.array([raw, np.ldexp(sigma, -520)]), xs[:2])
         alone, _ = cone_margins(spec, raw[None], xs[:1])
         assert together[0] == alone[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 5]), seed=seeds,
+           k=st.integers(-600, 600), k2=st.integers(-600, 600))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_margins_have_degree_zero_in_s_and_in_x(self, kind, n, seed, k, k2):
+        # margins at (2^k S, 2^k2 X) are those at (S, X) within 2 ulp (bit for
+        # bit on OpenBLAS 0.3.31): rows outside the scale window are brought
+        # into it by exact powers of two, and inside it solve and eigvalsh
+        # scale exactly.  Loewner needs no exception near X = 2^-450, where
+        # LAPACK scales internally: such an X enters the window before eigvalsh
+        spec = ConeSpec(kind, n, n / 3 if kind.startswith("quad") else None)
+        sigma = random_spd(n, seed, 0.8).entries
+        xs = np.array([random_sym(n, derive_rng(seed, 1)), sigma, -np.eye(n), np.eye(n) + 0.3 * random_sym(n, seed)])
+        sigmas = np.array([sigma] * len(xs))
+        expected, expected_binding = cone_margins(spec, sigmas, xs)
+        margins, binding = cone_margins(spec, np.ldexp(sigmas, k), np.ldexp(xs, k2))
+        np.testing.assert_array_max_ulp(margins, expected, maxulp=2)
+        assert binding.tolist() == expected_binding.tolist()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", [quadratic_affine(1.0, 2), half_space_affine(2), ray_affine(2)],

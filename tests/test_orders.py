@@ -499,14 +499,17 @@ def reference_spectral_margins(d, mu, kind):
 
 
 def reference_compare(spec, sigma1, sigma2, tol=1e-10):
-    """order_compare as it was written before the lean rewrite."""
+    """order_compare as it was written before the lean rewrite, with its
+    range rule on the scale window: a pair whose larger lambda_max lies
+    outside [2^-200, 2^200] is scaled by the one power of two that brings
+    its largest |entry| into [0.5, 1), unless that entry already lies inside."""
     e1, e2 = sigma1.entries, sigma2.entries
-    huge = max(sigma1._eig[0][-1], sigma2._eig[0][-1]) > 2.0**500
-    scale = np.inf if huge else max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
-    if not 2.0**-500 <= scale <= 2.0**500:
-        shift = -np.frexp(max(np.abs(e1).max(), np.abs(e2).max()))[1]
+    peak = max(np.abs(e1).max(), np.abs(e2).max())
+    top = max(sigma1._eig[0][-1], sigma2._eig[0][-1])
+    if not 2.0**-200 <= top <= 2.0**200 and not 2.0**-200 <= peak <= 2.0**200:
+        shift = -np.frexp(peak)[1]
         e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
-        scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
+    scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
     if float(np.linalg.norm(e2 - e1)) <= 1e-10 * scale:
         return "equal", 1.0, 1.0
     if spec.kind == "half-space":
@@ -610,7 +613,7 @@ class TestLeanCompareMatchesReference:
                 a, b = random_spd(n, derive_rng(seed, 0), 0.8), random_spd(n, derive_rng(seed, 1), 0.8)
                 lo, hi = random_ordered_pair(spec, n, seed)
                 pairs = [(a, b), (b, a), (lo, hi), (hi, lo), (a, a), (lo, SpdMatrix(lo.entries))]
-                for k in (-520, -500, 500, 520):
+                for k in (-520, -500, -300, 300, 500, 520):
                     pairs.append((SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k))))
                     pairs.append((SpdMatrix(np.ldexp(lo.entries, k)), SpdMatrix(np.ldexp(hi.entries, k))))
                 for x, y in pairs:
@@ -680,7 +683,7 @@ class TestIntervalSamplerMatchesLoop:
 
     @pytest.mark.parametrize("k", [-520, -450, 450, 520])
     def test_extreme_magnitudes_as_per_sample_loop(self, k):
-        # endpoints past 2^+-400 run order_compare itself, past 2^+-500 rescaled;
+        # endpoints outside the 2^+-200 window run order_compare itself, rescaled;
         # a unit nudge at a tiny base point fails its step, and the sampler
         # decides that without a floating-point warning
         for spec in specs_at(2):
