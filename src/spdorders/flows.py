@@ -2,24 +2,27 @@
 
 Fixed-step classical RK4: the trajectories are smooth and desk scale,
 and the spectrum-drift monitor acts as the safety net for an oversized
-step.  Each state is re-symmetrized after every step.
+step.  Both Lax fields are exactly symmetric, and so is every state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BLOCK_ROWS, SpdMatrix, _as_square, _check_symmetry, sym_eig
-from .errors import (
-    DimensionMismatch,
-    InvalidParameters,
-    MismatchedTrajectories,
-    SpectrumDrift,
+from .core import (
+    BLOCK_ROWS,
+    SpdMatrix,
+    _as_square,
+    _check_symmetry,
+    _checked,
+    _spectral_apply,
+    _sym_eig_stack,
+    _validate_sym_stack,
 )
+from .errors import DimensionMismatch, InvalidParameters, MismatchedTrajectories, SpectrumDrift
 
 TODA = "toda"
 QR = "qr"
@@ -36,47 +39,44 @@ SCALAR_FUNCTIONS = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _strict_lower(rows: int, cols: int) -> np.ndarray:
-    mask = np.tri(rows, cols, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def skew_projection(x) -> np.ndarray:
     """Skew-symmetric part used by both Lax fields: lower triangle kept,
     diagonal zeroed, upper triangle negated."""
-    a = np.asarray(x, dtype=float)
-    lower = np.where(_strict_lower(*a.shape[-2:]), a, 0.0)  # np.tril(a, k=-1), mask built once per shape
+    lower = np.tril(np.asarray(x, dtype=float), k=-1)
     return lower - lower.T
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _lax_field(kind: str, n: int):
+    """X -> [X, B] with B = skew_projection(G), G = X (Toda) or log X (QR).
+    For symmetric X and skew B, B X = -(X B)^T, so the field is P + P^T
+    with P = X B: one product, and exactly symmetric."""
+    mask = np.tri(n, n, k=-1, dtype=bool)  # skew_projection's np.tril(g, k=-1), its mask built once per run
+
+    def lax_field(x: np.ndarray) -> np.ndarray:
+        g = x
+        if kind == QR:
+            w, v = np.linalg.eigh(x)
+            if w[0] <= 0:
+                raise SpectrumDrift("state left the positive definite cone; step too large")
+            g = (v * np.log(w)) @ v.T  # v * l is v @ diag(l): one product per entry
+        lower = np.where(mask, g, 0.0)
+        p = x @ (lower - lower.T)
+        return p + p.T
+
+    return lax_field
 
 
-def _toda_field(x: np.ndarray) -> np.ndarray:
-    return _commutator(x, skew_projection(x))
-
-
-def _qr_field(x: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
-    if w[0] <= 0:
-        raise SpectrumDrift("state left the positive definite cone; step too large")
-    logx = (v * np.log(w)) @ v.T  # v * l is v @ diag(l): one product per entry
-    return _commutator(x, skew_projection(logx))
-
-
-@dataclass
+@dataclass(frozen=True)
 class FlowTrajectory:
     """Time-stamped sequence of symmetric matrices plus integrator metadata."""
 
     times: np.ndarray           # strictly increasing
-    states: np.ndarray          # (len(times), n, n), each symmetric
+    states: np.ndarray          # (len(times), n, n), each symmetric; read-only from integrate_flow
     flow_kind: str
     step: float
     initial_spectrum: np.ndarray  # sorted ascending
     max_drift: float = 0.0      # running maximum of the per-step drift monitor
+    _spectra: np.ndarray | None = field(default=None, repr=False, compare=False)  # read-only eigvalsh(states)
 
     @property
     def n(self) -> int:
@@ -105,15 +105,14 @@ def _drift_error(drift: float, t: float) -> SpectrumDrift:
     return SpectrumDrift(f"eigenvalue drift {drift:.3e} exceeds {DRIFT_LIMIT:.1e} at t={t:.6g}")
 
 
-def _drifts(states: np.ndarray, initial_spectrum: np.ndarray) -> np.ndarray:
-    """Largest absolute deviation of each state's sorted eigenvalues from
-    initial_spectrum, NaN for a state LAPACK rejects."""
+def _state_spectra(states: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of each state, a NaN row for a state LAPACK rejects."""
     try:
-        return np.abs(np.linalg.eigvalsh(states) - initial_spectrum).max(axis=1)
+        return np.linalg.eigvalsh(states)
     except np.linalg.LinAlgError:  # numpy rejects the stack as a whole: ask state by state
         if len(states) == 1:
-            return np.array([math.nan])
-        return np.concatenate([_drifts(state[None], initial_spectrum) for state in states])
+            return np.full(states.shape[:2], math.nan)
+        return np.concatenate([_state_spectra(state[None]) for state in states])
 
 
 def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
@@ -133,25 +132,27 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     if not (0.0 < step < math.inf and 0.0 < t_end < math.inf):
         raise InvalidParameters("step and t_end must be finite and positive")
     if kind == TODA:
-        field = _toda_field
         x = _check_symmetry(_as_square(x0))
     elif kind == QR:
-        field = _qr_field
         x = (x0 if isinstance(x0, SpdMatrix) else SpdMatrix(x0)).entries
     else:
         raise InvalidParameters(f"unknown flow kind {kind!r}")
-    capacity = _check_state_budget(t_end, step, x.shape[0])
+    n = x.shape[0]
+    capacity = _check_state_budget(t_end, step, n)
+    lax_field = _lax_field(kind, n)
 
     initial_spectrum = np.linalg.eigvalsh(x)
     max_drift = 0.0
     times = np.empty(capacity)
-    states = np.empty((capacity,) + x.shape)
-    times[0], states[0], count, checked = 0.0, x, 1, 1
+    states = np.empty((capacity, n, n))
+    spectra = np.empty((capacity, n))  # the drift check's eigenvalues, kept for the rank-n monitor
+    times[0], states[0], spectra[0], count, checked = 0.0, x, initial_spectrum, 1, 1
 
     def check() -> None:
         """Fold the drifts of the unchecked states into max_drift, raising at the first that fails."""
         nonlocal max_drift, checked
-        drifts = _drifts(states[checked:count], initial_spectrum)
+        spectra[checked:count] = _state_spectra(states[checked:count])
+        drifts = np.abs(spectra[checked:count] - initial_spectrum).max(axis=1)
         failing = ~(drifts <= DRIFT_LIMIT)  # a non-finite state gives a NaN drift
         if failing.any():
             bad = int(failing.argmax())
@@ -165,25 +166,25 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
         while t < t_end - 1e-12 * max(t_end, 1.0):
             h = min(step, t_end - t)
             try:
-                k1 = field(x)
-                k2 = field(x + 0.5 * h * k1)
-                k3 = field(x + 0.5 * h * k2)
-                k4 = field(x + h * k3)
+                k1 = lax_field(x)
+                k2 = lax_field(x + 0.5 * h * k1)
+                k3 = lax_field(x + 0.5 * h * k2)
+                k4 = lax_field(x + h * k3)
             except SpectrumDrift:  # an earlier state's drift wins
                 check()
                 raise
             except np.linalg.LinAlgError:  # LAPACK may reject a non-finite state outright
                 check()
                 raise _drift_error(math.nan, t + h) from None
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            x = 0.5 * (x + x.T)
+            x = np.add(x, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=states[count])
             t = t + h
-            times[count], states[count] = t, x
+            times[count] = t
             count += 1
             if count - checked == BLOCK_ROWS:
                 check()
         check()
 
+    states.flags.writeable = spectra.flags.writeable = False
     return FlowTrajectory(
         times=times[:count],
         states=states[:count],
@@ -191,13 +192,17 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
         step=float(step),
         initial_spectrum=initial_spectrum,
         max_drift=max_drift,
+        _spectra=spectra[:count],
     )
 
 
 def projected_eigenvalues(traj: FlowTrajectory, r: int) -> np.ndarray:
-    """Sorted eigenvalues of the leading r x r principal block of every state."""
+    """Sorted eigenvalues of the leading r x r principal block of every
+    state; at r = n, a copy of the spectra integrate_flow's drift check kept."""
     if not (1 <= r <= traj.n):
         raise DimensionMismatch(f"projection rank {r} outside 1..{traj.n}")
+    if r == traj.n and traj._spectra is not None:
+        return traj._spectra.copy()
     return np.linalg.eigvalsh(traj.states[:, :r, :r])
 
 
@@ -224,19 +229,16 @@ def projected_trace_curve(traj: FlowTrajectory, r: int, f: str, alpha: float = 1
     if f not in SCALAR_FUNCTIONS:
         raise InvalidParameters(f"unknown scalar function tag {f!r}")
     func = SCALAR_FUNCTIONS[f]
-    states = traj.states
-    if alpha != 1.0:  # sym_eig checks each state's eigenframe before the power is taken
-        states = np.array([sym_eig(state).apply(lambda w: w**alpha) for state in states])
-    return np.sum(func(np.linalg.eigvalsh(states[:, :r, :r])), axis=1)
+    if alpha == 1.0:
+        return np.sum(func(projected_eigenvalues(traj, r)), axis=1)
+    # sym_eig's guards over the stack, before the power is taken; the first failing state raises
+    sym, err = _validate_sym_stack(traj.states)
+    w, v, later = _sym_eig_stack(sym)
+    powered = _checked(_spectral_apply(w, v, lambda w: w**alpha), later or err)
+    return np.sum(func(np.linalg.eigvalsh(powered[:, :r, :r])), axis=1)
 
 
-def preorder_monitor(
-    traj1: FlowTrajectory,
-    traj2: FlowTrajectory,
-    f: str,
-    r: int,
-    alpha: float = 1.0,
-) -> bool:
+def preorder_monitor(traj1: FlowTrajectory, traj2: FlowTrajectory, f: str, r: int, alpha: float = 1.0) -> bool:
     """Check the half-space preorder behaviour of two projected flows.
 
     Both projected trace curves tr f(X_r(t)) must be nondecreasing, and
@@ -260,9 +262,7 @@ def trajectory_csv(traj: FlowTrajectory) -> str:
     """CSV export: header t,a11,...,ann (row-major, symmetric entries
     duplicated), entries written with 17 significant digits."""
     n = traj.n
-    header = ["t"] + [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    lines = [",".join(header)]
+    lines = [",".join(["t"] + [f"a{i + 1}{j + 1}" for i in range(n) for j in range(n)])]
     for t, state in zip(traj.times, traj.states):
-        row = [f"{t:.17g}"] + [f"{v:.17g}" for v in state.reshape(-1)]
-        lines.append(",".join(row))
+        lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in state.reshape(-1)]))
     return "\n".join(lines) + "\n"

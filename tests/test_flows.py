@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from spdorders.flows import (
     MAX_STATE_ENTRIES,
     SCALAR_FUNCTIONS,
     _check_state_budget,
+    _lax_field,
     projected_monotonicity,
     projected_trace_curve,
     trajectory_csv,
@@ -88,6 +90,18 @@ def reference_rk4(kind, x0, t_end, step):
     return np.array(times), np.array(states), max_drift
 
 
+def closed_form(kind, x0, t):
+    """Symes' QR-factorization solution: X(t) = Q^T X0 Q where exp(t G0) = QR,
+    R with a positive diagonal, and G0 = X0 (Toda) or log S0 (QR flow, so
+    exp(t G0) = S0^t).  Q^T Q' is skew with the strict lower triangle of
+    Q^T G0 Q, the triangle skew_projection keeps."""
+    w, v = np.linalg.eigh(x0)
+    g = w if kind == "toda" else np.log(w)
+    q, r = np.linalg.qr((v * np.exp(t * g)) @ v.T)
+    q = q * np.sign(np.diag(r))
+    return q.T @ x0 @ q
+
+
 def hexes(a):
     a = np.asarray(a)
     return a.shape, [float(v).hex() for v in a.ravel()]
@@ -111,6 +125,20 @@ class TestSkewProjection:
         p = skew_projection(x)
         comm = x @ p - p @ x
         assert np.array_equal(comm, np.array([[2.0, 0.0], [0.0, -2.0]]))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_product_field_is_the_commutator(self, n):
+        # B X = -(X B)^T must hold bit for bit in this BLAS for P + P^T to equal X B - B X
+        for seed in range(5):
+            x = random_sym(n, seed)
+            s = random_spd(n, seed)
+            w, v = np.linalg.eigh(s.entries)
+            for kind, y, g in (("toda", x, x), ("qr", s.entries, (v * np.log(w)) @ v.T)):
+                b = skew_projection(g)
+                p = y @ b
+                commutator = y @ b - b @ y
+                assert hexes(p + p.T) == hexes(commutator)
+                assert hexes(_lax_field(kind, n)(y)) == hexes(commutator)
 
 
 class TestIntegration:
@@ -247,6 +275,40 @@ class TestStateBudget:
             tracemalloc.stop()
         assert traj.states.shape == (3001, 8, 8)
         assert peak <= 1.2 * traj.states.nbytes
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("kind", ["toda", "qr"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rk4_matches_the_qr_factorization_solution(self, kind, n):
+        # measured: at most 3.9e-12 over seeds 0-19, at n = 8 for Toda
+        for seed in (0, 1):
+            x0 = start(kind, n, seed)
+            traj = integrate_flow(kind, x0, t_end=0.5, step=1e-3)
+            for t, state in zip(traj.times[::100], traj.states[::100]):
+                assert np.abs(state - closed_form(kind, x0, t)).max() <= 1e-11
+            assert np.abs(traj.states[-1] - closed_form(kind, x0, 0.5)).max() <= 1e-11
+
+
+class TestStoredTrajectory:
+    @pytest.mark.parametrize("kind", ["toda", "qr"])
+    def test_states_and_spectra_are_read_only(self, kind):
+        traj = integrate_flow(kind, start(kind, 4, 3), t_end=0.05, step=1e-3)
+        for stored in (traj.states, traj._spectra):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["toda", "qr"])
+    def test_full_rank_eigenvalues_are_a_fresh_copy_of_the_drift_spectra(self, kind):
+        traj = integrate_flow(kind, start(kind, 5, 4), t_end=0.3, step=1e-3)  # 301 states: three drift blocks
+        first = projected_eigenvalues(traj, 5)
+        assert hexes(first) == hexes(np.linalg.eigvalsh(traj.states))
+        assert first.flags.writeable
+        first[:] = 0.0
+        assert hexes(projected_eigenvalues(traj, 5)) == hexes(np.linalg.eigvalsh(traj.states))
+        built = dataclasses.replace(traj, _spectra=None)  # a trajectory built by hand has no stored spectra
+        assert hexes(projected_eigenvalues(built, 5)) == hexes(np.linalg.eigvalsh(traj.states))
 
 
 CASES = [(kind, n, seed) for kind in ("toda", "qr") for n in (1, 2, 3, 5, 8) for seed in (0, 1)]
