@@ -41,9 +41,9 @@ SCALAR_FUNCTIONS = {
 
 def skew_projection(x) -> np.ndarray:
     """Skew-symmetric part used by both Lax fields: lower triangle kept,
-    diagonal zeroed, upper triangle negated."""
+    diagonal zeroed, upper triangle negated (of each matrix of a stack)."""
     lower = np.tril(np.asarray(x, dtype=float), k=-1)
-    return lower - lower.T
+    return lower - lower.swapaxes(-1, -2)
 
 
 def _lax_field(kind: str, n: int):

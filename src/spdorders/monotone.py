@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins, cone_membership, sample_cone_tangent
+from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins
 from .core import (
     BLOCK_ROWS,
     SpdMatrix,
@@ -33,11 +33,10 @@ from .core import (
     _validate_sym_stack,
     as_tangent,
     matrix_function,
-    random_spd,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
-from .orders import EQUAL, LESS_EQUAL, _conal_step, order_compare
-from .seeds import derive_rng, derive_seed_words, seeded_rngs
+from .orders import EQUAL, LESS_EQUAL, _conal_steps, order_compare
+from .seeds import derive_seed_words, seeded_rngs
 
 POWER = "power"
 INVERSION = "inversion"
@@ -272,29 +271,56 @@ def check_differential_positivity(
     point_words = derive_seed_words(seed, np.arange(n_points)[:, None])
     grid = np.stack(np.meshgrid(np.arange(n_points), np.arange(1, n_directions + 1), indexing="ij"), axis=2)
     direction_words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions, 4)
+    witnesses = {}  # one SpdMatrix per violating point, by its index
+    for start, span, sigmas, _, xs, margins in _positivity_chunks(m, spec, point_words, direction_words):
+        # fold the chunk in as a row-by-row pass would: the running minimum
+        # moves on a strictly smaller margin (never on NaN), and each
+        # violation keeps a copy of its tangent and its point's SpdMatrix
+        below = np.flatnonzero(margins < report.min_output_margin)
+        if below.size:
+            report.min_output_margin = float(margins[below[np.argmin(margins[below])]])
+        rows = np.flatnonzero(margins < -tol)
+        kept = xs[rows]
+        kept.flags.writeable = False
+        for point, x, margin in zip((start + rows // span).tolist(), kept, margins[rows].tolist()):
+            if point not in witnesses:
+                witnesses[point] = sigmas.point(point - start)
+            report.violations.append((witnesses[point], SymTangent(x, base=witnesses[point], checked=True), margin))
+    return report
+
+
+def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_words=None):
+    """check_differential_positivity's stages over the points point_words
+    seed, their tangents seeded by direction_words (points, directions, 4)
+    or, without them, one boundary ray per point drawn after it from its
+    stream.  Yields (block's first point, directions per point, points,
+    images, tangents, margins) per chunk up to the earliest failing row, then raises its error."""
+    n_directions = 1 if direction_words is None else direction_words.shape[1]
     boundary = np.arange(n_directions) % 2 == 0
     per_block, width = max(1, BLOCK_ROWS // n_directions), min(n_directions, BLOCK_ROWS)
     err = None
-    for start in range(0, n_points, per_block):
+    for start in range(0, len(point_words), per_block):
         if err is not None:
             break
         # Each stage runs only on the points before the earliest failure so
         # far, so any error it finds belongs to an earlier point and wins.
-        sigmas, err = _random_spd_stack(spec.n, seeded_rngs(point_words[start:start + per_block]), 0.7)
+        rngs = seeded_rngs(point_words[start:start + per_block])
+        sigmas, err = _random_spd_stack(spec.n, rngs, 0.7)
         images, later = m._apply_stack(sigmas) if len(sigmas) else (sigmas, None)
         err = later or err
         # points that reach the tangent stage, and the later stages; they
         # part only when a point's differential fails and its later chunks
         # still draw tangents, whose errors come first
         drawn = tested = len(images)
-        witnesses = {}  # one SpdMatrix per violating point of the block
         for first in range(0, n_directions, width):
             if not drawn:
                 break
             span = min(width, n_directions - first)
-            # the generators, about 1 KB each, live only while the tangents are drawn
-            words = direction_words[start:start + drawn, first:first + span].reshape(-1, 4)
-            xs, later = _tangent_stack(spec, sigmas[:drawn], seeded_rngs(words), np.tile(boundary[first:first + span], drawn))
+            if direction_words is not None:
+                rngs = seeded_rngs(direction_words[start:start + drawn, first:first + span].reshape(-1, 4))
+            on_boundary = np.tile(boundary[first:first + span], drawn)
+            xs, later = _tangent_stack(spec, sigmas[:drawn], rngs[:len(on_boundary)], on_boundary)
+            del rngs  # generators of about 1 KB each, kept only while tangents are drawn
             if later is not None:
                 err, drawn = later, len(xs) // span
                 tested = min(tested, drawn)
@@ -303,62 +329,36 @@ def check_differential_positivity(
             outs, later = _differential_stack(m, sigmas[:tested], xs[:tested * span])
             if later is not None:
                 err, tested = later, len(outs) // span
-            if err is None:
-                margins, _ = cone_margins(spec, np.repeat(images.entries, span, axis=0), outs)
-                _record(report, margins, xs, sigmas, span, witnesses, tol)
-    return _checked(report, err)
+            margins, _ = cone_margins(spec, np.repeat(images.entries[:tested], span, axis=0), outs[:tested * span])
+            yield start, span, sigmas, images, xs[:tested * span], margins
+    if err is not None:
+        raise err
 
 
-def _record(report: PositivityReport, margins, xs, sigmas: SpdStack, span: int, witnesses: dict, tol: float):
-    """Fold a chunk's margins into the report as a row-by-row pass would:
-    the running minimum moves on a strictly smaller margin (never on NaN),
-    and each violation keeps a copy of its tangent and the SpdMatrix of
-    its point, one per point."""
-    below = np.flatnonzero(margins < report.min_output_margin)
-    if below.size:
-        report.min_output_margin = float(margins[below[np.argmin(margins[below])]])
-    rows = np.flatnonzero(margins < -tol)
-    kept = xs[rows]
-    kept.flags.writeable = False
-    for point, x, margin in zip((rows // span).tolist(), kept, margins[rows].tolist()):
-        if point not in witnesses:
-            witnesses[point] = sigmas.point(point)
-        report.violations.append((witnesses[point], SymTangent(x, base=witnesses[point], checked=True), margin))
-
-
-def find_order_counterexample(
-    m: SmoothMap,
-    spec: ConeSpec,
-    seed: int,
-    budget: int,
-):
+def find_order_counterexample(m: SmoothMap, spec: ConeSpec, seed: int, budget: int):
     """Search for an ordered pair broken by the map.
 
     Random restarts sample boundary rays; when the differential pushes a
     ray out of the cone, the violating direction is integrated into an
     ordered pair and the images re-compared.  Returns (sigma1, sigma2,
     samples_used) on success, None when the budget is exhausted.
+
+    Restart i draws its point, then its ray, from derive_rng(seed, i);
+    restart 0 runs check_differential_positivity's stages alone, the rest
+    BLOCK_ROWS at a time.  Violating restarts walk the step sizes in order:
+    the first hit wins, and the earliest failing restart's error is raised.
     """
-    used = 0
-    i = 0
-    while used < budget:
-        rng = derive_rng(seed, i)
-        i += 1
-        used += 1
-        sigma = random_spd(spec.n, rng, scale=0.7)
-        x = sample_cone_tangent(spec, sigma, rng, boundary=True)
-        out = map_differential(m, sigma, x)
-        image = m.apply(sigma)
-        if cone_membership(spec, image, out).margin >= -10.0 * DEFAULT_TOL:
-            continue
-        for size in (1.0, 0.5, 0.2, 0.05):
-            try:
-                sigma2 = _conal_step(spec, sigma, x, size)
-            except SpdError:
-                continue
-            if order_compare(spec, sigma, sigma2).relation not in (LESS_EQUAL, EQUAL):
-                continue
-            verdict = order_compare(spec, m.apply(sigma), m.apply(sigma2))
-            if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * DEFAULT_TOL:
-                return sigma, sigma2, used
+    for first in range(1 - BLOCK_ROWS, budget, BLOCK_ROWS):  # restarts [0, 1), [1, 129), [129, 257), ...
+        restarts = np.arange(max(first, 0), min(first + BLOCK_ROWS, budget))[:, None]  # seeds hashed per block
+        for _, _, sigmas, images, xs, margins in _positivity_chunks(m, spec, derive_seed_words(seed, restarts)):
+            for row in np.flatnonzero(~(margins >= -10.0 * DEFAULT_TOL)).tolist():
+                sigma = sigmas.point(row)
+                for size in (1.0, 0.5, 0.2, 0.05):  # a step that fails a guard is rejected
+                    steps, err = _conal_steps(spec, SpdStack.of(sigma), xs[row:row + 1], np.array([size]))
+                    sigma2 = steps.point(0) if err is None else None
+                    if sigma2 is None or order_compare(spec, sigma, sigma2).relation not in (LESS_EQUAL, EQUAL):
+                        continue
+                    verdict = order_compare(spec, images.point(row), m.apply(sigma2))
+                    if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * DEFAULT_TOL:
+                        return sigma, sigma2, int(restarts[row, 0]) + 1
     return None

@@ -120,6 +120,21 @@ class TestSkewProjection:
         out = skew_projection(x)
         assert np.array_equal(out, -out.T)
 
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (3, 3, 3)])
+    def test_stack_matches_each_matrix_alone(self, shape):
+        # a (3, 3, 3) stack is the case where reversing every axis still broadcasts
+        xs = np.stack([random_sym(shape[1], derive_rng(40, k)) for k in range(shape[0])])
+        out = skew_projection(xs)
+        assert out.shape == shape
+        for x, row in zip(xs, out):
+            assert hexes(row) == hexes(skew_projection(x))
+
+    def test_matrix_bits_unchanged(self):
+        for n in range(1, 6):
+            x = random_sym(n, derive_rng(41, n))
+            lower = np.tril(x, k=-1)
+            assert hexes(skew_projection(x)) == hexes(lower - lower.T)
+
     def test_commutator_example(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = skew_projection(x)

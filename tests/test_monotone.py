@@ -12,6 +12,7 @@ from spdorders import (
     cone_membership,
     congruence_map,
     find_order_counterexample,
+    half_space_affine,
     inversion_map,
     loewner,
     map_differential,
@@ -19,8 +20,10 @@ from spdorders import (
     order_compare,
     power_map,
     quadratic_affine,
+    quadratic_translation,
     random_ordered_pair,
     random_spd,
+    ray_affine,
     scaling_map,
     spd_validate,
     strict_contraction_witness,
@@ -28,11 +31,12 @@ from spdorders import (
     trace_inequality_fuzz,
     translation_map,
 )
-from spdorders.cones import DEFAULT_TOL, ConeSpec
+from spdorders.cones import DEFAULT_TOL, ConeSpec, sample_cone_tangent
 from spdorders.core import MAX_DIM, SpdMatrix, SymTangent, derive_rng, random_sym
-from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite
+from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite, SpdError
 from spdorders import monotone
 from spdorders.monotone import map_differentials, sylvester_residual
+from spdorders.orders import _conal_step
 
 MAPS = [
     power_map(0.5),
@@ -504,11 +508,11 @@ class TestOrderLevelMonotonicity:
         assert order_compare(loewner(2), sq1, sq2).relation not in ("less_equal", "equal")
 
     def test_unexpected_step_errors_propagate(self, monkeypatch):
-        # only SpdError means "step rejected"; anything else is a defect
+        # only a returned guard error rejects a step; anything raised is a defect
         def broken_step(*args):
             raise TypeError("broken step")
 
-        monkeypatch.setattr(monotone, "_conal_step", broken_step)
+        monkeypatch.setattr(monotone, "_conal_steps", broken_step)
         with pytest.raises(TypeError, match="broken step"):
             find_order_counterexample(power_map(2.0), loewner(2), seed=0, budget=20)
 
@@ -592,3 +596,91 @@ class TestOrderLevelMonotonicity:
             assert order_violation is None and searched is None
         else:
             assert searched is not None
+
+
+def reference_find_order_counterexample(m, spec, seed, budget):
+    # The search one restart at a time: restart i draws its point and then
+    # its boundary ray from derive_rng(seed, i) through the one-row views.
+    used = 0
+    i = 0
+    while used < budget:
+        rng = derive_rng(seed, i)
+        i += 1
+        used += 1
+        sigma = random_spd(spec.n, rng, scale=0.7)
+        x = sample_cone_tangent(spec, sigma, rng, boundary=True)
+        out = map_differential(m, sigma, x)
+        image = m.apply(sigma)
+        if cone_membership(spec, image, out).margin >= -10.0 * DEFAULT_TOL:
+            continue
+        for size in (1.0, 0.5, 0.2, 0.05):
+            try:
+                sigma2 = _conal_step(spec, sigma, x, size)
+            except SpdError:
+                continue
+            if order_compare(spec, sigma, sigma2).relation not in ("less_equal", "equal"):
+                continue
+            verdict = order_compare(spec, m.apply(sigma), m.apply(sigma2))
+            if verdict.relation not in ("less_equal", "equal") and verdict.forward_margin < -10.0 * DEFAULT_TOL:
+                return sigma, sigma2, used
+    return None
+
+
+def search_outcome(fn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # non-psd translation shifts warn
+        try:
+            found = fn()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return found if found is None else (hexes(found[0].entries), hexes(found[1].entries), found[2])
+
+
+# criterion 03's ten searches, then maps with and without counterexamples
+# (and with failing guards) on every cone kind, then the degenerate budgets
+SEARCHES = (
+    [(lambda: power_map(2.0), lambda: loewner(2), 3, 10_000)]
+    + [(lambda: power_map(2.0), lambda n=n, mu=mu: quadratic_affine(mu, n), 100 + idx, 10_000)
+       for idx, (n, mu) in enumerate((n, mu) for n in (2, 3, 5) for mu in (0.5, n / 2, n - 0.5))]
+    + [(lambda r=r: power_map(r), cone, 5, 400) for r in (-1.0, 0.5, 1.0, 1.2, 3.0) for cone in (
+        lambda: quadratic_affine(1.5, 3), lambda: quadratic_translation(1.0, 3), lambda: loewner(3),
+        lambda: half_space_affine(3), lambda: ray_affine(3))]
+    + [
+        (inversion_map, lambda: quadratic_affine(1.5, 3), 6, 400),
+        (lambda: power_map(40.0), lambda: quadratic_affine(1.5, 3), 7, 400),
+        (lambda: translation_map(random_spd(3, derive_rng(900, 1), 0.5).entries),
+         lambda: quadratic_affine(1.0, 3), 1, 400),
+        (lambda: translation_map(-0.2 * np.eye(3)), lambda: quadratic_affine(1.5, 3), 4, 400),
+        # no hit, and restart 2's image fails its guard: the error after restart 1's walk
+        (lambda: translation_map(-0.2 * np.eye(3)), lambda: loewner(3), 4, 400),
+        (lambda: power_map(12.0), lambda: half_space_affine(3), 4, 400),
+        (lambda: congruence_map(np.eye(3)), lambda: quadratic_affine(1.0, 2), 0, 3),
+        (lambda: power_map(2.0), lambda: loewner(2), 0, 0),
+        (lambda: power_map(2.0), lambda: loewner(2), 0, -1),
+    ]
+)
+
+
+class TestSearchMatchesLoop:
+    @pytest.mark.parametrize("case", range(len(SEARCHES)))
+    def test_same_result_as_the_restart_loop(self, case):
+        build_map, build_cone, seed, budget = SEARCHES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m, spec = build_map(), build_cone()
+        got = search_outcome(lambda: find_order_counterexample(m, spec, seed, budget))
+        assert got == search_outcome(lambda: reference_find_order_counterexample(m, spec, seed, budget))
+
+    def test_huge_budget_returns_at_the_first_hit(self):
+        # this shift's hit comes at restart 1, in the first block after
+        # restart 0: nothing is drawn or allocated in proportion to the budget
+        m, spec = translation_map(random_spd(2, derive_rng(900, 0), 0.5).entries), quadratic_affine(0.5, 2)
+        tracemalloc.start()
+        try:
+            found = find_order_counterexample(m, spec, 0, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found[2] == 2 and peak < 4 * 10**6
+        want = reference_find_order_counterexample(m, spec, 0, 10**12)
+        assert search_outcome(lambda: found) == search_outcome(lambda: want)
