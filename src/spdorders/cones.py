@@ -38,6 +38,9 @@ from .core import (
     _validate_sym_stack,
     _windowed,
     as_tangent,
+    eigh,
+    eigvalsh,
+    solve,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .seeds import _random_syms, _standard_normals
@@ -202,7 +205,7 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
         low, high = np.minimum.reduce(diagonal, None, initial=1.0), np.maximum.reduce(diagonal, None, initial=0.0)
         if not (1.0 / WINDOW <= low and high <= WINDOW):
             sigmas = _windowed(sigmas)[0]
-        w = np.linalg.solve(sigmas, xs)
+        w = solve(sigmas, xs)
         tr2 = (w * w.swapaxes(1, 2)).sum(axis=(1, 2))
         # sqrt(tr(W^2)) equals the Frobenius norm of the symmetrized
         # conjugate S^-1/2 X S^-1/2, which is congruence invariant
@@ -220,7 +223,7 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
 
     rule = _kind_margin(spec, m, lambda: w.diagonal(0, 1, 2).sum(axis=1), lambda: tr2, dev)
     # the Loewner cone, a translation kind, reads the eigenvalues of X itself
-    own, trace, code = rule(False, lambda: np.linalg.eigvalsh(xs)[:, 0])
+    own, trace, code = rule(False, lambda: eigvalsh(xs)[:, 0])
     binds = own <= trace
     margin, binding = np.where(binds, own, trace), np.where(binds, code, _TRACE_SIGN)
     if any_zero:
@@ -367,7 +370,7 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
             ys = ys - (trace / n)[:, None, None] * _identity(n)
             shift = shift * _row_norms(ys)
         if spec.kind == LOEWNER:
-            w, v = np.linalg.eigh(ys)
+            w, v = eigh(ys)
             w = w - w[:, :1]
             # boundary rows add an exact +0.0 to their nonnegative w
             w = w + (shift * (1.0 + w[:, -1]))[:, None]

@@ -12,6 +12,7 @@ import math
 from functools import cache, cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -32,6 +33,27 @@ COND_CAP = 1e12           # condition numbers beyond this raise IllConditioned
 MAX_DIM = 64
 BLOCK_ROWS = 128          # rows a stacked check builds and tests at once: memory grows with BLOCK_ROWS * n^2
 WINDOW = 2.0**200         # rows outside the scale window [1/WINDOW, WINDOW] are first _windowed
+
+
+def _lapack(gufunc, signature: str, message: str):
+    """numpy.linalg's call of a LAPACK gufunc on float64 squares, bit for bit, without
+    its checks and casts (at n <= 8 they cost about as much as the factorisation):
+    under the same errstate, a failure raises LinAlgError with numpy's message."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    def entry(*operands):
+        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(*operands, signature=signature)
+
+    return entry
+
+
+# The package's one entry per factorisation (each reads the lower triangle).
+eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
+eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
+cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
 
 
 def _check_dimension(n: int) -> None:
@@ -187,7 +209,7 @@ def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     windowed, _, norms = _windowed(sym)
     try:  # numpy raises for a row with a pivot <= 0 or NaN; a row that factors has a finite diagonal
         if windowed is sym:  # told by the whole-stack test: every row inside the window
-            np.linalg.cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
+            cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
             return sym, err
     except np.linalg.LinAlgError:
         pass
@@ -197,7 +219,7 @@ def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        return np.linalg.eigh(a)
+        return eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -340,7 +362,7 @@ class SpdMatrix:
     @cached_property
     def log_det(self) -> float:
         # Cholesky keeps the computation stable across the full dynamic range.
-        chol = np.linalg.cholesky(self.entries)
+        chol = cholesky(self.entries)
         return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
     def inv_apply(self, x: np.ndarray) -> np.ndarray:

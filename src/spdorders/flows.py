@@ -21,6 +21,8 @@ from .core import (
     _spectral_apply,
     _sym_eig_stack,
     _validate_sym_stack,
+    eigh,
+    eigvalsh,
 )
 from .errors import DimensionMismatch, InvalidParameters, MismatchedTrajectories, SpectrumDrift
 
@@ -55,7 +57,7 @@ def _lax_field(kind: str, n: int):
     def lax_field(x: np.ndarray) -> np.ndarray:
         g = x
         if kind == QR:
-            w, v = np.linalg.eigh(x)
+            w, v = eigh(x)
             if w[0] <= 0:
                 raise SpectrumDrift("state left the positive definite cone; step too large")
             g = (v * np.log(w)) @ v.T  # v * l is v @ diag(l): one product per entry
@@ -108,7 +110,7 @@ def _drift_error(drift: float, t: float) -> SpectrumDrift:
 def _state_spectra(states: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of each state, a NaN row for a state LAPACK rejects."""
     try:
-        return np.linalg.eigvalsh(states)
+        return eigvalsh(states)
     except np.linalg.LinAlgError:  # numpy rejects the stack as a whole: ask state by state
         if len(states) == 1:
             return np.full(states.shape[:2], math.nan)
@@ -141,7 +143,7 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     capacity = _check_state_budget(t_end, step, n)
     lax_field = _lax_field(kind, n)
 
-    initial_spectrum = np.linalg.eigvalsh(x)
+    initial_spectrum = eigvalsh(x)
     max_drift = 0.0
     times = np.empty(capacity)
     states = np.empty((capacity, n, n))
@@ -203,7 +205,7 @@ def projected_eigenvalues(traj: FlowTrajectory, r: int) -> np.ndarray:
         raise DimensionMismatch(f"projection rank {r} outside 1..{traj.n}")
     if r == traj.n and traj._spectra is not None:
         return traj._spectra.copy()
-    return np.linalg.eigvalsh(traj.states[:, :r, :r])
+    return eigvalsh(traj.states[:, :r, :r])
 
 
 def _worst_step(curves: np.ndarray) -> float:
@@ -235,7 +237,7 @@ def projected_trace_curve(traj: FlowTrajectory, r: int, f: str, alpha: float = 1
     sym, err = _validate_sym_stack(traj.states)
     w, v, later = _sym_eig_stack(sym)
     powered = _checked(_spectral_apply(w, v, lambda w: w**alpha), later or err)
-    return np.sum(func(np.linalg.eigvalsh(powered[:, :r, :r])), axis=1)
+    return np.sum(func(eigvalsh(powered[:, :r, :r])), axis=1)
 
 
 def preorder_monitor(traj1: FlowTrajectory, traj2: FlowTrajectory, f: str, r: int, alpha: float = 1.0) -> bool:

@@ -25,6 +25,7 @@ from .core import (
     _validate_spd_stack,
     _validate_sym_stack,
     as_tangent,
+    eigh,
 )
 from .errors import DimensionMismatch, IllConditioned, InvalidParameters, SpdError
 
@@ -74,7 +75,7 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
     if pair() is sigma2:  # a weak reference: the memo keeps no point alive
         return w, u
     inv = _checked(*SpdStack.of(sigma1).root(-0.5))
-    w, u = np.linalg.eigh(_whitened(inv[0], sigma2.entries))
+    w, u = eigh(_whitened(inv[0], sigma2.entries))
     if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
         raise IllConditioned(ILL_CONDITIONED_PAIR)
     w.setflags(write=False)  # shared by every call on the pair

@@ -32,7 +32,9 @@ from .core import (
     _validate_spd_stack,
     _validate_sym_stack,
     as_tangent,
+    eigvalsh,
     matrix_function,
+    solve,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .orders import EQUAL, LESS_EQUAL, _conal_steps, order_compare
@@ -101,7 +103,7 @@ def scaling_map(factor: float) -> SmoothMap:
 def translation_map(c) -> SmoothMap:
     mat = _as_finite_square(c)
     mat = _symmetrized(mat, np.abs(mat).max())
-    if np.linalg.eigvalsh(mat)[0] < 0:
+    if eigvalsh(mat)[0] < 0:
         warnings.warn("translation shift is not positive semidefinite; "
                       "images of near-singular points may leave the SPD cone")
     mat.flags.writeable = False
@@ -135,8 +137,8 @@ def _power_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
 def _inversion_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
     """-S^-1 X S^-1 for each point S."""
     a = points.entries[:, None]
-    y = np.linalg.solve(a, xs.reshape(len(points), -1, points.n, points.n))
-    out = -np.linalg.solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(xs.shape)
+    y = solve(a, xs.reshape(len(points), -1, points.n, points.n))
+    out = -solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(xs.shape)
     return 0.5 * (out + out.swapaxes(1, 2)), None
 
 

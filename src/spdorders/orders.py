@@ -37,6 +37,8 @@ from .core import (
     _validate_spd_stack,
     _validate_sym_stack,
     _windowed,
+    eigh,
+    eigvalsh,
 )
 from .errors import DimensionMismatch, IllConditioned, InvalidParameters, NotOrdered, SpdError
 from .geometry import (
@@ -105,7 +107,7 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
         fwd, rev = ld, -ld
     else:
         if spec.kind in TRANSLATION_KINDS:
-            d = np.linalg.eigvalsh(e2 - e1)
+            d = eigvalsh(e2 - e1)
         else:
             d = np.log(relative_eigenvalues(sigma1, sigma2))
         fwd, rev = _spectral_margins(d, spec)
@@ -140,12 +142,12 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
         opened[:] = True
     rows = np.flatnonzero(~opened & ~equal)
     if affine:
-        w = np.linalg.eigh(_whitened(_take(inv, rows), _take(e2, rows)))[0]
+        w = eigh(_whitened(_take(inv, rows), _take(e2, rows)))[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             ill = (w[:, 0] <= 0) | (w[:, -1] / w[:, 0] > COND_CAP)
         vectors = [None if bad else d for d, bad in zip(np.log(np.where(ill[:, None], 1.0, w)), ill)]
     else:
-        vectors = np.linalg.eigvalsh(_take(e2, rows) - _take(e1, rows))
+        vectors = eigvalsh(_take(e2, rows) - _take(e1, rows))
     vectors = dict(zip(rows.tolist(), vectors))
 
     def ordered(j: int, pair) -> bool:

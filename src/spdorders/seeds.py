@@ -36,13 +36,29 @@ def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)
 
 
-_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's, for 8 uint32 words
+# generate_state's, for 8 uint32 words: word i hashes pool word i % 4 with constants i (xor) and i + 1 (multiplier)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_STATE_XOR, _STATE_MULT = _STATE_CONSTANTS[:8].reshape(2, 4, 1), _STATE_CONSTANTS[1:].reshape(2, 4, 1)
 
 
-def _hashmix(v: np.ndarray, consts: np.ndarray, t: int) -> np.ndarray:
-    """SeedSequence's hashmix of each column c of v, taking the hash
-    constants t + c (xor) and t + c + 1 (multiplier)."""
-    v = (v ^ consts[t:t + v.shape[1]]) * consts[t + 1:t + 1 + v.shape[1]]
+@cache
+def _pool_constants(width: int) -> np.ndarray:
+    """mix_entropy's (xor, multiplier) hash constants for width words, read-only
+    (stages, 2, 4, 1), per stage on the 4 pool words: the pool words' first hashes,
+    each pool word's into the other three (its own pair unread), and each word
+    past the pool's into all four."""
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * (width - 4))
+    words = np.arange(4)
+    starts = np.array([words] + [4 + 3 * src + words - (words >= src) for src in range(4)]
+                      + [4 * src + words for src in range(4, width)])
+    pairs = consts[np.stack((starts, starts + 1), axis=1)][..., None]
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of v, broadcast against its constants."""
+    v = (v ^ xor) * mult
     return v ^ (v >> _SHIFT)
 
 
@@ -75,18 +91,20 @@ def derive_seed_words(seed: int, indices) -> np.ndarray:
         words = np.take_along_axis(words, np.argsort(~keep, axis=1, kind="stable"), axis=1)
         lengths = keep.sum(axis=1)
     width = max(int(lengths.max(initial=0)), 4)
-    entropy = np.zeros((len(values), width), dtype=np.uint32)  # zero words pad to the pool size
-    entropy[:, :words.shape[1]] = words[:, :width]
-    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * (width - 4))
-    pool = _hashmix(entropy[:, :4], consts, 0)
+    # word-major: every operation runs along the k rows, not along a row's few words
+    entropy = np.zeros((width, len(values)), dtype=np.uint32)  # zero words pad to the pool size
+    entropy[:words.shape[1]] = words[:, :width].T
+    stages = _pool_constants(width)
+    pool = _hashmix(entropy[:4], *stages[0])
     for src in range(4):  # hashmix(pool[src]) into each other pool word, in order
-        dst = [d for d in range(4) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src] * 3], consts, 4 + 3 * src))
+        mixed = _mix(pool, _hashmix(pool[src], *stages[1 + src]))
+        mixed[src] = pool[src]  # pool[src] itself is not mixed
+        pool = mixed
     for src in range(4, width):
-        mixed = _mix(pool, _hashmix(entropy[:, [src] * 4], consts, 4 * src))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
-    state = _hashmix(np.tile(pool, 2), _STATE_CONSTANTS, 0)
-    return state.view(np.uint64)
+        mixed = _mix(pool, _hashmix(entropy[src], *stages[1 + src]))
+        pool = np.where(lengths > src, mixed, pool)
+    state = _hashmix(pool, _STATE_XOR, _STATE_MULT).reshape(8, len(values))
+    return np.ascontiguousarray(state.T).view(np.uint64)
 
 
 @cache

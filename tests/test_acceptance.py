@@ -43,6 +43,8 @@ from spdorders.geometry import det_leaf, relative_eigenvalues, riemannian_exp
 from spdorders.monotone import sylvester_residual
 from spdorders.viz2 import coordinate_margins, phi_inverse, tangent_to_coords
 
+from test_flows import closed_form
+
 CONFIGS = [(n, mu) for n in (2, 3, 5) for mu in (0.5, n / 2, n - 0.5)]
 
 ORDERED = ("less_equal", "equal")
@@ -276,6 +278,18 @@ def test_criterion_09_flows():
             curves = projected_eigenvalues(traj, r)
             worst_step = min(worst_step, float(np.min(np.diff(curves, axis=0))))
 
+    # Symes' QR-factorization solution at the final time, chained in chunks of
+    # t_k (lambda_max - lambda_min) <= 3 of G0 = X0 or log S0, where exp(t_k G0) = QR stays well conditioned
+    # (measured: 1.9e-13 for Toda, 1.8e-14 for QR; unchained at t = 10, Toda's QR alone is off by 6.4e-5)
+    closed_form_gap = 0.0
+    for traj in (toda, qr):
+        g = traj.initial_spectrum if traj.flow_kind == "toda" else np.log(traj.initial_spectrum)
+        chunks = math.ceil(traj.times[-1] * (g[-1] - g[0]) / 3.0)
+        exact = traj.states[0]
+        for _ in range(chunks):
+            exact = closed_form(traj.flow_kind, exact, traj.times[-1] / chunks)
+        closed_form_gap = max(closed_form_gap, float(np.abs(traj.states[-1] - exact).max()))
+
     y0 = random_sym(4, 903)
     h = 0.02
     coarse = integrate_flow("toda", y0, 1.0, h).states[-1]
@@ -285,8 +299,9 @@ def test_criterion_09_flows():
 
     report(
         "9 isospectral flows",
-        drift <= 1e-6 and worst_step >= -1e-8 and 8.0 <= ratio <= 32.0,
-        f"(drift {drift:.1e}, worst step decrease {worst_step:.1e}, RK4 ratio {ratio:.1f})",
+        drift <= 1e-6 and worst_step >= -1e-8 and 8.0 <= ratio <= 32.0 and closed_form_gap <= 1e-11,
+        f"(drift {drift:.1e}, worst step decrease {worst_step:.1e}, RK4 ratio {ratio:.1f}, "
+        f"closed form {closed_form_gap:.1e})",
     )
 
 

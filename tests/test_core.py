@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from spdorders import (
     sym_eig,
 )
 import spdorders
+from spdorders import core
 from spdorders.core import (
     MAX_DIM,
     PD_RTOL,
@@ -555,6 +557,65 @@ class TestHalvesFirstSymmetrization:
     def test_asymmetry_beyond_the_float_range_fails_without_overflow(self):
         with pytest.raises(NotSymmetric, match="asymmetry inf"):
             spd_validate([[1.0, 1e308], [-1e308, 1.0]])
+
+
+def _linalg_outcome(f, *args):
+    """f's arrays as float.hex (with their shapes), or its LinAlgError message."""
+    try:
+        out = f(*args)
+    except np.linalg.LinAlgError as exc:
+        return "LinAlgError", str(exc)
+    return [(a.dtype, a.shape, [float.hex(v) for v in a.ravel().tolist()]) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestLapackEntries:
+    # core's eigh, eigvalsh, cholesky and solve call numpy.linalg._umath_linalg,
+    # a private numpy module: these fail first if a numpy release changes it
+    ENTRIES = [("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh), ("cholesky", np.linalg.cholesky)]
+    NAN_DIAGONAL = np.where(np.eye(5) > 0, np.nan, 0.1)  # eigh and eigvalsh report no convergence
+
+    @staticmethod
+    def _squares(n, seed):
+        """(6, n, n) stacks: random SPD, symmetric indefinite, and SPD at 2^-300 and 2^300."""
+        g = np.random.default_rng(seed).standard_normal((2, 6, n, n))
+        spd = g[0] @ g[0].swapaxes(1, 2) + 0.1 * np.eye(n)
+        indefinite = g[1] + g[1].swapaxes(1, 2)
+        return {"spd": spd, "indefinite": indefinite, "tiny": np.ldexp(spd, -300), "huge": np.ldexp(spd, 300)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_bit_for_bit_as_numpy(self, n):
+        for kind, stack in self._squares(n, n).items():
+            b = np.random.default_rng(100 + n).standard_normal((6, 4, n, n))
+            for name, reference in self.ENTRIES:
+                for a in (stack[0], stack):
+                    assert _linalg_outcome(getattr(core, name), a) == _linalg_outcome(reference, a), (kind, name)
+            # one matrix, a stack, and monotone's (k, 1, n, n) against (k, m, n, n) broadcast
+            for args in ((stack[0], b[0, 0]), (stack, b[:, 0]), (stack[:, None], b)):
+                assert _linalg_outcome(core.solve, *args) == _linalg_outcome(np.linalg.solve, *args), kind
+
+    def test_failures_raise_numpys_message(self):
+        failing = [
+            (core.eigh, np.linalg.eigh, (self.NAN_DIAGONAL,)),
+            (core.eigvalsh, np.linalg.eigvalsh, (self.NAN_DIAGONAL,)),
+            (core.cholesky, np.linalg.cholesky, (np.diag([1.0, -1.0]),)),
+            (core.solve, np.linalg.solve, (np.ones((2, 2)), np.eye(2))),
+        ]
+        for entry, reference, args in failing:
+            expected = _linalg_outcome(reference, *args)
+            assert expected[0] == "LinAlgError"
+            # as the RK4 loop of integrate_flow calls them, with warnings as errors
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                assert _linalg_outcome(entry, *args) == expected
+
+    def test_nan_input_as_numpy(self):
+        # numpy raises on some NaN inputs and returns NaN on others; the entries follow it
+        singles = [np.full((2, 2), np.nan), np.diag([np.nan, 1.0]), np.diag([1.0, np.nan, 1.0]), self.NAN_DIAGONAL]
+        for a in singles:
+            for name, reference in self.ENTRIES:
+                assert _linalg_outcome(getattr(core, name), a) == _linalg_outcome(reference, a), name
+            b = np.eye(len(a))
+            assert _linalg_outcome(core.solve, a, b) == _linalg_outcome(np.linalg.solve, a, b)
 
 
 class TestSeedWords:

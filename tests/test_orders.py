@@ -23,7 +23,7 @@ from spdorders import (
     ray_affine,
     spd_validate,
 )
-from spdorders import geometry, orders
+from spdorders import cones, core, flows, geometry, orders
 from spdorders.cones import sample_cone_tangent
 from spdorders.core import BLOCK_ROWS, derive_rng, matrix_function, sym_eig
 from spdorders.errors import (
@@ -853,14 +853,16 @@ def oracle_outcome(oracle, *args):
 
 
 def counting_eigh(monkeypatch):
-    """Patch np.linalg.eigh to record the ndim of each input it solves."""
-    calls, eigh = [], np.linalg.eigh
+    """Patch core.eigh, the package's one eigh, in every module that reads
+    it, to record the ndim of each input it solves."""
+    calls, eigh = [], core.eigh
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         calls.append(np.ndim(a))
-        return eigh(a, *args, **kwargs)
+        return eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for module in (core, cones, flows, geometry, orders):
+        monkeypatch.setattr(module, "eigh", counting)
     return calls
 
 
