@@ -12,6 +12,7 @@ import math
 from functools import cache, cached_property
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import _umath_linalg
 
 from .errors import (
@@ -36,15 +37,21 @@ WINDOW = 2.0**200         # rows outside the scale window [1/WINDOW, WINDOW] are
 
 
 def _lapack(gufunc, signature: str, message: str):
-    """numpy.linalg's call of a LAPACK gufunc on float64 squares, bit for bit, without
-    its checks and casts (at n <= 8 they cost about as much as the factorisation):
-    under the same errstate, a failure raises LinAlgError with numpy's message."""
+    """numpy.linalg's call of a LAPACK gufunc on float64 squares, bit for bit, without its checks
+    and casts (at n <= 8 they cost about as much as the factorisation).  The errstate numpy sets,
+    under which a failure raises LinAlgError with numpy's message, is built once and set per call
+    on numpy's private context variable, so it keeps the ufunc buffer size of import time."""
     def fail(err, flag):
         raise np.linalg.LinAlgError(message)
 
+    state = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
     def entry(*operands):
-        with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        token = _extobj_contextvar.set(state)
+        try:
             return gufunc(*operands, signature=signature)
+        finally:
+            _extobj_contextvar.reset(token)
 
     return entry
 
@@ -228,7 +235,7 @@ def _orthogonal_rows(v: np.ndarray) -> tuple[int, SpdError | None]:
     """Spectrum's guard over a (k, n, n) stack of eigenvector matrices,
     ||V^T V - I||_F <= ORTHO_TOL: the number of leading rows that pass,
     and the error of the first row that fails, or None."""
-    ortho = _row_norms(v.swapaxes(-1, -2) @ v - _identity(v.shape[-1]))
+    ortho = _row_norms(np.ascontiguousarray(v.swapaxes(-1, -2)) @ v - _identity(v.shape[-1]))
     failing = ortho > ORTHO_TOL
     if not np.count_nonzero(failing):  # the cheapest test on a short stack
         return len(v), None
@@ -238,7 +245,7 @@ def _orthogonal_rows(v: np.ndarray) -> tuple[int, SpdError | None]:
 
 def _spectral_apply(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
     """V f(w) V^T for one eigendecomposition or for each row of a stack."""
-    return (v * f(w)[..., None, :]) @ v.swapaxes(-1, -2)  # v * d is v @ diag(d): one product per entry
+    return (v * f(w)[..., None, :]) @ np.ascontiguousarray(v.swapaxes(-1, -2))  # v * d is v @ diag(d)
 
 
 def _checked(value, err: SpdError | None):
@@ -291,7 +298,7 @@ def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | 
     if abs(w).max(initial=0.0) > WINDOW:  # past it, rows are checked at the scale _windowed brings them to
         sym, e, _ = _windowed(sym)
         ws = np.ldexp(w, -np.reshape(e, (-1, 1)))
-    recon = _row_norms((v * ws[:, None, :]) @ v.swapaxes(1, 2) - sym)
+    recon = _row_norms((v * ws[:, None, :]) @ np.ascontiguousarray(v.swapaxes(1, 2)) - sym)
     too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
     if np.count_nonzero(too_large):
         bad = int(too_large.argmax())
@@ -532,7 +539,7 @@ def _congruence_stack(a, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
     opnorm = np.linalg.norm(amat, 2)
     if sign == 0 or logabsdet <= np.log(1e-12) + n * np.log(max(opnorm, 1e-300)):
         raise SingularTransform("transform matrix is numerically singular")
-    return _validate_spd_stack(amat @ points.entries @ amat.T)
+    return _validate_spd_stack(((amat @ points.entries).reshape(-1, n) @ amat.T).reshape(-1, n, n))  # one gemm
 
 
 def congruence(a, sigma: SpdMatrix) -> SpdMatrix:

@@ -113,9 +113,11 @@ def _geodesic_curve(sigma1: SpdMatrix, sigma2: SpdMatrix):
 
     def curve(t):
         powers = w**t  # a float t keeps numpy's scalar-exponent path: w**0.5 is sqrt(w)
-        return (b * powers) @ b.T, (b * (logw * powers)) @ b.T
+        point, velocity = b * powers, b * (logw * powers)
+        rows = (-1, len(w))  # every row of each stack in one gemm against the shared b^T
+        return (point.reshape(rows) @ b.T).reshape(point.shape), (velocity.reshape(rows) @ b.T).reshape(point.shape)
 
-    return curve, bool(np.linalg.norm(logw) <= 1e-10)
+    return curve, _norm(logw) <= 1e-10
 
 
 def geodesic(sigma1: SpdMatrix, sigma2: SpdMatrix, t: float) -> SpdMatrix:

@@ -128,7 +128,7 @@ def _power_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
     """power(r) in the eigenbasis of each point, through first divided differences."""
     n, width = points.n, len(xs) // len(points)
     w, v, err = points.spectrum()
-    v, vt = v[:, None], v.swapaxes(1, 2)[:, None]
+    v, vt = v[:, None], np.ascontiguousarray(v.swapaxes(1, 2))[:, None]
     xprime = vt @ xs[:len(w) * width].reshape(len(w), width, n, n) @ v
     out = (v @ (_power_divided_differences(w, m.exponent)[:, None] * xprime) @ vt).reshape(-1, n, n)
     return 0.5 * (out + out.swapaxes(1, 2)), err
@@ -149,7 +149,7 @@ _RULES = {
     POWER: ("power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent), _power_differentials),
     INVERSION: ("inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
     CONGRUENCE: (CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
-                 lambda m, p, xs: (m.matrix @ xs @ m.matrix.T, None)),
+                 lambda m, p, xs: (((m.matrix @ xs).reshape(-1, p.n) @ m.matrix.T).reshape(xs.shape), None)),
     SCALING: ("scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
               lambda m, p, xs: (m.factor * xs, None)),
     TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: (xs, None)),

@@ -199,10 +199,11 @@ def conal_path_oracle(
     path, constant = _conal_path(spec, sigma1, sigma2)
     if constant:
         return True  # numerically constant path: zero velocity everywhere
-    ts = np.linspace(0.0, 1.0, samples)[:, None, None]
-    bounds = [0, *range(1, samples, BLOCK_ROWS), samples]
-    for lo, hi in zip(bounds, bounds[1:]):
-        points, velocities = path(ts[lo:hi])
+    for first in range(1 - BLOCK_ROWS, samples, BLOCK_ROWS):  # samples [0, 1), [1, 129), [129, 257), ...
+        ts = np.arange(max(first, 0), min(first + BLOCK_ROWS, samples), dtype=float) * (1.0 / (samples - 1))
+        if first + BLOCK_ROWS >= samples:
+            ts[-1] = 1.0  # linspace's grid, built block by block
+        points, velocities = path(ts[:, None, None])
         points, err = _validate_spd_entries(points)
         velocities, verr = _validate_sym_stack(velocities[: len(points)])
         if verr is not None:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -616,6 +617,126 @@ class TestLapackEntries:
                 assert _linalg_outcome(getattr(core, name), a) == _linalg_outcome(reference, a), name
             b = np.eye(len(a))
             assert _linalg_outcome(core.solve, a, b) == _linalg_outcome(np.linalg.solve, a, b)
+
+    def test_calls_leave_the_callers_error_state(self):
+        def handler(err, flag):
+            pass
+
+        for outer in ({}, {"over": "ignore", "invalid": "ignore"}, {"all": "raise", "call": handler}):
+            with np.errstate(**outer):
+                before = np.geterr(), np.geterrcall()
+                core.eigh(np.eye(3))
+                assert (np.geterr(), np.geterrcall()) == before, outer
+                with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                    core.cholesky(np.diag([1.0, -1.0]))
+                assert (np.geterr(), np.geterrcall()) == before, outer
+
+    def test_threads_keep_their_own_error_state(self):
+        # one thread's calls raise while the other's succeed, switching threads often
+        barrier, seen = threading.Barrier(2, timeout=30), {}
+
+        def run(name, a, outer):
+            with np.errstate(**outer):
+                before = np.geterr(), np.geterrcall()
+                barrier.wait()
+                outcomes = set()
+                for _ in range(300):
+                    outcomes.add("raised" if _linalg_outcome(core.cholesky, a)[0] == "LinAlgError" else "returned")
+                seen[name] = outcomes, (np.geterr(), np.geterrcall()) == before
+
+        threads = [threading.Thread(target=run, args=("raising", np.diag([1.0, -1.0]), {"over": "raise"})),
+                   threading.Thread(target=run, args=("succeeding", np.eye(2), {"under": "warn", "invalid": "ignore"}))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"raising": ({"raised"}, True), "succeeding": ({"returned"}, True)}
+
+
+def _special_stack(n, k, seed):
+    """A (k, n, n) Gaussian stack with +0.0, -0.0 and subnormal entries mixed in."""
+    a = np.random.default_rng(seed).standard_normal((k, n, n))
+    flat = a.reshape(-1)
+    flat[::5], flat[1::7] = 0.0, -0.0
+    flat[2::3] = np.ldexp(flat[2::3], -1050)
+    return a
+
+
+def _hexes(a):
+    """float.hex of every entry, with the shape; a zero's sign is not compared (a + 0.0 is +0.0)."""
+    return a.shape, [float.hex(v) for v in (a + 0.0).ravel().tolist()]
+
+
+class TestContiguousProducts:
+    # The stacked products read contiguous operands: one gemm per shared
+    # factor, transposes materialised.  Each keeps the bits of numpy's plain
+    # stacked @ on the same operands, at scales 1 and 2^-+300, but for the
+    # sign of a zero sum whose every term underflows (a product of two
+    # subnormals): numpy's stacked loop over a transposed view rounds it to
+    # +0.0 where BLAS may give -0.0.  The bits depend on the BLAS build, so
+    # both forms run here and no hash is committed.
+    SIZES = [(n, k) for n in (1, 2, 3, 5, 8) for k in (1, 2, 99)]
+    SCALES = (0, -300, 300)
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_shared_factor_as_one_gemm(self, n, k):
+        stack, factor = _special_stack(n, k, n + k), _special_stack(n, 1, n + k + 1)[0]
+        for a, f in ((np.ldexp(stack, e), np.ldexp(factor, e)) for e in self.SCALES):
+            for rows, factor in ((a, f), (a, f.T), (a[0], f.T)):  # a stack, or one matrix as a float t gives
+                assert _hexes((rows.reshape(-1, n) @ factor).reshape(rows.shape)) == _hexes(rows @ factor)
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_transposes_materialised(self, n, k):
+        stack, w = _special_stack(n, k, 10 + n + k), np.abs(_special_stack(n, k, 20 + n + k)[..., 0]) + 0.5
+        for v in (np.ldexp(stack, e) for e in self.SCALES):
+            vt = v.swapaxes(-1, -2)
+            for f in (np.sqrt, np.log):
+                for vs, ws in ((v, w), (v[0], w[0])):
+                    expected = (vs * f(ws)[..., None, :]) @ vs.swapaxes(-1, -2)
+                    assert _hexes(core._spectral_apply(ws, vs, f)) == _hexes(expected)
+            # V^T V of _orthogonal_rows, and V L V^T of _sym_eig_stack
+            assert _hexes(np.ascontiguousarray(vt) @ v) == _hexes(vt @ v)
+            assert _hexes((v * w[:, None, :]) @ np.ascontiguousarray(vt)) == _hexes((v * w[:, None, :]) @ vt)
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_curve_congruence_and_power_differentials(self, n, k):
+        from spdorders import congruence_map, power_map
+        from spdorders.geometry import _geodesic_curve, relative_eigenframe
+        from spdorders.monotone import _differential_stack, _power_differentials, _power_divided_differences
+
+        for e in self.SCALES:
+            points, _ = core._random_spd_stack(n, range(k), 0.8)
+            points, _ = _validate_spd_stack(np.ldexp(points.entries, e))
+            s1, s2 = points.point(0), SpdMatrix(np.ldexp(random_spd(n, 1000 + k, 0.8).entries, e))
+            b, w = relative_eigenframe(s1, s2)
+            curve, _ = _geodesic_curve(s1, s2)
+            for t in (0.5, np.linspace(0.0, 1.0, k)[:, None, None]):
+                powers = w**t
+                expected = (b * powers) @ b.T, (b * (np.log(w) * powers)) @ b.T
+                assert [_hexes(a) for a in curve(t)] == [_hexes(a) for a in expected]
+            amat = np.ldexp(_special_stack(n, 1, k)[0] + 4.0 * np.eye(n), e // 2)
+            got, _ = core._congruence_stack(amat, points)
+            expected, _ = _validate_spd_stack(amat @ points.entries @ amat.T)
+            assert _hexes(got.entries) == _hexes(expected.entries)
+            xs = np.ldexp(_special_stack(n, k, 3), e)
+            xs = xs + xs.swapaxes(1, 2)
+            got, _ = _differential_stack(congruence_map(amat), points, xs)
+            assert _hexes(got) == _hexes(_validate_sym_stack(amat @ xs @ amat.T)[0])
+            for width in (1, 3):  # each point's eigenbasis broadcast over its run of tangents (4-D)
+                xs = np.ldexp(_special_stack(n, k * width, 7 + width), e)
+                xs = xs + xs.swapaxes(1, 2)
+                out, _ = _power_differentials(power_map(0.5), points, xs)
+                vs = points.eigenvectors[:, None]
+                vt = vs.swapaxes(-1, -2)
+                dd = _power_divided_differences(points.eigenvalues, 0.5)[:, None]
+                ref = (vs @ (dd * (vt @ xs.reshape(k, width, n, n) @ vs)) @ vt).reshape(-1, n, n)
+                assert _hexes(out) == _hexes(0.5 * (ref + ref.swapaxes(1, 2)))
 
 
 class TestSeedWords:

@@ -327,6 +327,40 @@ class TestBatchedOracleMatchesLoop:
         assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
         assert guarded == [1, BLOCK_ROWS, BLOCK_ROWS, 300 - 1 - 2 * BLOCK_ROWS]
 
+    def test_unordered_pair_builds_no_grid(self):
+        # sample 0 decides an unordered pair, and each block builds its own
+        # sample times: 10**7 samples allocate no 80 MB grid up front
+        spec = quadratic_affine(1.5, 3)
+        sigma1, sigma2 = random_ordered_pair(spec, 3, 5)
+        assert conal_path_oracle(spec, sigma2, sigma1, 100) is False  # caches filled before tracing
+        tracemalloc.start()
+        try:
+            assert conal_path_oracle(spec, sigma2, sigma1, 10**7) is False
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # at 50, 99 and 198 samples (n - 1) * (1 / (n - 1)) rounds below 1.0, so the last time needs setting
+    @pytest.mark.parametrize("samples", [2, 3, 50, 99, 100, 128, 129, 130, 198, 257, 1001])
+    def test_sample_times_are_linspace(self, samples, monkeypatch):
+        times = []
+        conal_path = orders._conal_path
+
+        def recording(*args):
+            path, constant = conal_path(*args)
+
+            def recorded(t):
+                times.append(t.ravel().copy())
+                return path(t)
+
+            return recorded, constant
+
+        monkeypatch.setattr(orders, "_conal_path", recording)
+        spec = quadratic_affine(1.5, 3)
+        assert conal_path_oracle(spec, *random_ordered_pair(spec, 3, 5), samples) is True
+        assert hexes(np.concatenate(times)) == hexes(np.linspace(0.0, 1.0, samples))
+
     @pytest.mark.parametrize("spec", [quadratic_affine(2.5, 5), loewner(5)], ids=lambda s: s.kind)
     def test_memory_is_bounded_by_the_block(self, spec):
         # an ordered pair runs every sample; one stack of 20,000 points

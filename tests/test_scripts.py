@@ -1,4 +1,4 @@
-"""The two scripts under scripts/, run end to end as fresh processes."""
+"""The scripts under scripts/, run end to end as fresh processes."""
 
 import os
 import subprocess
@@ -44,3 +44,15 @@ def test_monotonicity_survey(tmp_path):
         assert [cell.endswith("*") for cell in cells] == [False] * 4 + [True] * 3
         assert all(float(cell.rstrip("*")) < 0 for cell in cells[4:])
     assert lines[6:] == ["", "(*) violations found: the differential pushed a cone ray outside."]
+
+
+def test_fingerprint_is_stable(tmp_path):
+    # one digest per group; the corpus is seeded, so a second run prints the same lines
+    runs = [run_script("fingerprint.py", cwd=tmp_path) for _ in range(2)]
+    assert all(done.returncode == 0 for done in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert lines[0].startswith("environment: {") and runs[1].stdout == runs[0].stdout
+    groups = [line.split()[0] for line in lines[1:]]
+    assert groups == ["order_compare", "cone_margins", "conal_path_oracle", "order_interval_sample",
+                      "check_differential_positivity", "find_order_counterexample", "flows", "viz2", "cli"]
+    assert all(len(line.split()[1]) == 64 for line in lines[1:])
