@@ -539,7 +539,7 @@ def _congruence_stack(a, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
     opnorm = np.linalg.norm(amat, 2)
     if sign == 0 or logabsdet <= np.log(1e-12) + n * np.log(max(opnorm, 1e-300)):
         raise SingularTransform("transform matrix is numerically singular")
-    return _validate_spd_stack(((amat @ points.entries).reshape(-1, n) @ amat.T).reshape(-1, n, n))  # one gemm
+    return _validate_spd_stack(amat @ points.entries @ amat.T)
 
 
 def congruence(a, sigma: SpdMatrix) -> SpdMatrix:

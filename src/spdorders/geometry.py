@@ -115,7 +115,8 @@ def _geodesic_curve(sigma1: SpdMatrix, sigma2: SpdMatrix):
         powers = w**t  # a float t keeps numpy's scalar-exponent path: w**0.5 is sqrt(w)
         point, velocity = b * powers, b * (logw * powers)
         rows = (-1, len(w))  # every row of each stack in one gemm against the shared b^T
-        return (point.reshape(rows) @ b.T).reshape(point.shape), (velocity.reshape(rows) @ b.T).reshape(point.shape)
+        point_rows, velocity_rows = point.reshape(rows) @ b.T, velocity.reshape(rows) @ b.T
+        return point_rows.reshape(point.shape), velocity_rows.reshape(point.shape)
 
     return curve, _norm(logw) <= 1e-10
 

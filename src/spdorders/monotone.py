@@ -149,7 +149,7 @@ _RULES = {
     POWER: ("power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent), _power_differentials),
     INVERSION: ("inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
     CONGRUENCE: (CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
-                 lambda m, p, xs: (((m.matrix @ xs).reshape(-1, p.n) @ m.matrix.T).reshape(xs.shape), None)),
+                 lambda m, p, xs: (m.matrix @ xs @ m.matrix.T, None)),
     SCALING: ("scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
               lambda m, p, xs: (m.factor * xs, None)),
     TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: (xs, None)),

@@ -668,66 +668,95 @@ def _special_stack(n, k, seed):
     return a
 
 
-def _hexes(a):
-    """float.hex of every entry, with the shape; a zero's sign is not compared (a + 0.0 is +0.0)."""
-    return a.shape, [float.hex(v) for v in (a + 0.0).ravel().tolist()]
+def _hexes(a, factors=None):
+    """float.hex of every entry, with the shape.  Given the operands (l, r) of
+    the product behind a, an entry whose every term l[i, m] r[m, j] is a zero
+    (a zero factor, or a product that underflows) is compared without its
+    sign: numpy's own loop, which runs over a transposed view, starts each sum
+    at +0.0, so -0.0 + -0.0 gives +0.0 there and -0.0 in BLAS."""
+    a = np.array(a, dtype=float)
+    if factors is not None:
+        zero_terms = np.all(factors[0][..., :, :, None] * factors[1][..., None, :, :] == 0.0, axis=-2)
+        a[np.broadcast_to(zero_terms, a.shape) & (a == 0.0)] = 0.0
+    return a.shape, [float.hex(v) for v in a.ravel().tolist()]
 
 
 class TestContiguousProducts:
     # The stacked products read contiguous operands: one gemm per shared
-    # factor, transposes materialised.  Each keeps the bits of numpy's plain
-    # stacked @ on the same operands, at scales 1 and 2^-+300, but for the
-    # sign of a zero sum whose every term underflows (a product of two
-    # subnormals): numpy's stacked loop over a transposed view rounds it to
-    # +0.0 where BLAS may give -0.0.  The bits depend on the BLAS build, so
-    # both forms run here and no hash is committed.
+    # factor, transposes materialised.  Each package function keeps the bits
+    # of numpy's plain stacked @ on the same operands, with +-0.0 and
+    # subnormal entries, at scales 1 and 2^-+300.  The bits depend on the BLAS
+    # build, so both forms run here and no hash is committed.
     SIZES = [(n, k) for n in (1, 2, 3, 5, 8) for k in (1, 2, 99)]
     SCALES = (0, -300, 300)
 
-    @pytest.mark.parametrize("n,k", SIZES)
-    def test_shared_factor_as_one_gemm(self, n, k):
-        stack, factor = _special_stack(n, k, n + k), _special_stack(n, 1, n + k + 1)[0]
-        for a, f in ((np.ldexp(stack, e), np.ldexp(factor, e)) for e in self.SCALES):
-            for rows, factor in ((a, f), (a, f.T), (a[0], f.T)):  # a stack, or one matrix as a float t gives
-                assert _hexes((rows.reshape(-1, n) @ factor).reshape(rows.shape)) == _hexes(rows @ factor)
+    @staticmethod
+    def _recorded_row_norms(monkeypatch):
+        seen = []
+        row_norms = core._row_norms
+        monkeypatch.setattr(core, "_row_norms", lambda a: seen.append(a) or row_norms(a))
+        return seen
 
     @pytest.mark.parametrize("n,k", SIZES)
-    def test_transposes_materialised(self, n, k):
+    def test_curve_as_one_gemm(self, n, k, monkeypatch):
+        from spdorders import geometry
+
+        w = np.abs(_special_stack(n, 1, n + k + 1)[0, 0]) + 0.5
+        for b in (np.ldexp(_special_stack(n, 1, n + k)[0], e) for e in self.SCALES):
+            monkeypatch.setattr(geometry, "relative_eigenframe", lambda s1, s2: (b, w))
+            curve, _ = geometry._geodesic_curve(None, None)
+            for t in (0.5, np.linspace(0.0, 1.0, k)[:, None, None]):  # one matrix, as a float t gives, or a stack
+                powers = w**t
+                for got, left in zip(curve(t), (b * powers, b * (np.log(w) * powers))):
+                    assert _hexes(got, (left, b.T)) == _hexes(left @ b.T, (left, b.T))
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_spectral_apply(self, n, k):
         stack, w = _special_stack(n, k, 10 + n + k), np.abs(_special_stack(n, k, 20 + n + k)[..., 0]) + 0.5
         for v in (np.ldexp(stack, e) for e in self.SCALES):
-            vt = v.swapaxes(-1, -2)
             for f in (np.sqrt, np.log):
                 for vs, ws in ((v, w), (v[0], w[0])):
-                    expected = (vs * f(ws)[..., None, :]) @ vs.swapaxes(-1, -2)
-                    assert _hexes(core._spectral_apply(ws, vs, f)) == _hexes(expected)
-            # V^T V of _orthogonal_rows, and V L V^T of _sym_eig_stack
-            assert _hexes(np.ascontiguousarray(vt) @ v) == _hexes(vt @ v)
-            assert _hexes((v * w[:, None, :]) @ np.ascontiguousarray(vt)) == _hexes((v * w[:, None, :]) @ vt)
+                    factors = vs * f(ws)[..., None, :], vs.swapaxes(-1, -2)
+                    expected = factors[0] @ factors[1]
+                    assert _hexes(core._spectral_apply(ws, vs, f), factors) == _hexes(expected, factors)
 
     @pytest.mark.parametrize("n,k", SIZES)
-    def test_curve_congruence_and_power_differentials(self, n, k):
-        from spdorders import congruence_map, power_map
-        from spdorders.geometry import _geodesic_curve, relative_eigenframe
-        from spdorders.monotone import _differential_stack, _power_differentials, _power_divided_differences
+    def test_orthogonal_rows(self, n, k, monkeypatch):
+        seen = self._recorded_row_norms(monkeypatch)
+        for v in (np.ldexp(_special_stack(n, k, 30 + n + k), e) for e in self.SCALES):
+            with np.errstate(over="ignore"):  # at 2^300 the norm of V^T V - I overflows to inf: the row fails
+                count, err = core._orthogonal_rows(v)
+            factors = v.swapaxes(-1, -2), v
+            expected = factors[0] @ factors[1] - np.eye(n)
+            assert _hexes(seen.pop(), factors) == _hexes(expected, factors)  # the V^T V - I it measured
+            assert count < k and err is not None  # a Gaussian stack is not orthogonal
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_sym_eig_reconstruction(self, n, k, monkeypatch):
+        seen = self._recorded_row_norms(monkeypatch)
+        for e in self.SCALES:
+            sym = np.ldexp(_special_stack(n, k, 40 + n + k), e)
+            sym = sym + sym.swapaxes(1, 2)
+            got_w, got_v, err = core._sym_eig_stack(sym)
+            recon, norms = seen[-2:]  # V diag(w) V^T - sym, then sym for the bound on its norm
+            w, v = core.eigh(sym)
+            ws = w
+            if abs(w).max() > core.WINDOW:
+                sym, shift, _ = core._windowed(sym)
+                ws = np.ldexp(w, -np.reshape(shift, (-1, 1)))
+            factors = v * ws[:, None, :], v.swapaxes(1, 2)
+            assert _hexes(recon, factors) == _hexes(factors[0] @ factors[1] - sym, factors)
+            assert _hexes(norms) == _hexes(sym)
+            assert err is None and (_hexes(got_w), _hexes(got_v)) == (_hexes(w), _hexes(v))
+
+    @pytest.mark.parametrize("n,k", SIZES)
+    def test_power_differentials(self, n, k):
+        from spdorders import power_map
+        from spdorders.monotone import _power_differentials, _power_divided_differences
 
         for e in self.SCALES:
             points, _ = core._random_spd_stack(n, range(k), 0.8)
             points, _ = _validate_spd_stack(np.ldexp(points.entries, e))
-            s1, s2 = points.point(0), SpdMatrix(np.ldexp(random_spd(n, 1000 + k, 0.8).entries, e))
-            b, w = relative_eigenframe(s1, s2)
-            curve, _ = _geodesic_curve(s1, s2)
-            for t in (0.5, np.linspace(0.0, 1.0, k)[:, None, None]):
-                powers = w**t
-                expected = (b * powers) @ b.T, (b * (np.log(w) * powers)) @ b.T
-                assert [_hexes(a) for a in curve(t)] == [_hexes(a) for a in expected]
-            amat = np.ldexp(_special_stack(n, 1, k)[0] + 4.0 * np.eye(n), e // 2)
-            got, _ = core._congruence_stack(amat, points)
-            expected, _ = _validate_spd_stack(amat @ points.entries @ amat.T)
-            assert _hexes(got.entries) == _hexes(expected.entries)
-            xs = np.ldexp(_special_stack(n, k, 3), e)
-            xs = xs + xs.swapaxes(1, 2)
-            got, _ = _differential_stack(congruence_map(amat), points, xs)
-            assert _hexes(got) == _hexes(_validate_sym_stack(amat @ xs @ amat.T)[0])
             for width in (1, 3):  # each point's eigenbasis broadcast over its run of tangents (4-D)
                 xs = np.ldexp(_special_stack(n, k * width, 7 + width), e)
                 xs = xs + xs.swapaxes(1, 2)
