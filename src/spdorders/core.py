@@ -248,6 +248,12 @@ def _spectral_apply(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
     return (v * f(w)[..., None, :]) @ np.ascontiguousarray(v.swapaxes(-1, -2))  # v * d is v @ diag(d)
 
 
+def _log_dets(a: np.ndarray) -> np.ndarray:
+    """log det of an SPD matrix, or of each row of a stack: twice the summed log diagonal of
+    its Cholesky factor, which keeps the computation stable across the full dynamic range."""
+    return 2.0 * np.sum(np.log(np.diagonal(cholesky(a), axis1=-2, axis2=-1)), axis=-1)
+
+
 def _checked(value, err: SpdError | None):
     """A kernel's value, or the error its first failing row failed with."""
     if err is not None:
@@ -270,6 +276,9 @@ class Spectrum:
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(eigenvectors, dtype=float)
         if not checked:
+            peak = np.abs(v).max(initial=0.0)
+            if peak > 1.0 + ORTHO_TOL:  # an orthogonal V has |entries| <= 1, and V^T V of this one could overflow
+                raise ConvergenceFailure(f"eigenvector matrix not orthogonal: entry {peak:.3e} exceeds 1")
             _checked(*_orthogonal_rows(v[None]))
         w.flags.writeable = False
         v.flags.writeable = False
@@ -298,7 +307,7 @@ def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | 
     if abs(w).max(initial=0.0) > WINDOW:  # past it, rows are checked at the scale _windowed brings them to
         sym, e, _ = _windowed(sym)
         ws = np.ldexp(w, -np.reshape(e, (-1, 1)))
-    recon = _row_norms((v * ws[:, None, :]) @ np.ascontiguousarray(v.swapaxes(1, 2)) - sym)
+    recon = _row_norms(_spectral_apply(ws, v, lambda w: w) - sym)
     too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
     if np.count_nonzero(too_large):
         bad = int(too_large.argmax())
@@ -368,9 +377,7 @@ class SpdMatrix:
 
     @cached_property
     def log_det(self) -> float:
-        # Cholesky keeps the computation stable across the full dynamic range.
-        chol = cholesky(self.entries)
-        return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return float(_log_dets(self.entries))
 
     def inv_apply(self, x: np.ndarray) -> np.ndarray:
         """Solve self @ y = x."""

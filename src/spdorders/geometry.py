@@ -63,21 +63,31 @@ def _whitened(inv_root: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return 0.5 * (rel + rel.swapaxes(-1, -2))
 
 
-ILL_CONDITIONED_PAIR = f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}"
+def _relative_eighs(inv_roots: np.ndarray, entries: np.ndarray):
+    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2} for each row of two (k, n, n) stacks, the
+    roots sigma1^{-1/2} and the entries of sigma2: returns pair(j), row j's eigenvalues and
+    eigenvectors, raising IllConditioned when they are not positive or span more than COND_CAP."""
+    w, u = eigh(_whitened(inv_roots, entries))
+
+    def pair(j: int) -> tuple[np.ndarray, np.ndarray]:
+        wj = w[j]
+        if wj[0] <= 0 or wj[-1] / wj[0] > COND_CAP:
+            raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
+        return wj, u[j]
+
+    return pair
 
 
 def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring
-    says, read-only and kept by sigma1 for its last sigma2: one eigh per pair."""
+    """_relative_eighs of one pair, checked as relative_eigenframe's docstring says,
+    read-only and kept by sigma1 for its last sigma2: one eigh per pair."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
     pair, w, u = sigma1._relative
     if pair() is sigma2:  # a weak reference: the memo keeps no point alive
         return w, u
     inv = _checked(*SpdStack.of(sigma1).root(-0.5))
-    w, u = eigh(_whitened(inv[0], sigma2.entries))
-    if w[0] <= 0 or w[-1] / w[0] > COND_CAP:
-        raise IllConditioned(ILL_CONDITIONED_PAIR)
+    w, u = _relative_eighs(inv, SpdStack.of(sigma2).entries)(0)
     w.setflags(write=False)  # shared by every call on the pair
     u.setflags(write=False)
     sigma1._relative = weakref.ref(sigma2), w, u

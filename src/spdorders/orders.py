@@ -25,30 +25,22 @@ from .cones import (
 )
 from .core import (
     BLOCK_ROWS,
-    COND_CAP,
     WINDOW,
     SpdMatrix,
     SpdStack,
     SymTangent,
     _checked,
+    _log_dets,
     _row_norms,
     random_spd,
     _validate_spd_entries,
     _validate_spd_stack,
     _validate_sym_stack,
     _windowed,
-    eigh,
     eigvalsh,
 )
-from .errors import DimensionMismatch, IllConditioned, InvalidParameters, NotOrdered, SpdError
-from .geometry import (
-    ILL_CONDITIONED_PAIR,
-    _exp_stack,
-    _geodesic_curve,
-    _norm,
-    _whitened,
-    relative_eigenvalues,
-)
+from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
+from .geometry import _exp_stack, _geodesic_curve, _norm, _relative_eighs, relative_eigenvalues
 from .seeds import derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
@@ -98,7 +90,7 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
 
     e1, e2 = sigma1.entries, sigma2.entries
     if not 1.0 / WINDOW <= max(sigma1._eig[0][-1], sigma2._eig[0][-1]) <= WINDOW:  # lambda_max >= max|entry|
-        e1, e2 = np.split(_windowed(np.concatenate((e1, e2))[None])[0][0], 2)  # one row: one power of two for both
+        e1, e2 = (a[0] for a in _pair_windowed(e1[None], e2[None]))
     if _norm(e2 - e1) <= EQUALITY_RTOL * max(_norm(e1), _norm(e2)):
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
@@ -119,45 +111,46 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     return OrderVerdict(INCOMPARABLE, fwd, rev)
 
 
-def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return a[rows if len(a) > 1 else np.zeros_like(rows)]  # a one-row stack pairs with every row
+def _pair_windowed(e1: np.ndarray, e2: np.ndarray) -> list[np.ndarray]:
+    """The row pairs of two (k, n, n) stacks brought into core.WINDOW, each pair by one power of
+    two: _windowed of its two matrices concatenated."""
+    return np.split(_windowed(np.concatenate((e1, e2), axis=1))[0], 2, axis=1)
 
 
 def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
-    """order_compare over the row pairs of two stacks (a one-row stack pairs
-    with every row), its spectral vectors from one stacked eigensolve:
-    returns ordered(j, pair), whether pair j is less_equal or equal by the
-    scalar margin rule, raising what order_compare raises.  Pairs with
-    nothing to stack (half-space, a missing whitening factor, a pair whose
-    larger lambda_max lies outside core.WINDOW) run order_compare itself
-    on pair()."""
-    e1, e2 = lows.entries, highs.entries
-    with np.errstate(over="ignore"):
-        equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * np.maximum(_row_norms(e1), _row_norms(e2))
+    """order_compare over the row pairs of two stacks (a one-row stack pairs with every row),
+    each pair decided here by order_compare's rule: returns ordered(j), whether pair j is
+    less_equal or equal, raising what order_compare raises.  A pair whose larger lambda_max lies
+    outside core.WINDOW is _pair_windowed, the half-space margins come from one stacked Cholesky
+    per side and the spectral vectors from one stacked eigensolve.  Only a pair past a whitening
+    factor that fails SpdStack.spectrum()'s guard runs order_compare itself."""
+    rows = np.arange(max(len(lows), len(highs)))  # a one-row stack pairs with every row
+    e1, e2 = lows.entries[rows % len(lows)], highs.entries[rows % len(highs)]
     top = np.maximum(lows.eigenvalues[:, -1], highs.eigenvalues[:, -1])
-    opened = ~((1.0 / WINDOW <= top) & (top <= WINDOW))
-    affine = spec.kind not in TRANSLATION_KINDS + (HALF_SPACE,)
-    inv, err = lows.root(-0.5) if affine else (None, None)
-    if spec.kind == HALF_SPACE or err is not None:
-        opened[:] = True
-    rows = np.flatnonzero(~opened & ~equal)
-    if affine:
-        w = eigh(_whitened(_take(inv, rows), _take(e2, rows)))[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ill = (w[:, 0] <= 0) | (w[:, -1] / w[:, 0] > COND_CAP)
-        vectors = [None if bad else d for d, bad in zip(np.log(np.where(ill[:, None], 1.0, w)), ill)]
+    outside = np.flatnonzero(~((1.0 / WINDOW <= top) & (top <= WINDOW)))
+    if len(outside):
+        e1[outside], e2[outside] = _pair_windowed(e1[outside], e2[outside])
+    equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * np.maximum(_row_norms(e1), _row_norms(e2))
+    decided = len(rows)  # the rows decided here
+    if spec.kind == HALF_SPACE:
+        ld = _log_dets(highs.entries) - _log_dets(lows.entries)
+        margin = lambda j: ld[j]
+    elif spec.kind in TRANSLATION_KINDS:
+        d = eigvalsh(e2 - e1)
+        margin = lambda j: _spectral_margins(d[j], spec)[0]
     else:
-        vectors = eigvalsh(_take(e2, rows) - _take(e1, rows))
-    vectors = dict(zip(rows.tolist(), vectors))
+        inv = lows.root(-0.5)[0]
+        decided = len(inv) if len(lows) > 1 else len(rows) * len(inv)
+        pair = _relative_eighs(inv[rows[:decided] % len(lows)], highs.entries[rows[:decided] % len(highs)])
+        margin = lambda j: _spectral_margins(np.log(pair(j)[0]), spec)[0]
 
-    def ordered(j: int, pair) -> bool:
-        if opened[j]:
-            return order_compare(spec, *pair()).relation in (LESS_EQUAL, EQUAL)
+    def ordered(j: int) -> bool:
         if equal[j]:
             return True
-        if vectors[j] is None:
-            raise IllConditioned(ILL_CONDITIONED_PAIR)
-        return _spectral_margins(vectors[j], spec)[0] >= -DEFAULT_TOL  # order_compare's less_equal
+        if j >= decided:
+            points = lows.point(j % len(lows)), highs.point(j % len(highs))
+            return order_compare(spec, *points).relation in (LESS_EQUAL, EQUAL)
+        return margin(j) >= -DEFAULT_TOL  # order_compare's less_equal
 
     return ordered
 
@@ -261,11 +254,12 @@ def order_interval_sample(
 
     The first sample is the path midpoint; sample i > 0 is a path point
     nudged along a cone direction (both drawn from derive_rng(seed, i)) by
-    the first of STEP_SIZES whose step order_compare verifies against both
-    endpoints.  A step that fails a guard ends the sizes; without a valid
-    step the sample falls back to the path point if it verifies, else to
-    sigma1.  Points, directions, steps and comparisons run as stacks, then
-    the samples are walked in order, so the earliest sample's error wins.
+    the first of STEP_SIZES whose step verifies against both endpoints by
+    order_compare's rule.  A step that fails a guard ends the sizes;
+    without a valid step the sample falls back to the path point if it
+    verifies, else to sigma1.  Points, directions, steps and comparisons
+    (_ordered_rows, one stack per endpoint) run as stacks, then the samples
+    are walked in order, so the earliest sample's error wins.
     """
     pre = order_compare(spec, sigma1, sigma2)
     if pre.relation not in (LESS_EQUAL, EQUAL):
@@ -292,11 +286,6 @@ def order_interval_sample(
     lo = _ordered_rows(spec, SpdStack.of(sigma1), candidates)
     hi = _ordered_rows(spec, candidates, SpdStack.of(sigma2))
 
-    def valid(j: int) -> bool:
-        below = lo(j, lambda: (sigma1, candidates.point(j)))
-        above = hi(j, lambda: (candidates.point(j), sigma2))
-        return below and above
-
     out, first = [], len(bases)
     for i in range(count):
         if i == len(bases):
@@ -305,9 +294,9 @@ def order_interval_sample(
             raise tangent_err
         chosen = None
         if i > 0:
-            chosen = next((candidates.point(j) for j in range(first, first + sizes[i - 1]) if valid(j)), None)
+            chosen = next((candidates.point(j) for j in range(first, first + sizes[i - 1]) if lo(j) and hi(j)), None)
             first += sizes[i - 1]
-        out.append(chosen or (candidates.point(i) if valid(i) else sigma1))
+        out.append(chosen or (candidates.point(i) if lo(i) and hi(i) else sigma1))
     return out
 
 

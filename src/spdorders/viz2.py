@@ -35,11 +35,19 @@ class ConePoint3:
     z: float
 
     def __post_init__(self):
-        if not (self.z > 0.0 and self.z**2 - self.x**2 - self.y**2 > 0.0):
+        x, y, z = _unit_scaled(self)
+        if not (z > 0.0 and z * z - x * x - y * y > 0.0):
             raise OutsideCone(f"({self.x}, {self.y}, {self.z}) not interior to the cone")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
+
+
+def _unit_scaled(p: ConePoint3) -> tuple[float, float, float]:
+    """p's coordinates times the power of two that brings the largest |coordinate| into [0.5, 1):
+    the cone's forms are homogeneous, and no square of these overflows nor, for the largest, underflows."""
+    e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))[1]
+    return math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e)
 
 
 def phi(sigma: SpdMatrix) -> ConePoint3:
@@ -81,7 +89,8 @@ def coords_to_tangent(delta):
 def _section_forms(spec: ConeSpec, p: ConePoint3):
     """The cone at p pulled back to the coordinates: (unit interior axis,
     linear form l, 3x3 quadratic form A or None for the half-space, scale
-    s); membership reads l.delta >= 0 and delta^T A delta >= 0.  For
+    s), built on p as _unit_scaled scales it (which moves no margin and no
+    section); membership reads l.delta >= 0 and delta^T A delta >= 0.  For
     quad-affine, A expands |p|^2 (tr(S^-1 X)^2 - mu tr(S^-1 X S^-1 X));
     its delta_y^2 coefficient carries (z^2 - x^2 + y^2).
     """
@@ -91,7 +100,7 @@ def _section_forms(spec: ConeSpec, p: ConePoint3):
         return e3, e3, np.diag([-1.0, -1.0, 2.0 / mu - 1.0]), 1.0
     if spec.kind == RAY:
         raise EmptySection("the ray field has no two-dimensional section")
-    x, y, z = p.x, p.y, p.z
+    x, y, z = _unit_scaled(p)
     lin = np.array([-x, -y, z])
     pnorm2 = x * x + y * y + z * z
     if spec.kind == HALF_SPACE:
@@ -101,7 +110,7 @@ def _section_forms(spec: ConeSpec, p: ConePoint3):
         [2.0 * x * y, z * z - x * x + y * y, -2.0 * y * z],
         [-2.0 * x * z, -2.0 * y * z, pnorm2],
     ])
-    return p.as_array() / math.sqrt(pnorm2), lin, 2.0 * np.outer(lin, lin) - spec.mu * m, pnorm2
+    return np.array([x, y, z]) / math.sqrt(pnorm2), lin, 2.0 * np.outer(lin, lin) - spec.mu * m, pnorm2
 
 
 def coordinate_margins(spec: ConeSpec, p: ConePoint3, delta) -> tuple[float, float | None]:

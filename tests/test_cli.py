@@ -362,6 +362,15 @@ class TestViz2Command:
         assert lines[0] == "dx,dy,dz"
         assert len(lines) == 17
 
+    @pytest.mark.filterwarnings("error")
+    def test_section_at_a_huge_point(self, files, capsys, tmp_path):
+        _, _, matrix, cone = files
+        sigma = matrix("s.json", np.ldexp(random_spd(2, 5, 0.6).entries, 520))
+        spec = cone("cone.json", kind="quad-affine", mu=1.0, n=2)
+        code, _, err = run(capsys, "viz2", "section", "--cone", spec, "--at", sigma,
+                           "--resolution", "16", "--outdir", str(tmp_path / "viz"))
+        assert (code, err) == (0, "")
+
     def test_leaf_export(self, files, capsys, tmp_path):
         outdir = tmp_path / "viz"
         code, out, _ = run(capsys, "viz2", "leaf", "--c", "2", "--resolution", "8",

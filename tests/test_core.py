@@ -322,16 +322,29 @@ class TestSpdStack:
         from spdorders.geometry import relative_eigenframe
 
         s1, s2 = random_spd(3, 1, 0.8), random_spd(3, 2, 0.8)
-        calls, _ = self._count_spectral_applies(monkeypatch)
+        builds, root = [], SpdStack.root
+
+        def counting(stack, power):  # a power not yet in the stack's cache is built now
+            if power not in stack._roots:
+                builds.append((stack, power))
+            return root(stack, power)
+
+        monkeypatch.setattr(SpdStack, "root", counting)
         for _ in range(3):
             relative_eigenframe(s1, s2)
             riemannian_exp(s1, 0.1 * np.eye(3))
             order_compare(quadratic_affine(1.5, 3), s1, s2)
-        assert calls == [1, 1]  # sigma1^{1/2} and sigma1^{-1/2}
+        assert sorted(builds, key=lambda b: b[1]) == [(SpdStack.of(s1), -0.5), (SpdStack.of(s1), 0.5)]
 
     def test_roots_carry_the_guard_error(self):
         root, err = self._stack().root(-0.5)
         assert len(root) == 1 and "not orthogonal" in str(err)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [2.0**256, 2.0**300, 2.0**1000, math.inf])
+    def test_spectrum_rejects_large_eigenvectors_without_a_warning(self, scale):
+        with pytest.raises(ConvergenceFailure, match="not orthogonal"):
+            Spectrum(np.ones(2), np.diag([scale, scale]))
 
     def test_spectrum_uses_the_same_guard(self):
         with pytest.raises(ConvergenceFailure, match="not orthogonal"):

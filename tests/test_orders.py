@@ -808,20 +808,30 @@ class TestIntervalSamplerMatchesLoop:
         assert len(errors) > 1
 
 
+def _stack(points):
+    return orders._concat([core.SpdStack.of(p) for p in points])
+
+
+def _ordered_or_error(spec, a, b):
+    try:
+        return order_compare(spec, a, b).relation in ("less_equal", "equal")
+    except SpdError as exc:
+        return type(exc), str(exc)
+
+
 class TestOrderedRowsMatchCompare:
+    @staticmethod
+    def _count_compares(monkeypatch):
+        """Record the pair of every order_compare call that _ordered_rows makes."""
+        calls, real = [], orders.order_compare
+        monkeypatch.setattr(orders, "order_compare", lambda spec, a, b: calls.append((a, b)) or real(spec, a, b))
+        return calls
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_each_row_as_order_compare(self, n):
-        from spdorders.core import SpdStack
-
-        def stack(points):
-            return orders._concat([SpdStack.of(p) for p in points])
-
-        def ordered_or_error(spec, a, b):
-            try:
-                return order_compare(spec, a, b).relation in ("less_equal", "equal")
-            except SpdError as exc:
-                return type(exc), str(exc)
-
+    def test_each_row_as_order_compare(self, n, monkeypatch):
+        # every kind, the half-space one too, and pairs at 2^+-520, outside
+        # core.WINDOW: _ordered_rows decides each pair without order_compare
+        calls = self._count_compares(monkeypatch)
         for spec in specs_at(n):
             base = random_spd(n, 1, 0.8)
             lows, highs = [], []
@@ -836,14 +846,44 @@ class TestOrderedRowsMatchCompare:
             highs.append(spd_validate(np.diag([1.0] * (n - 1) + [1e-7])))
             pairs = [(lows, highs), (lows[:1], highs), (lows, highs[:1])]
             for low, high in pairs:
-                ordered = orders._ordered_rows(spec, stack(low), stack(high))
+                ordered = orders._ordered_rows(spec, _stack(low), _stack(high))
                 for j in range(max(len(low), len(high))):
                     a, b = low[j % len(low)], high[j % len(high)]
                     try:
-                        got = ordered(j, lambda: (a, b))
+                        got = ordered(j)
                     except SpdError as exc:
                         got = type(exc), str(exc)
-                    assert got == ordered_or_error(spec, a, b)
+                    assert got == _ordered_or_error(spec, a, b)
+        assert calls == []
+
+    def test_rows_past_a_failing_whitening_factor_run_order_compare(self, monkeypatch):
+        # the second low's eigenvector columns have norm 2: its root fails
+        # SpdStack.spectrum()'s guard, which only the affine kinds read
+        from spdorders.errors import ConvergenceFailure
+
+        calls = self._count_compares(monkeypatch)
+        for spec in specs_at(3):
+            lows, highs = (_stack(side) for side in zip(*(random_ordered_pair(spec, 3, seed) for seed in range(4))))
+            v = lows.eigenvectors.copy()
+            v[1] *= 2.0
+            bad = core.SpdStack(lows.entries, lows.eigenvalues, v)
+            errors = []
+            for low in (bad, bad[1:2]):
+                ordered = orders._ordered_rows(spec, low, highs)
+                for j in range(len(highs)):
+                    try:
+                        got = ordered(j)
+                    except SpdError as exc:
+                        got = type(exc), str(exc)
+                        errors.append(type(exc))
+                    assert got == _ordered_or_error(spec, low.point(j % len(low)), highs.point(j))
+            affine = spec.kind in ("quad-affine", "ray")
+            assert errors == ([ConvergenceFailure] * 5 if affine else [])
+            # past the first row: the failing row and the rows after it, then every row of the one-row stack
+            want = [(1, 1), (2, 2), (3, 3), (1, 0), (1, 1), (1, 2), (1, 3)] if affine else []
+            assert [(a.entries.tobytes(), b.entries.tobytes()) for a, b in calls] == [
+                (lows.entries[i].tobytes(), highs.entries[j].tobytes()) for i, j in want]
+            calls.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -888,14 +928,15 @@ def oracle_outcome(oracle, *args):
 
 def counting_eigh(monkeypatch):
     """Patch core.eigh, the package's one eigh, in every module that reads
-    it, to record the ndim of each input it solves."""
+    it, to record the stack shape of each input it solves: () for one
+    matrix, (k,) for a stack of k."""
     calls, eigh = [], core.eigh
 
     def counting(a):
-        calls.append(np.ndim(a))
+        calls.append(np.shape(a)[:-2])
         return eigh(a)
 
-    for module in (core, cones, flows, geometry, orders):
+    for module in (core, cones, flows, geometry):
         monkeypatch.setattr(module, "eigh", counting)
     return calls
 
@@ -939,10 +980,12 @@ class TestCertifiedOracleMatchesEighGuard:
         sigma1, sigma2 = random_ordered_pair(spec, 3, 7)
         calls = counting_eigh(monkeypatch)
         assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
-        assert 3 not in calls
+        # the affine kinds' one relative eigh, a one-row stack, and no block
+        assert calls == ([] if spec.kind in cones.TRANSLATION_KINDS else [(1,)])
+        calls.clear()
         # the eigh-guarded body solved each block: sample 0, then three blocks
         assert eigh_guarded_oracle(spec, sigma1, sigma2, 300) is True
-        assert calls.count(3) == 4
+        assert calls == [(1,), (BLOCK_ROWS,), (BLOCK_ROWS,), (300 - 1 - 2 * BLOCK_ROWS,)]
 
 
 class TestRelativeFrameMemo:
@@ -954,10 +997,10 @@ class TestRelativeFrameMemo:
         verdict = order_compare(spec, sigma1, sigma2)
         assert verdict.relation == "less_equal"
         assert conal_path_oracle(spec, sigma1, sigma2, 50) is True
-        assert calls == [2]
+        assert calls == [(1,)]
         # the memo holds one pair, told by identity: a new sigma2 solves again
         assert order_compare(spec, sigma1, other) == verdict
-        assert calls == [2, 2]
+        assert calls == [(1,), (1,)]
 
     def test_shared_arrays_are_read_only_and_bit_for_bit(self):
         from spdorders.geometry import relative_eigenvalues
@@ -976,7 +1019,7 @@ class TestRelativeFrameMemo:
         for _ in range(2):
             with pytest.raises(IllConditioned):
                 order_compare(quadratic_affine(1.0, 2), sigma1, sigma2)
-        assert calls == [2, 2]
+        assert calls == [(1,), (1,)]
 
     def test_threads_sharing_a_point_read_their_own_pair(self):
         import sys

@@ -234,6 +234,33 @@ class TestClosedFormSections:
             assert abs(lin if quad is None else min(lin, quad)) <= 1e-12
 
 
+class TestExtremeScales:
+    # the forms are homogeneous in p: a section at 2^+-520 is the unscaled
+    # section bit for bit, and no square overflows or underflows on the way
+    SPECS = [quadratic_affine(0.5, 2), quadratic_affine(1.0, 2), quadratic_translation(0.8, 2),
+             loewner(2), half_space_affine(2)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.mu}")
+    @pytest.mark.parametrize("e", [-520, -300, 8, 300, 520])
+    def test_sections_equal_the_unscaled_section(self, spec, e):
+        for seed in (0, 5):
+            sigma = random_spd(2, seed, 0.6)
+            p, scaled = phi(sigma), phi(spd_validate(np.ldexp(sigma.entries, e)))
+            assert cone_cross_section(spec, scaled, 24).tobytes() == cone_cross_section(spec, p, 24).tobytes()
+            delta = np.array([0.3, -0.2, 1.0])
+            assert coordinate_margins(spec, scaled, delta) == coordinate_margins(spec, p, delta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_interiority_at_extreme_scales(self):
+        for e in (-1070, -520, 520, 1000):
+            z = math.ldexp(1.0, e)
+            assert ConePoint3(0.6 * z, -0.1 * z, z).z == z
+            for x in (z, 1.5 * z, 1e308, math.nan, math.inf):
+                with pytest.raises(OutsideCone):
+                    ConePoint3(x, 0.0, z)
+
+
 class TestHyperboloidLeaves:
     def test_zero_label_gives_the_cone_boundary(self):
         grid = hyperboloid_leaf(0.0, 16)
