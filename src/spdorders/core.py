@@ -200,30 +200,6 @@ def _positive_rows(sym: np.ndarray, err: SpdError | None) -> tuple[SpdStack, Spd
     return SpdStack(sym, w, v), err
 
 
-def _validate_spd_entries(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
-    """_validate_spd_stack's entries and error, without eigenpairs when a
-    certificate holds: if _windowed tells the stack inside the window as
-    it is, and every row A - tau I, tau = 4 n PD_RTOL ||A||_F,
-    factors by one stacked Cholesky, every row passes; else the eigen test
-    decides.  Sound: Cholesky's backward error (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., Thm 10.3) gives lambda_min(A) >= tau -
-    O(n^2 eps ||A||_2), eigh's eigenvalues lie within O(n^2 eps ||A||_2) of
-    A's, and ||A||_2 <= ||A||_F, so eigh's lambda_min beats n PD_RTOL times its
-    lambda_max by (3 n PD_RTOL - O(n^2 eps)) ||A||_2, with n^2 eps <= n 1.5e-14
-    far below 3 n PD_RTOL = n 3e-12 for n <= 64."""
-    sym, err = _validate_sym_stack(a)
-    n = sym.shape[-1]
-    windowed, _, norms = _windowed(sym)
-    try:  # numpy raises for a row with a pivot <= 0 or NaN; a row that factors has a finite diagonal
-        if windowed is sym:  # told by the whole-stack test: every row inside the window
-            cholesky(sym - (4 * n * PD_RTOL * norms)[:, None, None] * _identity(n))
-            return sym, err
-    except np.linalg.LinAlgError:
-        pass
-    points, err = _positive_rows(sym, err)
-    return points.entries, err
-
-
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return eigh(a)

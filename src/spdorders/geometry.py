@@ -71,7 +71,7 @@ def _relative_eighs(inv_roots: np.ndarray, entries: np.ndarray):
 
     def pair(j: int) -> tuple[np.ndarray, np.ndarray]:
         wj = w[j]
-        if wj[0] <= 0 or wj[-1] / wj[0] > COND_CAP:
+        if not (wj[0] > 0 and wj[-1] / wj[0] <= COND_CAP):  # NaN fails too
             raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
         return wj, u[j]
 
@@ -86,6 +86,10 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
     pair, w, u = sigma1._relative
     if pair() is sigma2:  # a weak reference: the memo keeps no point alive
         return w, u
+    (w1, _), (w2, _) = sigma1._eig, sigma2._eig
+    low, high = float(w2[0]) / float(w1[-1]), float(w2[-1]) / float(w1[0])  # bounds of the relative spectrum
+    if not (2.0**-1022 <= low and high < 2.0**1023):  # past 2^1023 the whitened matrix's symmetrizing sum overflows
+        raise InvalidParameters(f"relative spectrum bound [{low:.3e}, {high:.3e}] leaves the normal float range")
     inv = _checked(*SpdStack.of(sigma1).root(-0.5))
     w, u = _relative_eighs(inv, SpdStack.of(sigma2).entries)(0)
     w.setflags(write=False)  # shared by every call on the pair
@@ -100,7 +104,9 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2} (both roots read from
     sigma1's stack, which builds each once), and b = sigma1^{1/2} u.  w is
     read-only and shared with relative_eigenvalues of the same pair.  Raises
-    IllConditioned when the relative spectrum spans more than COND_CAP."""
+    InvalidParameters when the bound [lambda_min(sigma2) / lambda_max(sigma1),
+    lambda_max(sigma2) / lambda_min(sigma1)] on the relative spectrum leaves
+    [2^-1022, 2^1023), and IllConditioned when it spans more than COND_CAP."""
     w, u = _relative_eigh(sigma1, sigma2)
     return SpdStack.of(sigma1).root(0.5)[0][0] @ u, w  # _relative_eigh raised the stack's error, if any
 

@@ -25,15 +25,16 @@ from .cones import (
 )
 from .core import (
     BLOCK_ROWS,
+    PD_RTOL,
     WINDOW,
     SpdMatrix,
     SpdStack,
     SymTangent,
     _checked,
     _log_dets,
+    _positive_rows,
     _row_norms,
     random_spd,
-    _validate_spd_entries,
     _validate_spd_stack,
     _validate_sym_stack,
     _windowed,
@@ -179,25 +180,36 @@ def conal_path_oracle(
     """Cross-validation oracle: discretize the conal path from sigma1 to
     sigma2 and test the velocity against the cone at every sample.
 
-    True iff every membership margin is >= -10*tol.  Every point and
-    velocity passes SpdMatrix's guards (_validate_spd_entries) and
-    SymTangent's: sample 0 alone (the margin is constant along the path,
-    so on an unordered pair it decides), then the rest in stacks of at
-    most BLOCK_ROWS.  The first sample that fails decides, so an invalid
-    point raises only when no earlier sample is outside the cone.
+    True iff every membership margin is >= -10*tol.  Every point and velocity passes SymTangent's guards:
+    sample 0 alone (the margin is constant along the path, so it decides an unordered pair), then stacks of
+    at most BLOCK_ROWS.  The first sample that fails decides, so an invalid point raises only when no earlier
+    sample is outside the cone.  The points pass the eigen test (_positive_rows) too, unless one eigvalsh of
+    the endpoints certifies the path.  Each exact point's spectrum lies in [L, U], U <= kappa L, kappa the
+    endpoints' larger lambda_max / lambda_min: the weighted geometric mean is monotone (Kubo and Ando,
+    1980), lambda_min concave and lambda_max convex (Weyl).  To first order in eps = 2^-52 (Higham, 2002,
+    ch. 3), four roundings each move L and U by at most n^2 eps kappa^2 relatively: the endpoints' spectra,
+    the affine frame (b, w) (whitening magnifies sigma2's rounding by kappa), the products b diag(w^t) b^T
+    and eigh's backward error.  So n PD_RTOL kappa + 4 n^2 eps kappa^2 <= 1/2 leaves each computed point
+    lambda_min - n PD_RTOL lambda_max >= L / 4, and eps lambda_min >= 2^-1022 keeps gradual underflow below
+    eps L.  A NaN, inf or non-positive endpoint spectrum fails.
     """
     if samples < 2:
         raise InvalidParameters("need at least two path samples")
-
     path, constant = _conal_path(spec, sigma1, sigma2)
     if constant:
         return True  # numerically constant path: zero velocity everywhere
+    w, eps, n = eigvalsh(np.stack((sigma1.entries, sigma2.entries))), 2.0**-52, sigma1.n
+    certified = all(lo * eps >= 2.0**-1022 and n * PD_RTOL * (k := hi / lo) + 4 * n * n * eps * k * k <= 0.5
+                    for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist()))
     for first in range(1 - BLOCK_ROWS, samples, BLOCK_ROWS):  # samples [0, 1), [1, 129), [129, 257), ...
         ts = np.arange(max(first, 0), min(first + BLOCK_ROWS, samples), dtype=float) * (1.0 / (samples - 1))
         if first + BLOCK_ROWS >= samples:
             ts[-1] = 1.0  # linspace's grid, built block by block
         points, velocities = path(ts[:, None, None])
-        points, err = _validate_spd_entries(points)
+        points, err = _validate_sym_stack(points)
+        if not certified:
+            valid, err = _positive_rows(points, err)
+            points = valid.entries
         velocities, verr = _validate_sym_stack(velocities[: len(points)])
         if verr is not None:
             points, err = points[: len(velocities)], verr

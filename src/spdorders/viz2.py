@@ -35,7 +35,7 @@ class ConePoint3:
     z: float
 
     def __post_init__(self):
-        x, y, z = _unit_scaled(self)
+        x, y, z = _unit_scaled(self.x, self.y, self.z)
         if not (z > 0.0 and z * z - x * x - y * y > 0.0):
             raise OutsideCone(f"({self.x}, {self.y}, {self.z}) not interior to the cone")
 
@@ -43,11 +43,11 @@ class ConePoint3:
         return np.array([self.x, self.y, self.z])
 
 
-def _unit_scaled(p: ConePoint3) -> tuple[float, float, float]:
-    """p's coordinates times the power of two that brings the largest |coordinate| into [0.5, 1):
+def _unit_scaled(*coords: float) -> tuple[float, ...]:
+    """The coordinates times the power of two that brings the largest |coordinate| into [0.5, 1):
     the cone's forms are homogeneous, and no square of these overflows nor, for the largest, underflows."""
-    e = math.frexp(max(abs(p.x), abs(p.y), abs(p.z)))[1]
-    return math.ldexp(p.x, -e), math.ldexp(p.y, -e), math.ldexp(p.z, -e)
+    e = math.frexp(max(map(abs, coords), default=0.0))[1]
+    return tuple(math.ldexp(c, -e) for c in coords)
 
 
 def phi(sigma: SpdMatrix) -> ConePoint3:
@@ -100,7 +100,7 @@ def _section_forms(spec: ConeSpec, p: ConePoint3):
         return e3, e3, np.diag([-1.0, -1.0, 2.0 / mu - 1.0]), 1.0
     if spec.kind == RAY:
         raise EmptySection("the ray field has no two-dimensional section")
-    x, y, z = _unit_scaled(p)
+    x, y, z = _unit_scaled(p.x, p.y, p.z)
     lin = np.array([-x, -y, z])
     pnorm2 = x * x + y * y + z * z
     if spec.kind == HALF_SPACE:
@@ -120,7 +120,7 @@ def coordinate_margins(spec: ConeSpec, p: ConePoint3, delta) -> tuple[float, flo
     These are the closed-form pullbacks of the membership inequalities;
     signs agree with `cone_membership` through the coordinate map.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta = np.array(_unit_scaled(*np.asarray(delta, dtype=float)))  # the margins have degree 0 in delta
     dnorm2 = float(delta @ delta)
     if dnorm2 == 0.0:
         return 1.0, 1.0

@@ -93,6 +93,18 @@ class TestOrder:
         code, _, err = run(capsys, "order", "--cone", spec, a, a)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["quad-affine", "ray"])
+    def test_relative_spectrum_past_the_float_range_is_input_error(self, files, capsys, kind):
+        _, _, matrix, cone = files
+        a = matrix("a.json", np.ldexp(np.eye(2), -600))
+        b = matrix("b.json", np.ldexp(np.diag([1.0, 2.0]), 600))
+        spec = cone("cone.json", kind=kind, n=2, **({"mu": 1.0} if kind == "quad-affine" else {}))
+        for pair in ((a, b), (b, a)):
+            code, out, err = run(capsys, "order", "--cone", spec, *pair)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1 and "normal float range" in err
+
     @pytest.mark.parametrize("n", ["1e400", "2.7", "2.0", '"2"', "true", "null"])
     def test_cone_spec_dimension_must_be_a_json_integer(self, files, capsys, n):
         _, write, matrix, _ = files

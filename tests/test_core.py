@@ -24,11 +24,9 @@ import spdorders
 from spdorders import core
 from spdorders.core import (
     MAX_DIM,
-    PD_RTOL,
     SYM_RTOL,
     SpdStack,
     Spectrum,
-    _validate_spd_entries,
     _validate_spd_stack,
     _validate_sym_stack,
     derive_rng,
@@ -463,74 +461,6 @@ class TestSymmetryGuardAgainstPerRowRule:
         assert (np.abs(a - a.swapaxes(1, 2)).max() > SYM_RTOL) == (kind == "between")
         self._assert_matches(a)
         assert _validate_sym_stack(a)[1] is None
-
-    def test_empty_stack(self):
-        self._assert_matches(np.empty((0, 3, 3)))
-
-
-def _near_threshold_row(n, rng, ratio, exponent):
-    """A symmetric n x n row at scale 2^exponent whose lambda_min / lambda_max
-    is ratio * n * PD_RTOL (negative: an indefinite row)."""
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    w = np.exp(rng.uniform(np.log(abs(ratio) * n * PD_RTOL), 0.0, n))
-    w[0], w[-1] = ratio * n * PD_RTOL, 1.0
-    a = (q * w) @ q.T
-    return np.ldexp(0.5 * (a + a.T), exponent)
-
-
-def _guard_outcome(guard, a):
-    entries, err = guard(a)
-    return getattr(entries, "entries", entries), (type(err), str(err))
-
-
-class TestCertifiedPositivityGuard:
-    # _validate_spd_entries certifies a stack by a shifted Cholesky and
-    # falls back to the eigen test: it must answer as _validate_spd_stack
-
-    @staticmethod
-    def _assert_matches(a):
-        entries, err = _guard_outcome(_validate_spd_entries, a)
-        ref_entries, ref_err = _guard_outcome(_validate_spd_stack, a)
-        assert np.array_equal(entries, ref_entries) and not entries.flags.writeable
-        assert err == ref_err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 16),
-        seed=seeds,
-        ratios=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=6),
-        exponents=st.one_of(st.integers(-520, 520).map(lambda e: [e]),
-                            st.lists(st.integers(-520, 520), min_size=6, max_size=6)),
-        bad=st.sampled_from([None, "asymmetric", "nan", "inf", "indefinite"]),
-        position=st.integers(0, 5),
-    )
-    def test_same_rows_and_error_as_the_eigen_test(self, n, seed, ratios, exponents, bad, position):
-        # lambda_min / lambda_max from 1e-2 to 1e4 times n * PD_RTOL, one scale
-        # for the stack or one per row, and at most one bad row
-        rng = np.random.default_rng(seed)
-        a = np.array([_near_threshold_row(n, rng, 10.0**r, exponents[i % len(exponents)])
-                      for i, r in enumerate(ratios)])
-        row = position % len(a)
-        if bad == "asymmetric" and n > 1:
-            a[row, 0, -1] += 1e-6 * (1.0 + np.abs(a[row]).max())
-        elif bad in ("nan", "inf"):
-            a[row, rng.integers(n), rng.integers(n)] = float(bad)
-        elif bad == "indefinite":
-            a[row] = _near_threshold_row(n, rng, -10.0 ** rng.uniform(-2.0, 4.0), exponents[0])
-        self._assert_matches(a)
-
-    def test_rows_whose_norms_underflow_take_the_eigen_test(self):
-        # beside a unit row the stack is in range, but ||2^-560 A||_F^2
-        # underflows to 0: a shift from that norm would certify any PD row
-        for k in (560, 600):
-            for low in (1e-13, 1e-11):
-                self._assert_matches(np.array([np.eye(2), np.ldexp(np.diag([1.0, low]), -k)]))
-
-    def test_certified_rows_keep_their_entries(self):
-        a = np.stack([random_spd(4, seed, 0.8).entries for seed in range(6)])
-        entries, err = _validate_spd_entries(a)
-        assert err is None and entries.tobytes() == _validate_spd_stack(a)[0].entries.tobytes()
 
     def test_empty_stack(self):
         self._assert_matches(np.empty((0, 3, 3)))

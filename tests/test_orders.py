@@ -208,6 +208,21 @@ class TestExtremeMagnitudes:
         assert order_compare(ConeSpec("quad-affine", 2, 1.0), a, b).relation == "greater_equal"
 
     @pytest.mark.filterwarnings("error")
+    def test_relative_spectrum_past_the_float_range_raises(self):
+        # the relative spectra {2^1200, 2^1201} and {2^-1201, 2^-1200} have
+        # condition number 2, but no float holds them
+        from spdorders.geometry import distance, relative_eigenvalues
+
+        a, b = SpdMatrix(np.ldexp(np.eye(2), -600)), SpdMatrix(np.ldexp(np.diag([1.0, 2.0]), 600))
+        for lo, hi in ((a, b), (b, a)):
+            for spec in (quadratic_affine(1.0, 2), ray_affine(2)):
+                with pytest.raises(InvalidParameters, match="normal float range"):
+                    order_compare(spec, lo, hi)
+            for f in (relative_eigenvalues, distance):
+                with pytest.raises(InvalidParameters, match="normal float range"):
+                    f(lo, hi)
+
+    @pytest.mark.filterwarnings("error")
     def test_tiny_pair_is_ordered_not_equal(self):
         a, b = SpdMatrix(1e-200 * np.eye(2)), SpdMatrix(np.diag([2e-200, 1e-200]))
         for spec in (loewner(2), quadratic_translation(1.0, 2), quadratic_affine(1.0, 2)):
@@ -311,21 +326,28 @@ class TestBatchedOracleMatchesLoop:
     @pytest.mark.parametrize("spec", [quadratic_affine(1.5, 3), half_space_affine(3), ray_affine(3)],
                              ids=lambda s: s.kind)
     def test_unordered_pair_guards_one_sample(self, spec, monkeypatch):
-        # the margin is constant along the geodesic, so sample 0 decides
-        guarded = []
+        # the margin is constant along the geodesic, so sample 0 decides;
+        # the endpoints certify both paths, so no block runs the eigen test
+        tested, eigen_tested = [], []
+        margins, positive_rows = orders.cone_margins, orders._positive_rows
 
-        def counting(a):
-            guarded.append(len(a))
-            return validate(a)
+        def counting_margins(spec, points, velocities):
+            tested.append(len(points))
+            return margins(spec, points, velocities)
 
-        validate = orders._validate_spd_entries
-        monkeypatch.setattr(orders, "_validate_spd_entries", counting)
+        def counting_positive_rows(sym, err):
+            eigen_tested.append(len(sym))
+            return positive_rows(sym, err)
+
+        monkeypatch.setattr(orders, "cone_margins", counting_margins)
+        monkeypatch.setattr(orders, "_positive_rows", counting_positive_rows)
         sigma1, sigma2 = random_ordered_pair(spec, 3, 5)
         assert conal_path_oracle(spec, sigma2, sigma1, 300) is False
-        assert guarded == [1]
-        guarded.clear()
+        assert tested == [1]
+        tested.clear()
         assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
-        assert guarded == [1, BLOCK_ROWS, BLOCK_ROWS, 300 - 1 - 2 * BLOCK_ROWS]
+        assert tested == [1, BLOCK_ROWS, BLOCK_ROWS, 300 - 1 - 2 * BLOCK_ROWS]
+        assert eigen_tested == []
 
     def test_unordered_pair_builds_no_grid(self):
         # sample 0 decides an unordered pair, and each block builds its own
@@ -887,13 +909,13 @@ class TestOrderedRowsMatchCompare:
 
 
 # ---------------------------------------------------------------------------
-# The path oracle without throwaway eigensolves: its certified point guard
+# The path oracle without throwaway eigensolves: its path certificate
 # against the eigh-guarded body it replaces, and the relative-frame memo.
 # ---------------------------------------------------------------------------
 
 
 def eigh_guarded_oracle(spec, sigma1, sigma2, samples, tol=1e-10):
-    """conal_path_oracle as it was written before the certified point guard:
+    """conal_path_oracle as it was written before any positivity certificate:
     every block's points pass _validate_spd_stack and its stacked eigh."""
     from spdorders.core import _checked, _validate_spd_stack, _validate_sym_stack
     from spdorders.cones import cone_margins
@@ -969,11 +991,40 @@ class TestCertifiedOracleMatchesEighGuard:
         (quadratic_translation(0.3, 2), [4.0, 1e-13]),
     ])
     def test_paths_leaving_the_spd_set(self, spec, end):
-        # the last points fail the eigen test the certificate falls back to
+        # the endpoints fail the path certificate, and the last points the eigen test
         sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag(end))
         for samples in (11, BLOCK_ROWS + 2, 300):
             expected = oracle_outcome(eigh_guarded_oracle, spec, sigma1, sigma2, samples)
             assert oracle_outcome(conal_path_oracle, spec, sigma1, sigma2, samples) == expected
+
+    @pytest.mark.parametrize("e", [-520, 0, 520])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_endpoints_across_the_certificate_threshold(self, n, e, monkeypatch):
+        # for n <= 5 the certificate's threshold kappa lies between 1e6 and
+        # 3e7 at every scale: only pairs with an endpoint above it run the
+        # eigen test, on each block the oracle builds
+        eigen_tested, positive_rows = [], orders._positive_rows
+
+        def counting(sym, err):
+            eigen_tested.append(len(sym))
+            return positive_rows(sym, err)
+
+        monkeypatch.setattr(orders, "_positive_rows", counting)
+        q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+        for kappa in (1e3, 1e6, 3e7, 1e9):
+            a = (q * np.geomspace(1.0 / kappa, 1.0, n)) @ q.T
+            a = SpdMatrix(np.ldexp(0.5 * (a + a.T), e))
+            other = SpdMatrix(np.ldexp(random_spd(n, n, 0.3).entries, e))
+            double = SpdMatrix(2.0 * a.entries)
+            for spec in specs_at(n):
+                for lo, hi in ((a, double), (double, a), (a, other), (other, a)):
+                    expected = oracle_outcome(eigh_guarded_oracle, spec, lo, hi, BLOCK_ROWS + 3)
+                    eigen_tested.clear()
+                    assert oracle_outcome(conal_path_oracle, spec, lo, hi, BLOCK_ROWS + 3) == expected
+                    if kappa < 1e7:
+                        assert eigen_tested == []
+                    else:  # every block up to the one that decides
+                        assert eigen_tested and eigen_tested == [1, BLOCK_ROWS, 2][: len(eigen_tested)]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_ordered_pair_runs_no_stacked_eigh(self, spec, monkeypatch):

@@ -252,6 +252,17 @@ class TestExtremeScales:
             assert coordinate_margins(spec, scaled, delta) == coordinate_margins(spec, p, delta)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.mu}")
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_margins_in_the_scale_of_the_tangent(self, spec, e):
+        # the margins have degree 0 in delta: no square of a scaled delta
+        # may underflow to the zero tangent's (1, 1) or overflow
+        for seed in (0, 5):
+            p = phi(random_spd(2, seed, 0.6))
+            for delta in (np.array([0.3, -0.2, 1.0]), np.array([-1.0, 0.25, 0.5])):
+                assert coordinate_margins(spec, p, np.ldexp(delta, e)) == coordinate_margins(spec, p, delta)
+
+    @pytest.mark.filterwarnings("error")
     def test_interiority_at_extreme_scales(self):
         for e in (-1070, -520, 520, 1000):
             z = math.ldexp(1.0, e)
