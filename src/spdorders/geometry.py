@@ -59,17 +59,28 @@ def _norm(a: np.ndarray) -> float:
 
 def _whitened(inv_root: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """inv_root @ entries @ inv_root, exactly symmetrized: of one pair, or of each row of broadcasting stacks."""
-    rel = inv_root @ entries @ inv_root
-    return 0.5 * (rel + rel.swapaxes(-1, -2))
+    half = 0.5 * (inv_root @ entries @ inv_root)  # halved first: a sum at 2^1023 would overflow
+    return half + half.swapaxes(-1, -2)
 
 
-def _relative_eighs(inv_roots: np.ndarray, entries: np.ndarray):
-    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2} for each row of two (k, n, n) stacks, the
-    roots sigma1^{-1/2} and the entries of sigma2: returns pair(j), row j's eigenvalues and
-    eigenvectors, raising IllConditioned when they are not positive or span more than COND_CAP."""
-    w, u = eigh(_whitened(inv_roots, entries))
+def _canonical_shift(top1, top2):
+    """The pair's canonical scale 2^shift: shift = -max(j1, j2), j the frexp exponent of a point's lambda_max."""
+    if isinstance(top1, np.ndarray):  # row pairs; a float pair takes math.frexp, about 8x cheaper
+        return -np.maximum(np.frexp(top1)[1], np.frexp(top2)[1])
+    return -max(math.frexp(top1)[1], math.frexp(top2)[1])
+
+
+def _relative_eighs(w1: np.ndarray, v1: np.ndarray, err: SpdError | None, entries: np.ndarray, shift: np.ndarray):
+    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2} for each row of stacks of sigma1's eigenpairs (w1, v1), sigma2's
+    entries and the pair's _canonical_shift, both points at 2^shift by exact ldexps: returns pair(j), row j's
+    eigenvalues and eigenvectors, raising err past the rows of w1 and IllConditioned when they are not positive
+    or span more than COND_CAP."""
+    inv = _spectral_apply(np.ldexp(w1, shift[:, None]), v1, lambda w: 1.0 / np.sqrt(w))
+    w, u = eigh(_whitened(inv, np.ldexp(entries, shift[:, None, None])))
 
     def pair(j: int) -> tuple[np.ndarray, np.ndarray]:
+        if j >= len(w):
+            raise err
         wj = w[j]
         if not (wj[0] > 0 and wj[-1] / wj[0] <= COND_CAP):  # NaN fails too
             raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
@@ -88,10 +99,10 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
         return w, u
     (w1, _), (w2, _) = sigma1._eig, sigma2._eig
     low, high = float(w2[0]) / float(w1[-1]), float(w2[-1]) / float(w1[0])  # bounds of the relative spectrum
-    if not (2.0**-1022 <= low and high < 2.0**1023):  # past 2^1023 the whitened matrix's symmetrizing sum overflows
+    if not (2.0**-1022 <= low and high < 2.0**1023):  # at the canonical scale _whitened's sums are <= max(1, high)
         raise InvalidParameters(f"relative spectrum bound [{low:.3e}, {high:.3e}] leaves the normal float range")
-    inv = _checked(*SpdStack.of(sigma1).root(-0.5))
-    w, u = _relative_eighs(inv, SpdStack.of(sigma2).entries)(0)
+    shift = np.array([_canonical_shift(w1[-1], w2[-1])])
+    w, u = _relative_eighs(*SpdStack.of(sigma1).spectrum(), SpdStack.of(sigma2).entries, shift)(0)
     w.setflags(write=False)  # shared by every call on the pair
     u.setflags(write=False)
     sigma1._relative = weakref.ref(sigma2), w, u
@@ -101,8 +112,8 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
 def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The frame (b, w) that diagonalizes a pair: sigma1 = b b^T and
     sigma2 = b diag(w) b^T, with w the ascending eigenvalues and u the
-    eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2} (both roots read from
-    sigma1's stack, which builds each once), and b = sigma1^{1/2} u.  w is
+    eigenvectors of sigma1^{-1/2} sigma2 sigma1^{-1/2} at the pair's canonical
+    scale (the same bits for the pair at 2^k), and b = sigma1^{1/2} u.  w is
     read-only and shared with relative_eigenvalues of the same pair.  Raises
     InvalidParameters when the bound [lambda_min(sigma2) / lambda_max(sigma1),
     lambda_max(sigma2) / lambda_min(sigma1)] on the relative spectrum leaves

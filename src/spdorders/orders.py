@@ -9,6 +9,7 @@ oracle exists for cross-validation only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .cones import (
 from .core import (
     BLOCK_ROWS,
     PD_RTOL,
-    WINDOW,
     SpdMatrix,
     SpdStack,
     SymTangent,
@@ -37,11 +37,10 @@ from .core import (
     random_spd,
     _validate_spd_stack,
     _validate_sym_stack,
-    _windowed,
     eigvalsh,
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
-from .geometry import _exp_stack, _geodesic_curve, _norm, _relative_eighs, relative_eigenvalues
+from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, _relative_eighs, relative_eigenvalues
 from .seeds import derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
@@ -54,7 +53,7 @@ EQUALITY_RTOL = 1e-10  # relative Frobenius threshold for the equal short-circui
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Four-way comparison with signed, scale-invariant margins.
+    """Four-way comparison with signed margins, invariant under congruence (affine kinds) and rescaling (all).
 
     equal implies both margins >= -tol; incomparable implies both < -tol.
     When both directions hold for the half-space preorder (equal
@@ -80,24 +79,31 @@ def _spectral_margins(d: np.ndarray, spec: ConeSpec) -> tuple[float, float]:
     return min(own, trace), min(rev_own, rev_trace)
 
 
+def _half_space_margins(lows: SpdStack, highs: SpdStack, i1, i2) -> np.ndarray:
+    """log det sigma2 - log det sigma1 of the row pairs (lows[i1], highs[i2]): one stacked Cholesky with each point
+    at 2^-j, j the frexp exponent of its lambda_max, plus n (j2 - j1) ln 2, the same bits for the pair at 2^k."""
+    j = np.frexp(np.concatenate((lows.eigenvalues[i1, -1], highs.eigenvalues[i2, -1])))[1]
+    ld, k = _log_dets(np.ldexp(np.concatenate((lows.entries[i1], highs.entries[i2])), -j[:, None, None])), len(i1)
+    return (ld[k:] - ld[:k]) + lows.n * (j[k:] - j[:k]) * math.log(2.0)
+
+
 def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
     """Decide how sigma1 and sigma2 relate under the order induced by spec.
 
-    Incomparability is a first-class verdict, not an error: these are
-    genuine partial orders.
+    Incomparability is a first-class verdict, not an error: these are genuine
+    partial orders.  The pair is decided at its canonical scale (_canonical_shift).
     """
     if sigma1.n != sigma2.n or spec.n != sigma1.n:
         raise DimensionMismatch(f"spec n={spec.n}, points n={sigma1.n}, {sigma2.n}")
 
-    e1, e2 = sigma1.entries, sigma2.entries
-    if not 1.0 / WINDOW <= max(sigma1._eig[0][-1], sigma2._eig[0][-1]) <= WINDOW:  # lambda_max >= max|entry|
-        e1, e2 = (a[0] for a in _pair_windowed(e1[None], e2[None]))
+    shift = _canonical_shift(sigma1._eig[0][-1], sigma2._eig[0][-1])
+    e1, e2 = np.ldexp(sigma1.entries, shift), np.ldexp(sigma2.entries, shift)
     if _norm(e2 - e1) <= EQUALITY_RTOL * max(_norm(e1), _norm(e2)):
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
     if spec.kind == HALF_SPACE:
-        ld = sigma2.log_det - sigma1.log_det
-        fwd, rev = ld, -ld
+        fwd = float(_half_space_margins(SpdStack.of(sigma1), SpdStack.of(sigma2), [0], [0])[0])
+        rev = -fwd
     else:
         if spec.kind in TRANSLATION_KINDS:
             d = eigvalsh(e2 - e1)
@@ -112,48 +118,28 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     return OrderVerdict(INCOMPARABLE, fwd, rev)
 
 
-def _pair_windowed(e1: np.ndarray, e2: np.ndarray) -> list[np.ndarray]:
-    """The row pairs of two (k, n, n) stacks brought into core.WINDOW, each pair by one power of
-    two: _windowed of its two matrices concatenated."""
-    return np.split(_windowed(np.concatenate((e1, e2), axis=1))[0], 2, axis=1)
-
-
 def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
     """order_compare over the row pairs of two stacks (a one-row stack pairs with every row),
-    each pair decided here by order_compare's rule: returns ordered(j), whether pair j is
-    less_equal or equal, raising what order_compare raises.  A pair whose larger lambda_max lies
-    outside core.WINDOW is _pair_windowed, the half-space margins come from one stacked Cholesky
-    per side and the spectral vectors from one stacked eigensolve.  Only a pair past a whitening
-    factor that fails SpdStack.spectrum()'s guard runs order_compare itself."""
-    rows = np.arange(max(len(lows), len(highs)))  # a one-row stack pairs with every row
-    e1, e2 = lows.entries[rows % len(lows)], highs.entries[rows % len(highs)]
-    top = np.maximum(lows.eigenvalues[:, -1], highs.eigenvalues[:, -1])
-    outside = np.flatnonzero(~((1.0 / WINDOW <= top) & (top <= WINDOW)))
-    if len(outside):
-        e1[outside], e2[outside] = _pair_windowed(e1[outside], e2[outside])
+    each pair decided here by order_compare's rule at its canonical scale: returns ordered(j), whether
+    pair j is less_equal or equal, raising what order_compare raises, from one stacked Cholesky or
+    eigensolve.  For the affine kinds, each pair from the first low row whose eigenvectors fail
+    SpdStack.spectrum()'s guard on raises that guard's error."""
+    i1, i2 = (np.arange(max(len(lows), len(highs))) % len(s) for s in (lows, highs))
+    shift = _canonical_shift(lows.eigenvalues[i1, -1], highs.eigenvalues[i2, -1])
+    e1, e2 = (np.ldexp(s.entries[i], shift[:, None, None]) for s, i in ((lows, i1), (highs, i2)))
     equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * np.maximum(_row_norms(e1), _row_norms(e2))
-    decided = len(rows)  # the rows decided here
     if spec.kind == HALF_SPACE:
-        ld = _log_dets(highs.entries) - _log_dets(lows.entries)
+        ld = _half_space_margins(lows, highs, i1, i2)
         margin = lambda j: ld[j]
     elif spec.kind in TRANSLATION_KINDS:
         d = eigvalsh(e2 - e1)
         margin = lambda j: _spectral_margins(d[j], spec)[0]
     else:
-        inv = lows.root(-0.5)[0]
-        decided = len(inv) if len(lows) > 1 else len(rows) * len(inv)
-        pair = _relative_eighs(inv[rows[:decided] % len(lows)], highs.entries[rows[:decided] % len(highs)])
+        w1, v1, err = lows.spectrum()
+        k = len(w1) if len(lows) > 1 else len(i1) * len(w1)  # the leading pairs whose sigma1 passed the guard
+        pair = _relative_eighs(w1[i1[:k]], v1[i1[:k]], err, highs.entries[i2[:k]], shift[:k])
         margin = lambda j: _spectral_margins(np.log(pair(j)[0]), spec)[0]
-
-    def ordered(j: int) -> bool:
-        if equal[j]:
-            return True
-        if j >= decided:
-            points = lows.point(j % len(lows)), highs.point(j % len(highs))
-            return order_compare(spec, *points).relation in (LESS_EQUAL, EQUAL)
-        return margin(j) >= -DEFAULT_TOL  # order_compare's less_equal
-
-    return ordered
+    return lambda j: bool(equal[j]) or margin(j) >= -DEFAULT_TOL  # order_compare's equal or less_equal
 
 
 def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):

@@ -358,6 +358,19 @@ class TestGeometryGolden:
             code, out, _ = run(capsys, *argv, "a.json", "b.json")
             assert (code, out) == (case[key]["exit"], case[key]["stdout"]), key
 
+    @pytest.mark.parametrize("kind", ["quad-affine", "quad-translate", "loewner", "half-space", "ray"])
+    def test_order_of_documents_scaled_by_2_to_the_77_prints_the_same(self, tmp_path, monkeypatch, capsys, kind):
+        # 2^77: an odd power of two inside core.WINDOW, whose square root is not exact
+        monkeypatch.chdir(tmp_path)
+        for case in (c for c in self.CASES if c["cone"]["kind"] == kind):
+            Path("cone.json").write_text(json.dumps(case["cone"]))
+            outs = []
+            for k in (0, 77):
+                for name in ("a", "b"):
+                    Path(f"{name}.json").write_text(matrix_document(np.ldexp(parse_matrix_document(case[name]), k)))
+                outs.append(run(capsys, "order", "--cone", "cone.json", "a.json", "b.json"))
+            assert outs[1] == outs[0] and outs[0][0] == 0
+
 
 class TestViz2Command:
     def test_section_file_naming(self, files, capsys, tmp_path):

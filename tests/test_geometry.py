@@ -20,7 +20,7 @@ from spdorders import (
     spd_validate,
 )
 from spdorders import ConeSpec, SpdMatrix, SymTangent, sym_eig
-from spdorders.core import derive_rng, random_sym
+from spdorders.core import Spectrum, derive_rng, random_sym
 from spdorders.errors import IllConditioned, InvalidParameters, NotPositiveDefinite
 from spdorders.geometry import geodesic_velocity, relative_eigenframe
 from spdorders.orders import _conal_path
@@ -120,6 +120,14 @@ class TestExpLog:
         with pytest.raises(InvalidParameters, match="finite"):
             riemannian_exp(spd_validate(np.eye(2)), 800.0 * np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e307, 1e308, 1.7e308])
+    def test_whitened_tangent_near_the_float_limit_fails_its_guard(self, c):
+        # the whitened tangent is halved before its symmetrizing sum, which
+        # would overflow at entries of 2^1023 and above
+        with pytest.raises(InvalidParameters, match="finite"):
+            riemannian_exp(spd_validate(np.eye(2)), c * np.eye(2))
+
     def test_log_of_same_point_is_zero(self):
         sigma = random_spd(3, 4, 0.8)
         assert np.linalg.norm(riemannian_log(sigma, sigma).entries) <= 1e-10
@@ -202,16 +210,20 @@ class TestLeafAndDistance:
 
 
 # ---------------------------------------------------------------------------
-# The frame views against their bodies from before the relative eigenframe
-# had one implementation (roots built per call, the curve written out in
-# each view), kept here as references: every output is the same bytes.
+# The frame views against their bodies written out (roots built per call,
+# the curve written out in each view), kept here as references: every
+# output is the same bytes.
 # ---------------------------------------------------------------------------
 
 
 def reference_frame(sigma1, sigma2):
-    inv_root = sigma1.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
-    rel = inv_root @ sigma2.entries @ inv_root
-    w, u = np.linalg.eigh(0.5 * (rel + rel.T))
+    # whitened at the canonical scale 2^shift, shift = -max(j1, j2) with j the frexp exponent of a point's
+    # lambda_max: sigma1's eigenvalues and sigma2's entries times 2^shift
+    shift = -max(math.frexp(sigma.spectrum.eigenvalues[-1])[1] for sigma in (sigma1, sigma2))
+    scaled = Spectrum(np.ldexp(sigma1.spectrum.eigenvalues, shift), sigma1.spectrum.eigenvectors)
+    inv_root = scaled.apply(lambda w: 1.0 / np.sqrt(w))
+    rel = 0.5 * (inv_root @ np.ldexp(sigma2.entries, shift) @ inv_root)
+    w, u = np.linalg.eigh(rel + rel.T)
     if w[0] <= 0 or w[-1] / w[0] > 1e12:
         raise IllConditioned("relative matrix of the pair condition number exceeds 1.0e+12")
     return sigma1.spectrum.apply(np.sqrt) @ u, w

@@ -25,7 +25,7 @@ from spdorders import (
 )
 from spdorders import cones, core, flows, geometry, orders
 from spdorders.cones import sample_cone_tangent
-from spdorders.core import BLOCK_ROWS, derive_rng, matrix_function, sym_eig
+from spdorders.core import BLOCK_ROWS, Spectrum, derive_rng, matrix_function, sym_eig
 from spdorders.errors import (
     IllConditioned,
     InvalidParameters,
@@ -181,13 +181,32 @@ def kinds_at(n):
             half_space_affine(n), ray_affine(n)]
 
 
+def drift_bound(a, b):
+    """How far an affine kind's margins may move when the pair is rescaled
+    past LAPACK's exact range (OpenBLAS 0.3.31: max|A| outside [2^-400,
+    2^485]), where eigh scales by a factor that is no power of two.  The
+    cached eigenpairs of 2^k a are then those of 2^k (a + E), ||E|| <= c n eps
+    lambda_max(a) (backward stability), which moves each relative eigenvalue
+    by a relative c n eps kappa(a) (Weyl, on the pencil) and so each entry of
+    d = log w by as much.  A margin is of degree 0 in d, with a gradient of
+    norm O(sqrt(n) / ||d||): 16 n^2 kappa(a) / ||d|| ulp.  Over 5 n, 3 specs,
+    48 pairs and 85 k in [-664, 664] the largest drift was 1.74 of its 16."""
+    from spdorders.geometry import relative_eigenvalues
+
+    w = a.spectrum.eigenvalues
+    return 16 * a.n**2 * 2.0**-52 * (w[-1] / w[0]) / float(np.linalg.norm(np.log(relative_eigenvalues(a, b))))
+
+
 class TestExtremeMagnitudes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [664, -664])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_power_of_two_scaling_keeps_the_verdict(self, n, k):
         # 2^664 puts the entries near 1e200, where the squares in a
-        # Frobenius norm overflow; 2^-664 near 1e-200, where they underflow
+        # Frobenius norm overflow; 2^-664 near 1e-200, where they underflow.
+        # The half-space and translation margins read only exact ldexps of
+        # the entries, so they keep every bit; the affine ones read cached
+        # eigenpairs, which LAPACK rescales out here
         for spec in kinds_at(n):
             for seed in range(6):
                 s1, s2 = random_ordered_pair(spec, n, seed)
@@ -196,8 +215,45 @@ class TestExtremeMagnitudes:
                     want = order_compare(spec, a, b)
                     got = order_compare(spec, SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k)))
                     assert got.relation == want.relation
+                    bound = drift_bound(a, b) if spec.kind in ("quad-affine", "ray") else 0.0  # 0: bit for bit
                     for g, w in ((got.forward_margin, want.forward_margin), (got.reverse_margin, want.reverse_margin)):
-                        assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+                        assert abs(g - w) <= bound
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([1, 2, 3, 5, 8]), kind=st.integers(0, 4), seed=st.integers(0, 2**16),
+           pair=st.sampled_from(["random", "ordered", "reversed"]),
+           near=st.lists(st.integers(-200, 200), max_size=6), far=st.integers(-520, 520))
+    def test_margins_are_bit_for_bit_at_every_power_of_two(self, n, kind, seed, pair, near, far):
+        # every k in core.WINDOW's range gives the same bits: the verdict, its
+        # margins, the relative spectrum and the distance; out to 2^+-520 the
+        # margins stay within drift_bound
+        from spdorders.geometry import distance, relative_eigenvalues
+
+        spec = specs_at(n)[kind]
+        a, b = random_spd(n, derive_rng(seed, 0), 0.8), random_spd(n, derive_rng(seed, 1), 0.8)
+        if pair != "random":
+            a, b = random_ordered_pair(spec, n, seed)[:: 1 if pair == "ordered" else -1]
+
+        def outcomes(k):
+            x, y = SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k))
+            out = [compare_outcome(lean_compare, spec, x, y)]
+            for f in (relative_eigenvalues, distance):
+                try:
+                    out.append(hexes(np.atleast_1d(f(x, y))))
+                except SpdError as exc:
+                    out.append((type(exc), str(exc)))
+            return out
+
+        want = outcomes(0)
+        for k in (-200, 200, *near):
+            assert outcomes(k) == want
+        got = outcomes(far)
+        assert got[0][0] == want[0][0]
+        if isinstance(want[0][1], list) and want[0][0] != "equal":
+            bound = drift_bound(a, b) if spec.kind in ("quad-affine", "ray") else 0.0
+            for g, w in zip(got[0][1], want[0][1]):
+                assert abs(float.fromhex(g) - float.fromhex(w)) <= bound
 
     @pytest.mark.filterwarnings("error")
     def test_huge_multiple_of_identity_is_above_a_unit_matrix(self):
@@ -526,15 +582,23 @@ class TestIntervalSampling:
 
 # ---------------------------------------------------------------------------
 # The lean order_compare and the stacked interval sampler against the
-# scalar code they replace, kept here as references.
+# scalar code they replace, kept here as references (each comparison
+# written out at the pair's canonical scale).
 # ---------------------------------------------------------------------------
 
 
+def exponent(sigma):
+    """j with lambda_max in [2^(j-1), 2^j): frexp's exponent."""
+    return math.frexp(sigma.spectrum.eigenvalues[-1])[1]
+
+
 def reference_relative_eigenframe(sigma1, sigma2):
-    inv_root = sigma1.spectrum.apply(lambda w: 1.0 / np.sqrt(w))
-    rel = inv_root @ sigma2.entries @ inv_root
-    rel = 0.5 * (rel + rel.T)
-    w, u = np.linalg.eigh(rel)
+    # whitened at the canonical scale 2^shift: sigma1's eigenvalues and sigma2's entries scaled exactly
+    shift = -max(exponent(sigma1), exponent(sigma2))
+    scaled = Spectrum(np.ldexp(sigma1.spectrum.eigenvalues, shift), sigma1.spectrum.eigenvectors)
+    inv_root = scaled.apply(lambda w: 1.0 / np.sqrt(w))
+    rel = 0.5 * (inv_root @ np.ldexp(sigma2.entries, shift) @ inv_root)
+    w, u = np.linalg.eigh(rel + rel.T)
     if w[0] <= 0 or w[-1] / w[0] > 1e12:
         raise IllConditioned("relative matrix of the pair condition number exceeds 1.0e+12")
     return sigma1.spectrum.apply(np.sqrt) @ u, w
@@ -555,22 +619,19 @@ def reference_spectral_margins(d, mu, kind):
 
 
 def reference_compare(spec, sigma1, sigma2, tol=1e-10):
-    """order_compare as it was written before the lean rewrite, with its
-    range rule on the scale window: a pair whose larger lambda_max lies
-    outside [2^-200, 2^200] is scaled by the one power of two that brings
-    its largest |entry| into [0.5, 1), unless that entry already lies inside."""
-    e1, e2 = sigma1.entries, sigma2.entries
-    peak = max(np.abs(e1).max(), np.abs(e2).max())
-    top = max(sigma1._eig[0][-1], sigma2._eig[0][-1])
-    if not 2.0**-200 <= top <= 2.0**200 and not 2.0**-200 <= peak <= 2.0**200:
-        shift = -np.frexp(peak)[1]
-        e1, e2 = np.ldexp(e1, shift), np.ldexp(e2, shift)
+    """order_compare written out at the pair's canonical scale: both points
+    scaled by 2^-max(j1, j2), j the frexp exponent of a point's lambda_max,
+    and for the half-space margin each point by its own 2^-j."""
+    j1, j2 = exponent(sigma1), exponent(sigma2)
+    e1, e2 = np.ldexp(sigma1.entries, -max(j1, j2)), np.ldexp(sigma2.entries, -max(j1, j2))
     scale = max(float(np.linalg.norm(e1)), float(np.linalg.norm(e2)))
     if float(np.linalg.norm(e2 - e1)) <= 1e-10 * scale:
         return "equal", 1.0, 1.0
     if spec.kind == "half-space":
-        chol1, chol2 = np.linalg.cholesky(sigma1.entries), np.linalg.cholesky(sigma2.entries)
+        chol1 = np.linalg.cholesky(np.ldexp(sigma1.entries, -j1))
+        chol2 = np.linalg.cholesky(np.ldexp(sigma2.entries, -j2))
         ld = 2.0 * float(np.sum(np.log(np.diag(chol2)))) - 2.0 * float(np.sum(np.log(np.diag(chol1))))
+        ld += sigma1.n * (j2 - j1) * math.log(2.0)
         fwd, rev = ld, -ld
     else:
         if spec.kind in ("quad-translate", "loewner"):
@@ -739,7 +800,7 @@ class TestIntervalSamplerMatchesLoop:
 
     @pytest.mark.parametrize("k", [-520, -450, 450, 520])
     def test_extreme_magnitudes_as_per_sample_loop(self, k):
-        # endpoints outside the 2^+-200 window run order_compare itself, rescaled;
+        # endpoints at 2^+-450 and 2^+-520, each pair decided at its canonical scale;
         # a unit nudge at a tiny base point fails its step, and the sampler
         # decides that without a floating-point warning
         for spec in specs_at(2):
@@ -878,9 +939,10 @@ class TestOrderedRowsMatchCompare:
                     assert got == _ordered_or_error(spec, a, b)
         assert calls == []
 
-    def test_rows_past_a_failing_whitening_factor_run_order_compare(self, monkeypatch):
+    def test_rows_past_a_failing_whitening_factor_raise_its_error(self, monkeypatch):
         # the second low's eigenvector columns have norm 2: its root fails
-        # SpdStack.spectrum()'s guard, which only the affine kinds read
+        # SpdStack.spectrum()'s guard, which only the affine kinds read; each
+        # pair from that row on raises the guard's own error
         from spdorders.errors import ConvergenceFailure
 
         calls = self._count_compares(monkeypatch)
@@ -889,23 +951,20 @@ class TestOrderedRowsMatchCompare:
             v = lows.eigenvectors.copy()
             v[1] *= 2.0
             bad = core.SpdStack(lows.entries, lows.eigenvalues, v)
+            affine = spec.kind in ("quad-affine", "ray")
             errors = []
-            for low in (bad, bad[1:2]):
+            for low, first in ((bad, 1), (bad[1:2], 0)):  # the first row that fails the guard
                 ordered = orders._ordered_rows(spec, low, highs)
                 for j in range(len(highs)):
-                    try:
-                        got = ordered(j)
-                    except SpdError as exc:
-                        got = type(exc), str(exc)
-                        errors.append(type(exc))
-                    assert got == _ordered_or_error(spec, low.point(j % len(low)), highs.point(j))
-            affine = spec.kind in ("quad-affine", "ray")
-            assert errors == ([ConvergenceFailure] * 5 if affine else [])
-            # past the first row: the failing row and the rows after it, then every row of the one-row stack
-            want = [(1, 1), (2, 2), (3, 3), (1, 0), (1, 1), (1, 2), (1, 3)] if affine else []
-            assert [(a.entries.tobytes(), b.entries.tobytes()) for a, b in calls] == [
-                (lows.entries[i].tobytes(), highs.entries[j].tobytes()) for i, j in want]
-            calls.clear()
+                    if affine and j >= first:
+                        with pytest.raises(ConvergenceFailure) as raised:
+                            ordered(j)
+                        assert raised.value is low.spectrum()[2]
+                        errors.append(j)
+                    else:
+                        assert ordered(j) == _ordered_or_error(spec, low.point(j % len(low)), highs.point(j))
+            assert errors == ([1, 2, 3, 0, 1, 2, 3] if affine else [])
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
