@@ -169,7 +169,7 @@ def _kind_margin(spec: ConeSpec, m, t, tr2, dev):
     if spec.kind == RAY:
         own, code = -dev(trace) / m, _RAY_DEVIATION
     else:
-        own, code = (trace * trace - spec.mu * tr2()) / m**2, _QUADRATIC_FORM
+        own, code = (trace * trace - spec.mu * tr2()) / (m * m), _QUADRATIC_FORM
     return lambda reverse, low: (own, -margin if reverse else margin, code)
 
 
@@ -339,8 +339,7 @@ def sample_spectral_boundary(mu: float, n: int, rng: np.random.Generator) -> np.
 def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np.ndarray, SpdError | None]:
     """sample_cone_tangents over a stack of base points, each owning an
     equal run of consecutive rows: the tangents of the rows before the
-    first row that fails a guard (its point's spectrum, or SymTangent's
-    guards on the tangent), and that row's error, or None.
+    first row that fails SymTangent's guards, and that row's error, or None.
 
     Every row draws its Gaussian matrix (the ray: its scale), then every
     interior row its shift, so rows need distinct generators; the algebra
@@ -378,18 +377,15 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
         else:
             ys = ys + shift[:, None, None] * _identity(n)
         degenerate = np.flatnonzero(_row_norms(ys) < 1e-12)  # told on the draw, before the congruence scales it
-    err = None
     if n > 1 and spec.kind in (QUAD_AFFINE, HALF_SPACE):
-        root, err = points.root(0.5)
-        ys = (root[:, None] @ ys[:len(root) * width].reshape(len(root), width, n, n) @ root[:, None]).reshape(-1, n, n)
+        root = points.root(0.5)
+        ys = (root[:, None] @ ys.reshape(len(root), width, n, n) @ root[:, None]).reshape(-1, n, n)
 
     ys = 0.5 * (ys + ys.swapaxes(1, 2))
     for i in degenerate:  # a degenerate draw (e.g. constant spectrum) falls back to its point's axis
-        if i < len(ys):  # rows past a failing root were dropped
-            ys[i] = points.entries[i // width]
+        ys[i] = points.entries[i // width]
     ys, _, norms = _windowed(ys)  # norms that neither overflow nor underflow: the same tangent at every scale of sigma
-    sym, later = _validate_sym_stack(ys / norms[:, None, None])
-    return sym, later or err
+    return _validate_sym_stack(ys / norms[:, None, None])
 
 
 def sample_cone_tangents(spec: ConeSpec, sigma: SpdMatrix, rngs, boundary) -> np.ndarray:

@@ -138,7 +138,8 @@ def _symmetrized(a: np.ndarray, peak: float) -> np.ndarray:
 # row that fails, and that row's error (None when every row passes).  A
 # kernel that runs guards in turn ends with `later or err`: each guard sees
 # only the rows the earlier ones passed, so an error it finds belongs to an
-# earlier row, and wins.
+# earlier row, and wins.  The checks on LAPACK's own output
+# (_check_orthogonal, _sym_eig_stack's reconstruction) raise where they run.
 
 
 def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
@@ -207,16 +208,14 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _orthogonal_rows(v: np.ndarray) -> tuple[int, SpdError | None]:
+def _check_orthogonal(v: np.ndarray) -> None:
     """Spectrum's guard over a (k, n, n) stack of eigenvector matrices,
-    ||V^T V - I||_F <= ORTHO_TOL: the number of leading rows that pass,
-    and the error of the first row that fails, or None."""
+    ||V^T V - I||_F <= ORTHO_TOL: raises ConvergenceFailure on the first
+    row that fails."""
     ortho = _row_norms(np.ascontiguousarray(v.swapaxes(-1, -2)) @ v - _identity(v.shape[-1]))
     failing = ortho > ORTHO_TOL
-    if not np.count_nonzero(failing):  # the cheapest test on a short stack
-        return len(v), None
-    bad = int(failing.argmax())
-    return bad, ConvergenceFailure(f"eigenvector matrix not orthogonal: {ortho[bad]:.3e}")
+    if np.count_nonzero(failing):  # the cheapest test on a short stack
+        raise ConvergenceFailure(f"eigenvector matrix not orthogonal: {ortho[int(failing.argmax())]:.3e}")
 
 
 def _spectral_apply(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
@@ -244,7 +243,7 @@ def _check_symmetry(a: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Eigendecomposition of a symmetric matrix: ascending eigenvalues and
     an orthogonal eigenvector matrix (columns).  checked=True wraps a row
-    that already passed _orthogonal_rows without repeating the guard."""
+    that already passed _check_orthogonal without repeating the guard."""
 
     __slots__ = ("eigenvalues", "eigenvectors")
 
@@ -255,7 +254,7 @@ class Spectrum:
             peak = np.abs(v).max(initial=0.0)
             if peak > 1.0 + ORTHO_TOL:  # an orthogonal V has |entries| <= 1, and V^T V of this one could overflow
                 raise ConvergenceFailure(f"eigenvector matrix not orthogonal: entry {peak:.3e} exceeds 1")
-            _checked(*_orthogonal_rows(v[None]))
+            _check_orthogonal(v[None])
         w.flags.writeable = False
         v.flags.writeable = False
         self.eigenvalues = w
@@ -270,15 +269,13 @@ class Spectrum:
         return _spectral_apply(self.eigenvalues, self.eigenvectors, f)
 
 
-def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | None]:
+def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sym_eig over a (k, n, n) stack that passed _validate_sym_stack: the
-    eigenvalues and eigenvectors of the rows before the first row that
-    fails the orthogonality or reconstruction check, and that row's
-    error, or None (a row brought into the window reports its error there)."""
+    eigenvalues and eigenvectors of every row.  Raises ConvergenceFailure
+    on the first row that fails the orthogonality or reconstruction check
+    (a row brought into the window reports its error there)."""
     w, v = _eigh(sym)
-    count, err = _orthogonal_rows(v)
-    if err is not None:
-        w, v, sym = w[:count], v[:count], sym[:count]
+    _check_orthogonal(v)
     ws = w  # |w| <= WINDOW keeps every square in both norms inside the float range
     if abs(w).max(initial=0.0) > WINDOW:  # past it, rows are checked at the scale _windowed brings them to
         sym, e, _ = _windowed(sym)
@@ -286,10 +283,8 @@ def _sym_eig_stack(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, SpdError | 
     recon = _row_norms(_spectral_apply(ws, v, lambda w: w) - sym)
     too_large = recon > RECON_RTOL * np.maximum(_row_norms(sym), 1e-300)
     if np.count_nonzero(too_large):
-        bad = int(too_large.argmax())
-        err = ConvergenceFailure(f"reconstruction error {recon[bad]:.3e} too large")
-        w, v = w[:bad], v[:bad]
-    return w, v, err
+        raise ConvergenceFailure(f"reconstruction error {recon[int(too_large.argmax())]:.3e} too large")
+    return w, v
 
 
 def _as_sym(a) -> np.ndarray:
@@ -304,21 +299,18 @@ def sym_eig(a) -> Spectrum:
     back ascending; the reconstruction error is checked against the input.
     The one-row view of _sym_eig_stack.
     """
-    w, v, err = _sym_eig_stack(_as_sym(a)[None])
-    if err is not None:
-        raise err
+    w, v = _sym_eig_stack(_as_sym(a)[None])
     return Spectrum(w[0], v[0], checked=True)
 
 
 def _sym_exp_stack(sym: np.ndarray) -> tuple[SpdStack, SpdError | None]:
     """sym_exp over a (k, n, n) stack that passed _validate_sym_stack: the
-    exponentials of the rows before the first row that fails a guard of
-    sym_eig or of SpdMatrix, and that row's error, or None."""
-    w, v, err = _sym_eig_stack(sym)
+    exponentials of the rows before the first row that fails SpdMatrix's
+    guards, and that row's error, or None."""
+    w, v = _sym_eig_stack(sym)
     with np.errstate(over="ignore", invalid="ignore"):  # an image past the float range fails SpdMatrix's guard
         images = _spectral_apply(w, v, np.exp)
-    points, later = _validate_spd_stack(images)
-    return points, later or err
+    return _validate_spd_stack(images)
 
 
 class SpdMatrix:
@@ -346,9 +338,7 @@ class SpdMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        w, v, err = self._stack.spectrum()
-        if err is not None:
-            raise err
+        w, v = self._stack.spectrum()
         return Spectrum(w[0], v[0], checked=True)
 
     @cached_property
@@ -372,8 +362,8 @@ class SpdStack:
     eigenvectors (k, n, n).  The stacked kernels take their base points
     this way, and an SpdMatrix is the point of a one-row stack.
 
-    Spectrum's orthogonality guard and each square root are built when a
-    kernel first asks for them, once per stack: an SpdMatrix checks its
+    Spectrum's orthogonality guard runs and each square root is built when
+    a kernel first asks for them, once per stack: an SpdMatrix checks its
     point and builds its roots once, however many views it goes through.
     """
 
@@ -381,8 +371,8 @@ class SpdStack:
 
     def __init__(self, entries, eigenvalues, eigenvectors):
         self.entries, self.eigenvalues, self.eigenvectors = entries, eigenvalues, eigenvectors
-        self._orthogonal = None  # (leading rows that pass, the next row's error), once checked
-        self._roots = {}  # power: (sigma^power, spectrum()'s error), once built
+        self._orthogonal = False  # whether the eigenvectors passed Spectrum's guard
+        self._roots = {}  # power: sigma^power, once built
 
     @staticmethod
     def of(sigma: SpdMatrix) -> SpdStack:
@@ -396,22 +386,20 @@ class SpdStack:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, SpdError | None]:
-        """Eigenvalues and eigenvectors of the rows before the first row
-        whose eigenvectors fail Spectrum's guard, and that row's error, or
-        None when every row passes."""
-        if self._orthogonal is None:
-            self._orthogonal = _orthogonal_rows(self.eigenvectors)
-        count, err = self._orthogonal
-        return self.eigenvalues[:count], self.eigenvectors[:count], err
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of every row; raises ConvergenceFailure
+        when a row's eigenvectors fail Spectrum's guard."""
+        if not self._orthogonal:
+            _check_orthogonal(self.eigenvectors)
+            self._orthogonal = True
+        return self.eigenvalues, self.eigenvectors
 
-    def root(self, power: float) -> tuple[np.ndarray, SpdError | None]:
-        """sigma^power (power 1/2 or -1/2) of the rows spectrum() returns, and spectrum()'s error."""
+    def root(self, power: float) -> np.ndarray:
+        """sigma^power (power 1/2 or -1/2) of every row, read-only."""
         if power not in self._roots:
-            w, v, err = self.spectrum()
-            root = _spectral_apply(w, v, np.sqrt if power > 0 else lambda w: 1.0 / np.sqrt(w))
+            root = _spectral_apply(*self.spectrum(), np.sqrt if power > 0 else lambda w: 1.0 / np.sqrt(w))
             root.flags.writeable = False
-            self._roots[power] = root, err
+            self._roots[power] = root
         return self._roots[power]
 
     def __getitem__(self, rows: slice) -> SpdStack:
@@ -475,18 +463,15 @@ def spd_validate(raw) -> SpdMatrix:
 
 def _matrix_function_stack(points: SpdStack, kind: str, exponent: float | None = None) -> tuple[SpdStack, SpdError | None]:
     """matrix_function's SPD kinds (sqrt, inv, power) over a stack of
-    points: the images of the rows before the first row that fails a guard
-    (its point's spectrum, or SpdMatrix's guards on its image), and that
-    row's error, or None."""
+    points: the images of the rows before the first row whose image fails
+    SpdMatrix's guards, and that row's error, or None."""
     if kind == "power" and exponent is None:
         raise InvalidParameters("power requires an exponent")
     fs = {"sqrt": np.sqrt, "inv": lambda w: 1.0 / w, "power": lambda w: w ** float(exponent)}
     f = fs.get(kind) if isinstance(kind, str) else None
     if f is None:
         raise InvalidParameters(f"unknown matrix function kind {kind!r}")
-    w, v, err = points.spectrum()
-    images, later = _validate_spd_stack(_spectral_apply(w, v, f))
-    return images, later or err
+    return _validate_spd_stack(_spectral_apply(*points.spectrum(), f))
 
 
 def matrix_function(sigma: SpdMatrix, kind: str, exponent: float | None = None):

@@ -235,8 +235,7 @@ def projected_trace_curve(traj: FlowTrajectory, r: int, f: str, alpha: float = 1
         return np.sum(func(projected_eigenvalues(traj, r)), axis=1)
     # sym_eig's guards over the stack, before the power is taken; the first failing state raises
     sym, err = _validate_sym_stack(traj.states)
-    w, v, later = _sym_eig_stack(sym)
-    powered = _checked(_spectral_apply(w, v, lambda w: w**alpha), later or err)
+    powered = _checked(_spectral_apply(*_sym_eig_stack(sym), lambda w: w**alpha), err)
     return np.sum(func(eigvalsh(powered[:, :r, :r])), axis=1)
 
 

@@ -70,17 +70,14 @@ def _canonical_shift(top1, top2):
     return -max(math.frexp(top1)[1], math.frexp(top2)[1])
 
 
-def _relative_eighs(w1: np.ndarray, v1: np.ndarray, err: SpdError | None, entries: np.ndarray, shift: np.ndarray):
+def _relative_eighs(w1: np.ndarray, v1: np.ndarray, entries: np.ndarray, shift: np.ndarray):
     """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2} for each row of stacks of sigma1's eigenpairs (w1, v1), sigma2's
     entries and the pair's _canonical_shift, both points at 2^shift by exact ldexps: returns pair(j), row j's
-    eigenvalues and eigenvectors, raising err past the rows of w1 and IllConditioned when they are not positive
-    or span more than COND_CAP."""
+    eigenvalues and eigenvectors, raising IllConditioned when they are not positive or span more than COND_CAP."""
     inv = _spectral_apply(np.ldexp(w1, shift[:, None]), v1, lambda w: 1.0 / np.sqrt(w))
     w, u = eigh(_whitened(inv, np.ldexp(entries, shift[:, None, None])))
 
     def pair(j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j >= len(w):
-            raise err
         wj = w[j]
         if not (wj[0] > 0 and wj[-1] / wj[0] <= COND_CAP):  # NaN fails too
             raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
@@ -119,7 +116,7 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     lambda_max(sigma2) / lambda_min(sigma1)] on the relative spectrum leaves
     [2^-1022, 2^1023), and IllConditioned when it spans more than COND_CAP."""
     w, u = _relative_eigh(sigma1, sigma2)
-    return SpdStack.of(sigma1).root(0.5)[0][0] @ u, w  # _relative_eigh raised the stack's error, if any
+    return SpdStack.of(sigma1).root(0.5)[0] @ u, w
 
 
 def relative_eigenvalues(sigma1: SpdMatrix, sigma2: SpdMatrix) -> np.ndarray:
@@ -169,11 +166,9 @@ def _exp_stack(points: SpdStack, xs: np.ndarray) -> tuple[SpdStack, SpdError | N
     of consecutive rows of the tangent stack xs, whitened and mapped back by
     the roots the stack builds once: the images of the rows before the
     first row that fails a guard, and that row's error, or None."""
-    inv, err = points.root(-0.5)
-    inv, root = (np.repeat(a, len(xs) // len(points), axis=0) for a in (inv, points.root(0.5)[0]))
-    sym, later = _validate_sym_stack(_whitened(inv, xs[:len(inv)]))
-    w, v, last = _sym_eig_stack(sym)
-    err = last or later or err
+    inv, root = (np.repeat(points.root(power), len(xs) // len(points), axis=0) for power in (-0.5, 0.5))
+    sym, err = _validate_sym_stack(_whitened(inv, xs))
+    w, v = _sym_eig_stack(sym)
     wide = w[:, -1] - w[:, 0] > np.log(COND_CAP)
     if np.count_nonzero(wide):
         bad = int(wide.argmax())

@@ -68,8 +68,8 @@ class SmoothMap:
 
     def _apply_stack(self, points: SpdStack) -> tuple[SpdStack, SpdError | None]:
         """The map on a stack of points: the images of the rows before the
-        first row that fails a guard (its point's spectrum, or SpdMatrix's
-        guards on its image), and that row's error, or None."""
+        first row whose image fails SpdMatrix's guards, and that row's
+        error, or None."""
         self._check_size(points.n)
         return _RULES[self.kind][1](self, points)
 
@@ -127,11 +127,11 @@ def _power_divided_differences(w: np.ndarray, r: float) -> np.ndarray:
 def _power_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
     """power(r) in the eigenbasis of each point, through first divided differences."""
     n, width = points.n, len(xs) // len(points)
-    w, v, err = points.spectrum()
+    w, v = points.spectrum()
     v, vt = v[:, None], np.ascontiguousarray(v.swapaxes(1, 2))[:, None]
-    xprime = vt @ xs[:len(w) * width].reshape(len(w), width, n, n) @ v
+    xprime = vt @ xs.reshape(len(w), width, n, n) @ v
     out = (v @ (_power_divided_differences(w, m.exponent)[:, None] * xprime) @ vt).reshape(-1, n, n)
-    return 0.5 * (out + out.swapaxes(1, 2)), err
+    return 0.5 * (out + out.swapaxes(1, 2))
 
 
 def _inversion_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
@@ -139,33 +139,30 @@ def _inversion_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
     a = points.entries[:, None]
     y = solve(a, xs.reshape(len(points), -1, points.n, points.n))
     out = -solve(a, y.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(xs.shape)
-    return 0.5 * (out + out.swapaxes(1, 2)), None
+    return 0.5 * (out + out.swapaxes(1, 2))
 
 
 # Per map kind: its label, the map on a stack of points (as _apply_stack),
-# and its differential on a tangent stack before SymTangent's guards, with
-# the error of the first point whose spectrum fails (as _differential_stack)
+# and its differential on a tangent stack before SymTangent's guards (as
+# _differential_stack)
 _RULES = {
     POWER: ("power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent), _power_differentials),
     INVERSION: ("inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
     CONGRUENCE: (CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
-                 lambda m, p, xs: (m.matrix @ xs @ m.matrix.T, None)),
+                 lambda m, p, xs: m.matrix @ xs @ m.matrix.T),
     SCALING: ("scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
-              lambda m, p, xs: (m.factor * xs, None)),
-    TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: (xs, None)),
+              lambda m, p, xs: m.factor * xs),
+    TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: xs),
 }
 
 
 def _differential_stack(m: SmoothMap, points: SpdStack, xs: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
     """map_differentials over a stack of base points, each owning an equal
     run of consecutive rows of the (k, n, n) tangent stack: the
-    differentials of the rows before the first row that fails a guard (its
-    point's spectrum, or SymTangent's guards on the differential), and
-    that row's error, or None."""
+    differentials of the rows before the first row whose differential
+    fails SymTangent's guards, and that row's error, or None."""
     m._check_size(points.n)
-    out, err = _RULES[m.kind][2](m, points, xs)
-    sym, later = _validate_sym_stack(out)
-    return sym, later or err
+    return _validate_sym_stack(_RULES[m.kind][2](m, points, xs))
 
 
 def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:

@@ -29,7 +29,6 @@ from .core import (
     PD_RTOL,
     SpdMatrix,
     SpdStack,
-    SymTangent,
     _checked,
     _log_dets,
     _positive_rows,
@@ -122,8 +121,8 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
     """order_compare over the row pairs of two stacks (a one-row stack pairs with every row),
     each pair decided here by order_compare's rule at its canonical scale: returns ordered(j), whether
     pair j is less_equal or equal, raising what order_compare raises, from one stacked Cholesky or
-    eigensolve.  For the affine kinds, each pair from the first low row whose eigenvectors fail
-    SpdStack.spectrum()'s guard on raises that guard's error."""
+    eigensolve.  The affine kinds read the low rows' eigenvectors, so for them a low row that fails
+    SpdStack.spectrum()'s guard raises here."""
     i1, i2 = (np.arange(max(len(lows), len(highs))) % len(s) for s in (lows, highs))
     shift = _canonical_shift(lows.eigenvalues[i1, -1], highs.eigenvalues[i2, -1])
     e1, e2 = (np.ldexp(s.entries[i], shift[:, None, None]) for s, i in ((lows, i1), (highs, i2)))
@@ -135,9 +134,8 @@ def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
         d = eigvalsh(e2 - e1)
         margin = lambda j: _spectral_margins(d[j], spec)[0]
     else:
-        w1, v1, err = lows.spectrum()
-        k = len(w1) if len(lows) > 1 else len(i1) * len(w1)  # the leading pairs whose sigma1 passed the guard
-        pair = _relative_eighs(w1[i1[:k]], v1[i1[:k]], err, highs.entries[i2[:k]], shift[:k])
+        w1, v1 = lows.spectrum()
+        pair = _relative_eighs(w1[i1], v1[i1], highs.entries[i2], shift)
         margin = lambda j: _spectral_margins(np.log(pair(j)[0]), spec)[0]
     return lambda j: bool(equal[j]) or margin(j) >= -DEFAULT_TOL  # order_compare's equal or less_equal
 
@@ -207,25 +205,17 @@ def conal_path_oracle(
 
 
 def _conal_steps(spec: ConeSpec, bases: SpdStack, directions: np.ndarray, sizes) -> tuple[SpdStack, SpdError | None]:
-    """_conal_step from each base point along its direction by each size,
-    in row-major order: the steps before the first that fails a guard, and
-    that step's error, or None."""
+    """Moves from each base point along its cone direction by each size,
+    staying on a conal path, in row-major order: the steps before the
+    first that fails a guard, and that step's error, or None."""
     n = bases.n
     if spec.kind in TRANSLATION_KINDS:
         # unit-norm direction: a step below lambda_min keeps the sum SPD
-        w, _, err = bases.spectrum()
-        coef = (sizes * 0.5)[None, :] * w[:, :1]
-        raw = bases.entries[:len(w), None] + coef[:, :, None, None] * directions[:len(w), None]
-        steps, later = _validate_spd_stack(raw.reshape(-1, n, n))
-        return steps, later or err
+        coef = (sizes * 0.5)[None, :] * bases.spectrum()[0][:, :1]
+        raw = bases.entries[:, None] + coef[:, :, None, None] * directions[:, None]
+        return _validate_spd_stack(raw.reshape(-1, n, n))
     xs = (sizes[:, None, None] * directions[:, None]).reshape(-1, n, n)
     return _exp_stack(bases, xs)
-
-
-def _conal_step(spec: ConeSpec, sigma: SpdMatrix, direction: SymTangent, size: float) -> SpdMatrix:
-    """Move from sigma along a cone direction, staying on a conal path:
-    the one-step view of _conal_steps."""
-    return _checked(*_conal_steps(spec, SpdStack.of(sigma), direction.entries[None], np.array([size]))).point(0)
 
 
 def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
@@ -234,7 +224,8 @@ def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, S
     rng = derive_rng(seed)
     sigma1 = random_spd(n, rng, scale=0.6)
     direction = sample_cone_tangent(spec, sigma1, rng, boundary=False)
-    return sigma1, _conal_step(spec, sigma1, direction, float(rng.uniform(0.3, 1.2)))
+    steps = _conal_steps(spec, SpdStack.of(sigma1), direction.entries[None], np.array([rng.uniform(0.3, 1.2)]))
+    return sigma1, _checked(*steps).point(0)
 
 
 # the nudges order_interval_sample tries, largest first (no numpy at import: its first ufunc call costs memory)

@@ -273,17 +273,20 @@ class TestSpdStack:
         # the middle row's eigenvector columns have norm 2: not orthogonal
         return SpdStack(np.stack([sigma.entries] * 3), np.stack([w] * 3), np.stack([v, 2.0 * v, v]))
 
-    def test_orthogonality_guard_stops_at_the_first_failing_row(self):
-        w, v, err = self._stack().spectrum()
-        assert len(w) == len(v) == 1
-        assert isinstance(err, ConvergenceFailure) and "not orthogonal" in str(err)
+    def test_orthogonality_guard_raises(self):
+        stack = self._stack()
+        for _ in range(2):  # a failing stack is not marked as checked
+            with pytest.raises(ConvergenceFailure, match="eigenvector matrix not orthogonal"):
+                stack.spectrum()
 
     def test_slice_guards_its_own_rows(self):
         stack = self._stack()
         assert stack[:3] is stack and stack[0:] is stack
-        assert "not orthogonal" in str(stack[:2].spectrum()[2])
-        assert stack[:1].spectrum()[2] is None
-        assert stack[2:].spectrum()[2] is None
+        with pytest.raises(ConvergenceFailure, match="not orthogonal"):
+            stack[:2].spectrum()
+        for rows in (stack[:1], stack[2:]):
+            w, v = rows.spectrum()
+            assert w is rows.eigenvalues and v is rows.eigenvectors and len(w) == 1
 
     @staticmethod
     def _count_spectral_applies(monkeypatch):
@@ -305,15 +308,13 @@ class TestSpdStack:
         stack, _ = _validate_spd_stack(np.stack([random_spd(3, seed, 0.8).entries for seed in range(4)]))
         calls, real = self._count_spectral_applies(monkeypatch)
         for view in (stack, stack, stack[:]):
-            root, root_err = view.root(0.5)
-            inv, inv_err = view.root(-0.5)
-            assert root_err is None and inv_err is None
+            root, inv = view.root(0.5), view.root(-0.5)
         assert calls == [4, 4]
-        w, v, _ = stack.spectrum()
+        w, v = stack.spectrum()
         assert root.tobytes() == real(w, v, np.sqrt).tobytes() and not root.flags.writeable
         assert inv.tobytes() == real(w, v, lambda w: 1.0 / np.sqrt(w)).tobytes() and not inv.flags.writeable
         # a strict slice is a new stack, with roots of its own
-        assert stack[1:].root(0.5)[0].tobytes() == root[1:].tobytes() and calls == [4, 4, 3]
+        assert stack[1:].root(0.5).tobytes() == root[1:].tobytes() and calls == [4, 4, 3]
 
     def test_a_point_builds_its_roots_once(self, monkeypatch):
         from spdorders import order_compare, quadratic_affine, riemannian_exp
@@ -334,9 +335,12 @@ class TestSpdStack:
             order_compare(quadratic_affine(1.5, 3), s1, s2)
         assert sorted(builds, key=lambda b: b[1]) == [(SpdStack.of(s1), -0.5), (SpdStack.of(s1), 0.5)]
 
-    def test_roots_carry_the_guard_error(self):
-        root, err = self._stack().root(-0.5)
-        assert len(root) == 1 and "not orthogonal" in str(err)
+    def test_roots_raise_the_guard_error(self):
+        stack = self._stack()
+        for power in (0.5, -0.5):
+            with pytest.raises(ConvergenceFailure, match="not orthogonal"):
+                stack.root(power)
+        assert stack._roots == {}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [2.0**256, 2.0**300, 2.0**1000, math.inf])
@@ -353,6 +357,50 @@ class TestSpdStack:
         sigma = stack.point(2)
         assert np.array_equal(sigma.entries, stack.entries[2]) and not np.shares_memory(sigma.entries, stack.entries)
         assert not sigma.entries.flags.writeable
+
+
+class TestEigenOutputChecks:
+    """The checks on LAPACK's own output (orthogonality, reconstruction)
+    raise where they run: no valid stack fails them, a faulty eigensolver does."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(n=st.integers(1, 8), k=st.integers(-1000, 1000), rows=st.integers(1, 5),
+           kind=st.sampled_from(["symmetric", "spd", "near-identity"]), seed=seeds)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_valid_stacks_pass_both_checks(self, n, k, rows, kind, seed):
+        rngs = [derive_rng(seed, i) for i in range(rows)]
+        if kind == "spd":
+            raw = np.stack([random_spd(n, rng, 0.8).entries for rng in rngs])
+        else:
+            raw = np.stack([random_sym(n, rng) for rng in rngs])
+            if kind == "near-identity":
+                raw = np.eye(n) + 1e-8 * raw
+        sym, err = _validate_sym_stack(np.ldexp(raw, k))
+        assert err is None
+        w, v = core._sym_eig_stack(sym)
+        assert w.shape == (rows, n) and v.shape == (rows, n, n)
+        if kind != "symmetric":
+            points, err = _validate_spd_stack(sym)
+            assert err is None
+            w, v = points.spectrum()
+            assert len(w) == len(v) == rows
+
+    @pytest.mark.parametrize("fault,message", [
+        (lambda w, v: (w, 2.0 * v), "eigenvector matrix not orthogonal"),
+        (lambda w, v: (2.0 * w, v), "reconstruction error"),
+    ])
+    def test_a_faulty_eigensolver_raises_its_check(self, fault, message, monkeypatch, capsys, tmp_path):
+        from spdorders.cli import main
+
+        real = core._eigh
+        monkeypatch.setattr(core, "_eigh", lambda a: fault(*real(a)))
+        for call in (lambda: sym_eig(np.diag([1.0, 2.0])), lambda: random_spd(3, 0)):
+            with pytest.raises(ConvergenceFailure, match=message):
+                call()
+        cone = tmp_path / "cone.json"
+        cone.write_text('{"kind": "loewner", "n": 2}')
+        assert main(["monotone", "--map", "power:2", "--cone", str(cone), "--points", "2", "--dirs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestTangent:
@@ -667,12 +715,12 @@ class TestContiguousProducts:
     def test_orthogonal_rows(self, n, k, monkeypatch):
         seen = self._recorded_row_norms(monkeypatch)
         for v in (np.ldexp(_special_stack(n, k, 30 + n + k), e) for e in self.SCALES):
-            with np.errstate(over="ignore"):  # at 2^300 the norm of V^T V - I overflows to inf: the row fails
-                count, err = core._orthogonal_rows(v)
+            # a Gaussian stack is not orthogonal; at 2^300 the norm of V^T V - I overflows to inf: the row fails
+            with np.errstate(over="ignore"), pytest.raises(ConvergenceFailure, match="not orthogonal"):
+                core._check_orthogonal(v)
             factors = v.swapaxes(-1, -2), v
             expected = factors[0] @ factors[1] - np.eye(n)
             assert _hexes(seen.pop(), factors) == _hexes(expected, factors)  # the V^T V - I it measured
-            assert count < k and err is not None  # a Gaussian stack is not orthogonal
 
     @pytest.mark.parametrize("n,k", SIZES)
     def test_sym_eig_reconstruction(self, n, k, monkeypatch):
@@ -680,7 +728,7 @@ class TestContiguousProducts:
         for e in self.SCALES:
             sym = np.ldexp(_special_stack(n, k, 40 + n + k), e)
             sym = sym + sym.swapaxes(1, 2)
-            got_w, got_v, err = core._sym_eig_stack(sym)
+            got_w, got_v = core._sym_eig_stack(sym)
             recon, norms = seen[-2:]  # V diag(w) V^T - sym, then sym for the bound on its norm
             w, v = core.eigh(sym)
             ws = w
@@ -690,7 +738,7 @@ class TestContiguousProducts:
             factors = v * ws[:, None, :], v.swapaxes(1, 2)
             assert _hexes(recon, factors) == _hexes(factors[0] @ factors[1] - sym, factors)
             assert _hexes(norms) == _hexes(sym)
-            assert err is None and (_hexes(got_w), _hexes(got_v)) == (_hexes(w), _hexes(v))
+            assert (_hexes(got_w), _hexes(got_v)) == (_hexes(w), _hexes(v))
 
     @pytest.mark.parametrize("n,k", SIZES)
     def test_power_differentials(self, n, k):
@@ -703,7 +751,7 @@ class TestContiguousProducts:
             for width in (1, 3):  # each point's eigenbasis broadcast over its run of tangents (4-D)
                 xs = np.ldexp(_special_stack(n, k * width, 7 + width), e)
                 xs = xs + xs.swapaxes(1, 2)
-                out, _ = _power_differentials(power_map(0.5), points, xs)
+                out = _power_differentials(power_map(0.5), points, xs)
                 vs = points.eigenvectors[:, None]
                 vt = vs.swapaxes(-1, -2)
                 dd = _power_divided_differences(points.eigenvalues, 0.5)[:, None]

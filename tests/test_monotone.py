@@ -32,11 +32,11 @@ from spdorders import (
     translation_map,
 )
 from spdorders.cones import DEFAULT_TOL, ConeSpec, sample_cone_tangent
-from spdorders.core import MAX_DIM, SpdMatrix, SymTangent, derive_rng, random_sym
+from spdorders.core import MAX_DIM, SpdMatrix, SpdStack, SymTangent, _checked, derive_rng, random_sym
 from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite, SpdError
 from spdorders import monotone
 from spdorders.monotone import map_differentials, sylvester_residual
-from spdorders.orders import _conal_step
+from spdorders.orders import _conal_steps
 
 MAPS = [
     power_map(0.5),
@@ -596,6 +596,11 @@ class TestOrderLevelMonotonicity:
             assert order_violation is None and searched is None
         else:
             assert searched is not None
+
+
+def _conal_step(spec, sigma, direction, size):
+    """The point one orders._conal_steps step from sigma reaches."""
+    return _checked(*_conal_steps(spec, SpdStack.of(sigma), direction.entries[None], np.array([size]))).point(0)
 
 
 def reference_find_order_counterexample(m, spec, seed, budget):
