@@ -33,6 +33,7 @@ RECON_RTOL = 1e-10        # ||V L V^T - A||_F <= RECON_RTOL * ||A||_F
 COND_CAP = 1e12           # condition numbers beyond this raise IllConditioned
 MAX_DIM = 64
 BLOCK_ROWS = 128          # rows a stacked check builds and tests at once: memory grows with BLOCK_ROWS * n^2
+MAX_SAMPLES = 10**5       # points x directions per check_differential_positivity call, and order_interval_sample's count
 WINDOW = 2.0**200         # rows outside the scale window [1/WINDOW, WINDOW] are first _windowed
 
 
@@ -190,13 +191,15 @@ def _positive_rows(sym: np.ndarray, err: SpdError | None) -> tuple[SpdStack, Spd
     An eigensolver failure (numpy's, for the whole stack) raises ConvergenceFailure."""
     w, v = _eigh(sym)
     # w ascends, so a row with lambda_max <= 0 fails here as well
-    positive = w[:, 0] > sym.shape[-1] * PD_RTOL * w[:, -1]
+    positive = (w[:, 0] > sym.shape[-1] * PD_RTOL * w[:, -1]) & (w[:, -1] >= 2.0**-1022)
     if np.count_nonzero(positive) < len(positive):
         bad = int(positive.argmin())
         span = f"eigenvalue range [{w[bad, 0]:.6e}, {w[bad, -1]:.6e}]"
         err = NotPositiveDefinite(f"{span} fails positivity test")
         if not np.isfinite(w[bad]).all():  # no verdict: the input's spectrum cannot be represented
             err = InvalidParameters(f"{span} lies beyond the float range")
+        elif 0.0 < w[bad, -1] < 2.0**-1022:  # nor one left to gradual underflow
+            err = InvalidParameters(f"{span} lies below the normal float range")
         sym, w, v = sym[:bad], w[:bad], v[:bad]
     return SpdStack(sym, w, v), err
 

@@ -63,32 +63,15 @@ def _whitened(inv_root: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return half + half.swapaxes(-1, -2)
 
 
-def _canonical_shift(top1, top2):
+def _canonical_shift(top1: float, top2: float) -> int:
     """The pair's canonical scale 2^shift: shift = -max(j1, j2), j the frexp exponent of a point's lambda_max."""
-    if isinstance(top1, np.ndarray):  # row pairs; a float pair takes math.frexp, about 8x cheaper
-        return -np.maximum(np.frexp(top1)[1], np.frexp(top2)[1])
     return -max(math.frexp(top1)[1], math.frexp(top2)[1])
 
 
-def _relative_eighs(w1: np.ndarray, v1: np.ndarray, entries: np.ndarray, shift: np.ndarray):
-    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2} for each row of stacks of sigma1's eigenpairs (w1, v1), sigma2's
-    entries and the pair's _canonical_shift, both points at 2^shift by exact ldexps: returns pair(j), row j's
-    eigenvalues and eigenvectors, raising IllConditioned when they are not positive or span more than COND_CAP."""
-    inv = _spectral_apply(np.ldexp(w1, shift[:, None]), v1, lambda w: 1.0 / np.sqrt(w))
-    w, u = eigh(_whitened(inv, np.ldexp(entries, shift[:, None, None])))
-
-    def pair(j: int) -> tuple[np.ndarray, np.ndarray]:
-        wj = w[j]
-        if not (wj[0] > 0 and wj[-1] / wj[0] <= COND_CAP):  # NaN fails too
-            raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
-        return wj, u[j]
-
-    return pair
-
-
 def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """_relative_eighs of one pair, checked as relative_eigenframe's docstring says,
-    read-only and kept by sigma1 for its last sigma2: one eigh per pair."""
+    """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring says, both points
+    (sigma1's cached eigenvalues too) at the pair's _canonical_shift by exact ldexps: one eigh of a one-row
+    stack per pair, read-only and kept by sigma1 for its last sigma2."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
     pair, w, u = sigma1._relative
@@ -98,8 +81,12 @@ def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np
     low, high = float(w2[0]) / float(w1[-1]), float(w2[-1]) / float(w1[0])  # bounds of the relative spectrum
     if not (2.0**-1022 <= low and high < 2.0**1023):  # at the canonical scale _whitened's sums are <= max(1, high)
         raise InvalidParameters(f"relative spectrum bound [{low:.3e}, {high:.3e}] leaves the normal float range")
-    shift = np.array([_canonical_shift(w1[-1], w2[-1])])
-    w, u = _relative_eighs(*SpdStack.of(sigma1).spectrum(), SpdStack.of(sigma2).entries, shift)(0)
+    shift = _canonical_shift(w1[-1], w2[-1])
+    ws, vs = SpdStack.of(sigma1).spectrum()
+    inv = _spectral_apply(np.ldexp(ws, shift), vs, lambda w: 1.0 / np.sqrt(w))
+    w, u = (a[0] for a in eigh(_whitened(inv, np.ldexp(SpdStack.of(sigma2).entries, shift))))
+    if not (w[0] > 0 and w[-1] / w[0] <= COND_CAP):  # NaN fails too
+        raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
     w.setflags(write=False)  # shared by every call on the pair
     u.setflags(write=False)
     sigma1._relative = weakref.ref(sigma2), w, u
@@ -114,7 +101,8 @@ def relative_eigenframe(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarra
     read-only and shared with relative_eigenvalues of the same pair.  Raises
     InvalidParameters when the bound [lambda_min(sigma2) / lambda_max(sigma1),
     lambda_max(sigma2) / lambda_min(sigma1)] on the relative spectrum leaves
-    [2^-1022, 2^1023), and IllConditioned when it spans more than COND_CAP."""
+    [2^-1022, 2^1023), and IllConditioned when it spans more than COND_CAP.
+    Every affine order_compare runs these checks, in the same order."""
     w, u = _relative_eigh(sigma1, sigma2)
     return SpdStack.of(sigma1).root(0.5)[0] @ u, w
 

@@ -20,6 +20,7 @@ import numpy as np
 from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins
 from .core import (
     BLOCK_ROWS,
+    MAX_SAMPLES,
     SpdMatrix,
     SpdStack,
     SymTangent,
@@ -45,8 +46,6 @@ INVERSION = "inversion"
 CONGRUENCE = "congruence"
 SCALING = "scaling"
 TRANSLATION = "translation"
-
-MAX_SAMPLES = 10**5  # points x directions per check_differential_positivity call
 
 
 @dataclass(frozen=True)

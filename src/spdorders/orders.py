@@ -26,20 +26,20 @@ from .cones import (
 )
 from .core import (
     BLOCK_ROWS,
+    MAX_SAMPLES,
     PD_RTOL,
     SpdMatrix,
     SpdStack,
     _checked,
     _log_dets,
     _positive_rows,
-    _row_norms,
     random_spd,
     _validate_spd_stack,
     _validate_sym_stack,
     eigvalsh,
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
-from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, _relative_eighs, relative_eigenvalues
+from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, relative_eigenvalues
 from .seeds import derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
@@ -78,14 +78,6 @@ def _spectral_margins(d: np.ndarray, spec: ConeSpec) -> tuple[float, float]:
     return min(own, trace), min(rev_own, rev_trace)
 
 
-def _half_space_margins(lows: SpdStack, highs: SpdStack, i1, i2) -> np.ndarray:
-    """log det sigma2 - log det sigma1 of the row pairs (lows[i1], highs[i2]): one stacked Cholesky with each point
-    at 2^-j, j the frexp exponent of its lambda_max, plus n (j2 - j1) ln 2, the same bits for the pair at 2^k."""
-    j = np.frexp(np.concatenate((lows.eigenvalues[i1, -1], highs.eigenvalues[i2, -1])))[1]
-    ld, k = _log_dets(np.ldexp(np.concatenate((lows.entries[i1], highs.entries[i2])), -j[:, None, None])), len(i1)
-    return (ld[k:] - ld[:k]) + lows.n * (j[k:] - j[:k]) * math.log(2.0)
-
-
 def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
     """Decide how sigma1 and sigma2 relate under the order induced by spec.
 
@@ -101,7 +93,11 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
     if spec.kind == HALF_SPACE:
-        fwd = float(_half_space_margins(SpdStack.of(sigma1), SpdStack.of(sigma2), [0], [0])[0])
+        # log det sigma2 - log det sigma1: one stacked Cholesky with each point at 2^-j, j the frexp
+        # exponent of its lambda_max, plus n (j2 - j1) ln 2, the same bits for the pair at 2^k
+        j = np.frexp([sigma1._eig[0][-1], sigma2._eig[0][-1]])[1]
+        ld = _log_dets(np.ldexp(np.stack((sigma1.entries, sigma2.entries)), -j[:, None, None]))
+        fwd = float((ld[1] - ld[0]) + sigma1.n * (j[1] - j[0]) * math.log(2.0))
         rev = -fwd
     else:
         if spec.kind in TRANSLATION_KINDS:
@@ -115,29 +111,6 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
     if rev >= -tol:
         return OrderVerdict(GREATER_EQUAL, fwd, rev)
     return OrderVerdict(INCOMPARABLE, fwd, rev)
-
-
-def _ordered_rows(spec: ConeSpec, lows: SpdStack, highs: SpdStack):
-    """order_compare over the row pairs of two stacks (a one-row stack pairs with every row),
-    each pair decided here by order_compare's rule at its canonical scale: returns ordered(j), whether
-    pair j is less_equal or equal, raising what order_compare raises, from one stacked Cholesky or
-    eigensolve.  The affine kinds read the low rows' eigenvectors, so for them a low row that fails
-    SpdStack.spectrum()'s guard raises here."""
-    i1, i2 = (np.arange(max(len(lows), len(highs))) % len(s) for s in (lows, highs))
-    shift = _canonical_shift(lows.eigenvalues[i1, -1], highs.eigenvalues[i2, -1])
-    e1, e2 = (np.ldexp(s.entries[i], shift[:, None, None]) for s, i in ((lows, i1), (highs, i2)))
-    equal = _row_norms(e2 - e1) <= EQUALITY_RTOL * np.maximum(_row_norms(e1), _row_norms(e2))
-    if spec.kind == HALF_SPACE:
-        ld = _half_space_margins(lows, highs, i1, i2)
-        margin = lambda j: ld[j]
-    elif spec.kind in TRANSLATION_KINDS:
-        d = eigvalsh(e2 - e1)
-        margin = lambda j: _spectral_margins(d[j], spec)[0]
-    else:
-        w1, v1 = lows.spectrum()
-        pair = _relative_eighs(w1[i1], v1[i1], highs.entries[i2], shift)
-        margin = lambda j: _spectral_margins(np.log(pair(j)[0]), spec)[0]
-    return lambda j: bool(equal[j]) or margin(j) >= -DEFAULT_TOL  # order_compare's equal or less_equal
 
 
 def _conal_path(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix):
@@ -243,13 +216,16 @@ def order_interval_sample(
 
     The first sample is the path midpoint; sample i > 0 is a path point
     nudged along a cone direction (both drawn from derive_rng(seed, i)) by
-    the first of STEP_SIZES whose step verifies against both endpoints by
-    order_compare's rule.  A step that fails a guard ends the sizes;
-    without a valid step the sample falls back to the path point if it
-    verifies, else to sigma1.  Points, directions, steps and comparisons
-    (_ordered_rows, one stack per endpoint) run as stacks, then the samples
-    are walked in order, so the earliest sample's error wins.
+    the first of STEP_SIZES whose step verifies against both endpoints:
+    order_compare(spec, sigma1, p), then order_compare(spec, p, sigma2).
+    A step that fails a guard ends the sizes; without a valid step the
+    sample falls back to the path point if it verifies, else to sigma1.
+    Points, directions and steps run as stacks, then the walk in sample
+    order compares each candidate it reaches (and no other), so the
+    earliest sample's error wins.  count is capped by MAX_SAMPLES.
     """
+    if count > MAX_SAMPLES:
+        raise InvalidParameters(f"{count} interval samples above the cap of {MAX_SAMPLES}")
     pre = order_compare(spec, sigma1, sigma2)
     if pre.relation not in (LESS_EQUAL, EQUAL):
         raise NotOrdered(f"endpoints compare as {pre.relation}")
@@ -272,8 +248,11 @@ def order_interval_sample(
         rows, kept = divmod(len(steps), len(STEP_SIZES))
         sizes += [len(STEP_SIZES)] * rows + ([kept] if err is not None else [])
     candidates = _concat(parts)  # the path points, then the steps
-    lo = _ordered_rows(spec, SpdStack.of(sigma1), candidates)
-    hi = _ordered_rows(spec, candidates, SpdStack.of(sigma2))
+
+    def verified(j: int) -> SpdMatrix | None:  # candidate j, if it lies in [sigma1, sigma2]
+        p = candidates.point(j)
+        below, above = order_compare(spec, sigma1, p).relation, order_compare(spec, p, sigma2).relation
+        return p if below in (LESS_EQUAL, EQUAL) and above in (LESS_EQUAL, EQUAL) else None
 
     out, first = [], len(bases)
     for i in range(count):
@@ -283,9 +262,9 @@ def order_interval_sample(
             raise tangent_err
         chosen = None
         if i > 0:
-            chosen = next((candidates.point(j) for j in range(first, first + sizes[i - 1]) if lo(j) and hi(j)), None)
+            chosen = next(filter(None, map(verified, range(first, first + sizes[i - 1]))), None)
             first += sizes[i - 1]
-        out.append(chosen or (candidates.point(i) if lo(i) and hi(i) else sigma1))
+        out.append(chosen or verified(i) or sigma1)
     return out
 
 

@@ -497,6 +497,7 @@ DOCS = {
     "shift_neg": matrix_document(-0.9 * np.eye(2)),
     "shift_1x1": matrix_document([[2.0]]),
     "qa2": json.dumps({"kind": "quad-affine", "n": 2, "mu": 1.0}),
+    "qa3": json.dumps({"kind": "quad-affine", "n": 3, "mu": 1.5}),
     "loew2": json.dumps({"kind": "loewner", "n": 2}),
     "mu_true": json.dumps({"kind": "quad-affine", "n": 2, "mu": True}),
     "n_true": '{"n": true, "data": [[2.0]]}',
@@ -544,6 +545,9 @@ class TestOneLineDiagnostics:
         ("monotone", "--map", "translate:@shift_1x1", "--cone", "@loew2", "--points", "3", "--dirs", "2"),
         # an SPD matrix whose largest eigenvalue lies beyond the float range
         ("validate", "@huge_spectrum"),
+        # images 1e-315 S whose spectra lie below the normal float range: 49
+        # violations and exit 1 once, though scaling preserves every cone
+        ("monotone", "--map", "scale:1e-315", "--cone", "@qa3", "--points", "20", "--dirs", "10"),
     ])
     def test_exit_two_prints_one_error_line(self, docs, capsys, words):
         code, out, err = run(capsys, *docs(*words))

@@ -546,6 +546,15 @@ class TestHalvesFirstSymmetrization:
         with pytest.raises(InvalidParameters, match=r"\[2\.19\d*e\+307, inf\] lies beyond the float range"):
             spd_validate([[1e308, 1e308], [1e308, 1.5e308]])
 
+    def test_spectrum_below_the_normal_range_is_no_verdict(self):
+        # lambda_max below 2^-1022 leaves the spectrum to gradual underflow;
+        # 2^-1000 I keeps every bit, and is SPD
+        with pytest.raises(InvalidParameters, match=r"\[1\.0*e-310, 1\.0*e-310\] lies below the normal float range"):
+            spd_validate(1e-310 * np.eye(2))
+        assert np.array_equal(spd_validate(2.0**-1000 * np.eye(2)).spectrum.eigenvalues, [2.0**-1000] * 2)
+        with pytest.raises(NotPositiveDefinite):
+            spd_validate(-1e-310 * np.eye(2))
+
     def test_asymmetry_beyond_the_float_range_fails_without_overflow(self):
         with pytest.raises(NotSymmetric, match="asymmetry inf"):
             spd_validate([[1.0, 1e308], [-1e308, 1.0]])

@@ -898,75 +898,47 @@ class TestIntervalSamplerMatchesLoop:
         assert len(errors) > 1
 
 
-def _stack(points):
-    return orders._concat([core.SpdStack.of(p) for p in points])
-
-
-def _ordered_or_error(spec, a, b):
-    try:
-        return order_compare(spec, a, b).relation in ("less_equal", "equal")
-    except SpdError as exc:
-        return type(exc), str(exc)
-
-
-class TestOrderedRowsMatchCompare:
-    @staticmethod
-    def _count_compares(monkeypatch):
-        """Record the pair of every order_compare call that _ordered_rows makes."""
-        calls, real = [], orders.order_compare
-        monkeypatch.setattr(orders, "order_compare", lambda spec, a, b: calls.append((a, b)) or real(spec, a, b))
-        return calls
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_each_row_as_order_compare(self, n, monkeypatch):
-        # every kind, the half-space one too, and pairs at 2^+-520: _ordered_rows
-        # decides each pair at its canonical scale, without order_compare
-        calls = self._count_compares(monkeypatch)
-        for spec in specs_at(n):
-            base = random_spd(n, 1, 0.8)
-            lows, highs = [], []
-            for seed in range(10):
-                lo, hi = random_ordered_pair(spec, n, seed)
-                other = random_spd(n, derive_rng(seed, 2), 0.8)
-                lows += [lo, hi, other, lo, SpdMatrix(np.ldexp(lo.entries, 520)), SpdMatrix(np.ldexp(lo.entries, -520))]
-                highs += [hi, lo, base, SpdMatrix(lo.entries), SpdMatrix(np.ldexp(hi.entries, 520)),
-                          SpdMatrix(np.ldexp(hi.entries, -520))]
-            # relative spread 1e14: ill conditioned for the affine kinds
-            lows.append(spd_validate(np.diag([1e-7] + [1.0] * (n - 1))))
-            highs.append(spd_validate(np.diag([1.0] * (n - 1) + [1e-7])))
-            pairs = [(lows, highs), (lows[:1], highs), (lows, highs[:1])]
-            for low, high in pairs:
-                ordered = orders._ordered_rows(spec, _stack(low), _stack(high))
-                for j in range(max(len(low), len(high))):
-                    a, b = low[j % len(low)], high[j % len(high)]
-                    try:
-                        got = ordered(j)
-                    except SpdError as exc:
-                        got = type(exc), str(exc)
-                    assert got == _ordered_or_error(spec, a, b)
-        assert calls == []
-
-    def test_a_failing_whitening_factor_raises_for_the_affine_kinds(self, monkeypatch):
-        # the second low's eigenvector columns have norm 2: they fail
+class TestOneOrderVerdict:
+    def test_a_failing_whitening_factor_raises_for_the_affine_kinds(self):
+        # the second point's eigenvector columns have norm 2: they fail
         # SpdStack.spectrum()'s guard, which only the affine kinds read; those
-        # raise its error, the translation and half-space kinds decide every pair
+        # raise its error, the translation and half-space kinds decide the pair
         from spdorders.errors import ConvergenceFailure
 
-        calls = self._count_compares(monkeypatch)
         for spec in specs_at(3):
-            lows, highs = (_stack(side) for side in zip(*(random_ordered_pair(spec, 3, seed) for seed in range(4))))
-            v = lows.eigenvectors.copy()
+            lows, highs = zip(*(random_ordered_pair(spec, 3, seed) for seed in range(4)))
+            stack = orders._concat([core.SpdStack.of(p) for p in lows])
+            v = stack.eigenvectors.copy()
             v[1] *= 2.0
-            bad = core.SpdStack(lows.entries, lows.eigenvalues, v)
-            for low in (bad, bad[1:2]):
+            bad = core.SpdStack(stack.entries, stack.eigenvalues, v).point(1)
+            for high in highs:
                 if spec.kind in ("quad-affine", "ray"):
                     with pytest.raises(ConvergenceFailure, match="eigenvector matrix not orthogonal"):
-                        orders._ordered_rows(spec, low, highs)
-                    continue
-                ordered = orders._ordered_rows(spec, low, highs)
-                for j in range(len(highs)):
-                    assert ordered(j) == _ordered_or_error(spec, low.point(j % len(low)), highs.point(j))
-        assert calls == []
+                        order_compare(spec, bad, high)
+                else:
+                    assert order_compare(spec, bad, high) == order_compare(spec, lows[1], high)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_the_sampler_compares_only_the_candidates_it_reaches(self, spec, monkeypatch):
+        # the endpoints once, then both comparisons of each candidate up to
+        # the one the walk takes: the midpoint alone for one sample
+        calls, real = [], orders.order_compare
+        monkeypatch.setattr(orders, "order_compare", lambda *args: calls.append(args[1:]) or real(*args))
+        s1, s2 = random_ordered_pair(spec, 3, 11)
+        points = order_interval_sample(spec, s1, s2, seed=0, count=1)
+        assert calls == [(s1, s2), (s1, points[0]), (points[0], s2)]
+
+    def test_sample_count_is_capped_before_any_seed_is_hashed(self):
+        spec = quadratic_affine(1.5, 3)
+        s1, s2 = random_ordered_pair(spec, 3, 11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameters, match="cap"):
+                order_interval_sample(spec, s1, s2, seed=0, count=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
