@@ -105,6 +105,12 @@ def run_corpus() -> dict:
                 label = f"{name} {spec.kind} n={n}"
                 record("check_differential_positivity", label, sp.check_differential_positivity, m, spec, 5, 6, 5)
                 record("find_order_counterexample", label, sp.find_order_counterexample, m, spec, 3, 140)
+        # more rows than one block holds at n <= 5, so --diff compares block splits bit for bit
+        spec = sp.quadratic_affine(n / 2, n)
+        record("check_differential_positivity", f"power:2 {spec.kind} n={n} 110x40",
+               sp.check_differential_positivity, sp.power_map(2.0), spec, 8, 110, 40)
+        record("find_order_counterexample", f"power:0.5 {spec.kind} n={n} budget 2100",
+               sp.find_order_counterexample, sp.power_map(0.5), spec, 8, 2100)
 
     def flow(kind, x0):
         trajectory = sp.integrate_flow(kind, x0, 0.5, 1e-2)

@@ -43,7 +43,7 @@ from .core import (
     solve,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
-from .seeds import _random_syms, _standard_normals
+from .seeds import _random_syms, _standard_normals, _uniforms
 
 DEFAULT_TOL = 1e-10
 
@@ -356,13 +356,15 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
         ys = np.ones((len(rows), 1, 1))
     elif spec.kind == RAY:  # the cone is the single ray spanned by sigma
-        scale = np.array([rng.uniform(0.2, 2.0) for rng in rngs]).reshape(len(points), width, 1, 1)
+        scale = _uniforms(rngs, 0.2, 2.0).reshape(len(points), width, 1, 1)
         ys = (scale * points.entries[:, None]).reshape(-1, n, n)
     else:
         quadratic = spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE)
         ys = _boundary_rays(spec.mu, n, rngs) if quadratic else _random_syms(n, rngs)
         low = 0.1 if spec.kind == LOEWNER else 0.2
-        shift = np.array([0.0 if on_boundary else rng.uniform(low, 1.0) for rng, on_boundary in rows])
+        interior = [row for row, (_, on_boundary) in enumerate(rows) if not on_boundary]
+        shift = np.zeros(len(rows))
+        shift[interior] = _uniforms([rngs[row] for row in interior], low, 1.0)
         del rows, rngs  # every draw is made: the generators go before the algebra allocates
         if spec.kind == HALF_SPACE:  # the traceless part, shifted by its norm
             trace = ys.reshape(len(ys), n * n)[:, ::n + 1].sum(axis=1)

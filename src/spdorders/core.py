@@ -32,7 +32,7 @@ ORTHO_TOL = 1e-10         # ||V^T V - I||_F on eigenvector matrices
 RECON_RTOL = 1e-10        # ||V L V^T - A||_F <= RECON_RTOL * ||A||_F
 COND_CAP = 1e12           # condition numbers beyond this raise IllConditioned
 MAX_DIM = 64
-BLOCK_ROWS = 128          # rows a stacked check builds and tests at once: memory grows with BLOCK_ROWS * n^2
+BLOCK_ROWS = 128          # rows a stacked check builds and tests at once at n >= 8; _block_rows sizes smaller n
 MAX_SAMPLES = 10**5       # points x directions per check_differential_positivity call, and order_interval_sample's count
 WINDOW = 2.0**200         # rows outside the scale window [1/WINDOW, WINDOW] are first _windowed
 
@@ -62,6 +62,18 @@ eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
 eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
 cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
 solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
+
+
+def _block_rows(n: int) -> int:
+    """Rows of one stacked block at dimension n: the entries of BLOCK_ROWS rows at n = 8, never fewer than
+    BLOCK_ROWS rows, so each (rows, n, n) array of a block holds at most max(128 n^2, 8192) entries."""
+    return max(BLOCK_ROWS, BLOCK_ROWS * 64 // (n * n))
+
+
+def _blocks(count: int, n: int):
+    """The spans (lo, hi) that cover range(count): [0, 1) alone, then runs of _block_rows(n)."""
+    rows = _block_rows(n)
+    return ((max(first, 0), min(first + rows, count)) for first in range(1 - rows, count, rows))
 
 
 def _check_dimension(n: int) -> None:
@@ -347,6 +359,12 @@ class SpdMatrix:
     @cached_property
     def log_det(self) -> float:
         return float(_log_dets(self.entries))
+
+    @cached_property
+    def _scaled_log_det(self) -> tuple[int, float]:
+        """(j, log det(2^-j sigma)), j the frexp exponent of lambda_max: the same bits at every scale 2^k."""
+        j = math.frexp(self._eig[0][-1])[1]
+        return j, float(_log_dets(np.ldexp(self.entries, -j)))
 
     def inv_apply(self, x: np.ndarray) -> np.ndarray:
         """Solve self @ y = x."""

@@ -19,12 +19,13 @@ import numpy as np
 
 from .cones import DEFAULT_TOL, ConeSpec, _tangent_stack, cone_margins
 from .core import (
-    BLOCK_ROWS,
     MAX_SAMPLES,
     SpdMatrix,
     SpdStack,
     SymTangent,
     _as_finite_square,
+    _block_rows,
+    _blocks,
     _checked,
     _congruence_stack,
     _matrix_function_stack,
@@ -252,14 +253,14 @@ def check_differential_positivity(
     execution order; all their seeds are hashed in one pass.
 
     A row is one (point, direction) sample, in point-major order.  Rows
-    are drawn and tested in blocks of whole points, at most BLOCK_ROWS
-    rows each, and every stage (base points, images, tangents,
-    differentials, margins) runs once over a block.  A point with more
-    than BLOCK_ROWS directions is a block of its own, its directions
-    taken BLOCK_ROWS at a time, so memory grows with BLOCK_ROWS * n^2.
-    MAX_SAMPLES caps the total.  A failing guard raises what testing one
-    point after another would: the error of the earliest failing point,
-    at its earliest stage.
+    are drawn and tested in blocks of whole points, at most
+    core._block_rows(n) rows each, and every stage (base points, images,
+    tangents, differentials, margins) runs once over a block.  A point
+    with more directions is a block of its own, its directions taken
+    that many at a time, so each stacked array of a block holds at most
+    max(128 n^2, 8192) entries.  MAX_SAMPLES caps the total.  A failing
+    guard raises what testing one point after another would: the error
+    of the earliest failing point, at its earliest stage.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
@@ -284,6 +285,7 @@ def check_differential_positivity(
             if point not in witnesses:
                 witnesses[point] = sigmas.point(point - start)
             report.violations.append((witnesses[point], SymTangent(x, base=witnesses[point], checked=True), margin))
+        del xs  # kept holds copies: the chunk's rows go before the next chunk is drawn
     return report
 
 
@@ -291,11 +293,12 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
     """check_differential_positivity's stages over the points point_words
     seed, their tangents seeded by direction_words (points, directions, 4)
     or, without them, one boundary ray per point drawn after it from its
-    stream.  Yields (block's first point, directions per point, points,
-    images, tangents, margins) per chunk up to the earliest failing row, then raises its error."""
+    stream, in blocks of core._block_rows(spec.n) rows.  Yields (block's first point, directions per
+    point, points, images, tangents, margins) per chunk up to the earliest failing row, then raises its error."""
     n_directions = 1 if direction_words is None else direction_words.shape[1]
     boundary = np.arange(n_directions) % 2 == 0
-    per_block, width = max(1, BLOCK_ROWS // n_directions), min(n_directions, BLOCK_ROWS)
+    rows = _block_rows(spec.n)
+    per_block, width = max(1, rows // n_directions), min(n_directions, rows)
     err = None
     for start in range(0, len(point_words), per_block):
         if err is not None:
@@ -329,6 +332,7 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
                 err, tested = later, len(outs) // span
             margins, _ = cone_margins(spec, np.repeat(images.entries[:tested], span, axis=0), outs[:tested * span])
             yield start, span, sigmas, images, xs[:tested * span], margins
+            del xs, outs  # a chunk's rows go before the next chunk draws its generators
     if err is not None:
         raise err
 
@@ -343,11 +347,11 @@ def find_order_counterexample(m: SmoothMap, spec: ConeSpec, seed: int, budget: i
 
     Restart i draws its point, then its ray, from derive_rng(seed, i);
     restart 0 runs check_differential_positivity's stages alone, the rest
-    BLOCK_ROWS at a time.  Violating restarts walk the step sizes in order:
-    the first hit wins, and the earliest failing restart's error is raised.
+    core._block_rows(n) at a time.  Violating restarts walk the step sizes
+    in order: the first hit wins, and the earliest failing restart's error is raised.
     """
-    for first in range(1 - BLOCK_ROWS, budget, BLOCK_ROWS):  # restarts [0, 1), [1, 129), [129, 257), ...
-        restarts = np.arange(max(first, 0), min(first + BLOCK_ROWS, budget))[:, None]  # seeds hashed per block
+    for lo, hi in _blocks(budget, spec.n):
+        restarts = np.arange(lo, hi)[:, None]  # seeds hashed per block
         for _, _, sigmas, images, xs, margins in _positivity_chunks(m, spec, derive_seed_words(seed, restarts)):
             for row in np.flatnonzero(~(margins >= -10.0 * DEFAULT_TOL)).tolist():
                 sigma = sigmas.point(row)

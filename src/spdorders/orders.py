@@ -25,13 +25,12 @@ from .cones import (
     sample_cone_tangent,
 )
 from .core import (
-    BLOCK_ROWS,
     MAX_SAMPLES,
     PD_RTOL,
     SpdMatrix,
     SpdStack,
+    _blocks,
     _checked,
-    _log_dets,
     _positive_rows,
     random_spd,
     _validate_spd_stack,
@@ -40,7 +39,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
 from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, relative_eigenvalues
-from .seeds import derive_rng, derive_seed_words, seeded_rngs
+from .seeds import _uniforms, derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
 GREATER_EQUAL = "greater_equal"
@@ -93,11 +92,9 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
         return OrderVerdict(EQUAL, 1.0, 1.0)
 
     if spec.kind == HALF_SPACE:
-        # log det sigma2 - log det sigma1: one stacked Cholesky with each point at 2^-j, j the frexp
-        # exponent of its lambda_max, plus n (j2 - j1) ln 2, the same bits for the pair at 2^k
-        j = np.frexp([sigma1._eig[0][-1], sigma2._eig[0][-1]])[1]
-        ld = _log_dets(np.ldexp(np.stack((sigma1.entries, sigma2.entries)), -j[:, None, None]))
-        fwd = float((ld[1] - ld[0]) + sigma1.n * (j[1] - j[0]) * math.log(2.0))
+        # log det sigma2 - log det sigma1 from each point's cached (j, log det(2^-j sigma)): the same bits at 2^k
+        (j1, ld1), (j2, ld2) = sigma1._scaled_log_det, sigma2._scaled_log_det
+        fwd = (ld2 - ld1) + sigma1.n * (j2 - j1) * math.log(2.0)
         rev = -fwd
     else:
         if spec.kind in TRANSLATION_KINDS:
@@ -137,10 +134,10 @@ def conal_path_oracle(
     """Cross-validation oracle: discretize the conal path from sigma1 to
     sigma2 and test the velocity against the cone at every sample.
 
-    True iff every membership margin is >= -10*tol.  Every point and velocity passes SymTangent's guards:
-    sample 0 alone (the margin is constant along the path, so it decides an unordered pair), then stacks of
-    at most BLOCK_ROWS.  The first sample that fails decides, so an invalid point raises only when no earlier
-    sample is outside the cone.  The points pass the eigen test (_positive_rows) too, unless one eigvalsh of
+    True iff every membership margin is >= -10*tol.  Every point and velocity passes SymTangent's guards,
+    in core._blocks' spans: sample 0 alone (the margin is constant along the path, so it decides an
+    unordered pair), then core._block_rows(n) at a time.  The first sample that fails decides, so an
+    invalid point raises only when no earlier sample is outside the cone.  The points pass the eigen test (_positive_rows) too, unless one eigvalsh of
     the endpoints certifies the path.  Each exact point's spectrum lies in [L, U], U <= kappa L, kappa the
     endpoints' larger lambda_max / lambda_min: the weighted geometric mean is monotone (Kubo and Ando,
     1980), lambda_min concave and lambda_max convex (Weyl).  To first order in eps = 2^-52 (Higham, 2002,
@@ -158,9 +155,9 @@ def conal_path_oracle(
     w, eps, n = eigvalsh(np.stack((sigma1.entries, sigma2.entries))), 2.0**-52, sigma1.n
     certified = all(lo * eps >= 2.0**-1022 and n * PD_RTOL * (k := hi / lo) + 4 * n * n * eps * k * k <= 0.5
                     for lo, hi in zip(w[:, 0].tolist(), w[:, -1].tolist()))
-    for first in range(1 - BLOCK_ROWS, samples, BLOCK_ROWS):  # samples [0, 1), [1, 129), [129, 257), ...
-        ts = np.arange(max(first, 0), min(first + BLOCK_ROWS, samples), dtype=float) * (1.0 / (samples - 1))
-        if first + BLOCK_ROWS >= samples:
+    for lo, hi in _blocks(samples, n):
+        ts = np.arange(lo, hi, dtype=float) * (1.0 / (samples - 1))
+        if hi == samples:
             ts[-1] = 1.0  # linspace's grid, built block by block
         points, velocities = path(ts[:, None, None])
         points, err = _validate_sym_stack(points)
@@ -197,7 +194,7 @@ def random_ordered_pair(spec: ConeSpec, n: int, seed: int) -> tuple[SpdMatrix, S
     rng = derive_rng(seed)
     sigma1 = random_spd(n, rng, scale=0.6)
     direction = sample_cone_tangent(spec, sigma1, rng, boundary=False)
-    steps = _conal_steps(spec, SpdStack.of(sigma1), direction.entries[None], np.array([rng.uniform(0.3, 1.2)]))
+    steps = _conal_steps(spec, SpdStack.of(sigma1), direction.entries[None], _uniforms([rng], 0.3, 1.2))
     return sigma1, _checked(*steps).point(0)
 
 
@@ -233,7 +230,7 @@ def order_interval_sample(
         return []
     path, _ = _conal_path(spec, sigma1, sigma2)
     rngs = seeded_rngs(derive_seed_words(seed, np.arange(count)[:, None]))
-    ts = np.array([rng.uniform(0.05, 0.95) for rng in rngs[1:]])
+    ts = _uniforms(rngs[1:], 0.05, 0.95)
     # a float t keeps w**0.5 numpy's sqrt
     bases, base_err = _validate_spd_stack(np.concatenate([path(0.5)[0][None], path(ts[:, None, None])[0]]))
     moved = bases[1:]  # the samples that draw a direction

@@ -140,6 +140,12 @@ def seeded_rngs(words) -> list[np.random.Generator]:
     return [Generator(PCG64(seed_words(words, row))) for row in range(len(words))]
 
 
+def _uniforms(rngs, low: float, high: float) -> np.ndarray:
+    """rng.uniform(low, high) from each generator, stacked, bit for bit: numpy's own
+    low + (high - low) * random(), without uniform's per-call argument handling."""
+    return low + (high - low) * np.array([rng.random() for rng in rngs])
+
+
 def _standard_normals(rngs, shape) -> np.ndarray:
     """A standard normal draw of the given shape from each generator, stacked."""
     g = np.empty((len(rngs), *shape))

@@ -184,21 +184,21 @@ class TestMembership:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 5]), seed=seeds,
-           k=st.integers(-600, 600), k2=st.integers(-600, 600))
+           k=st.integers(-1000, 1000), k2=st.integers(-1000, 1000))
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_margins_have_degree_zero_in_s_and_in_x(self, kind, n, seed, k, k2):
-        # margins at (2^k S, 2^k2 X) are those at (S, X) within 2 ulp (bit for
-        # bit on OpenBLAS 0.3.31): rows outside the scale window are brought
-        # into it by exact powers of two, and inside it solve and eigvalsh
-        # scale exactly.  Loewner needs no exception near X = 2^-450, where
-        # LAPACK scales internally: such an X enters the window before eigvalsh
+        # margins at (2^k S, 2^k2 X) are those at (S, X) bit for bit: rows
+        # outside the scale window are brought into it by exact powers of two,
+        # and inside it solve and eigvalsh scale exactly.  Loewner needs no
+        # exception near X = 2^-450, where LAPACK scales internally: such an X
+        # enters the window before eigvalsh
         spec = ConeSpec(kind, n, n / 3 if kind.startswith("quad") else None)
         sigma = random_spd(n, seed, 0.8).entries
         xs = np.array([random_sym(n, derive_rng(seed, 1)), sigma, -np.eye(n), np.eye(n) + 0.3 * random_sym(n, seed)])
         sigmas = np.array([sigma] * len(xs))
         expected, expected_binding = cone_margins(spec, sigmas, xs)
         margins, binding = cone_margins(spec, np.ldexp(sigmas, k), np.ldexp(xs, k2))
-        np.testing.assert_array_max_ulp(margins, expected, maxulp=2)
+        assert margins.tolist() == expected.tolist()
         assert binding.tolist() == expected_binding.tolist()
 
     @pytest.mark.filterwarnings("error")
@@ -587,6 +587,9 @@ class _DegenerateFirstDraw:
 
     def uniform(self, low, high):
         return self.rng.uniform(low, high)
+
+    def random(self):
+        return self.rng.random()
 
 
 def _sym_draw(rng, n):

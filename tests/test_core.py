@@ -41,7 +41,7 @@ from spdorders.errors import (
     NotSymmetric,
     SingularTransform,
 )
-from spdorders.seeds import derive_seed_words, seeded_rngs
+from spdorders.seeds import _uniforms, derive_seed_words, seeded_rngs
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -816,6 +816,16 @@ class TestSeedWords:
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+    # every (low, high) the package draws: the tangent sampler's interior shifts (Loewner, the
+    # others) and ray scales, order_interval_sample's t and random_ordered_pair's step size
+    @pytest.mark.parametrize("low, high", [(0.1, 1.0), (0.2, 1.0), (0.2, 2.0), (0.05, 0.95), (0.3, 1.2)])
+    def test_uniforms_are_the_uniform_draws(self, low, high):
+        words = derive_seed_words(17, np.arange(10_000)[:, None])
+        drawn, reference = seeded_rngs(words), seeded_rngs(words)
+        assert _uniforms(drawn, low, high).tobytes() == np.array([g.uniform(low, high) for g in reference]).tobytes()
+        # and each generator read one double, as uniform does
+        assert [g.random() for g in drawn] == [g.random() for g in reference]
 
     def test_seed_words_serve_only_the_pcg64_request(self):
         g = seeded_rngs(derive_seed_words(0, [[1]]))[0]

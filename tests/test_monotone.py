@@ -34,7 +34,7 @@ from spdorders import (
 from spdorders.cones import DEFAULT_TOL, ConeSpec, sample_cone_tangent
 from spdorders.core import MAX_DIM, SpdMatrix, SpdStack, SymTangent, _checked, derive_rng, random_sym
 from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite, SpdError
-from spdorders import monotone
+from spdorders import core, monotone
 from spdorders.monotone import map_differentials, sylvester_residual
 from spdorders.orders import _conal_steps
 
@@ -436,36 +436,49 @@ BLOCK_MAPS = {
 CONE_KINDS = ["quad-affine", "quad-translate", "loewner", "half-space", "ray"]
 
 
+def assert_same_report(m, spec, seed, n_points, n_directions):
+    got = check_differential_positivity(m, spec, seed, n_points, n_directions)
+    samples, min_margin, violations = reference_positivity(m, spec, seed, n_points, n_directions)
+    assert got.samples_tested == samples
+    assert got.min_output_margin.hex() == float(min_margin).hex()
+    assert len(got.violations) == len(violations)
+    for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
+        assert hexes(sig.entries) == hexes(ref_sig.entries)
+        assert hexes(tan.entries) == hexes(ref_tan.entries)
+        assert tan.base is sig and margin.hex() == ref_margin.hex()
+    # one SpdMatrix per violating point, shared by its tangents across chunks
+    assert len({id(sig) for sig, _, _ in got.violations}) == len({id(sig) for sig, _, _ in violations})
+
+
 class TestBlocksMatchLoop:
-    # Sizes past BLOCK_ROWS: 3 x 300 splits each point's directions over
-    # several chunks, 30 x 20 makes several blocks of whole points.
+    # Sizes past a block of small_blocks (128 rows at n = 2, 56 at n = 3):
+    # 3 x 300 splits each point's directions over several chunks, 30 x 20
+    # makes several blocks of whole points.
     @pytest.mark.parametrize("n_points, n_directions", [(3, 300), (30, 20)], ids=["split-points", "whole-points"])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("kind", CONE_KINDS)
     @pytest.mark.parametrize("map_kind", list(BLOCK_MAPS))
-    def test_same_report_as_per_sample_loop(self, map_kind, kind, n, n_points, n_directions):
-        assert n_points * n_directions > monotone.BLOCK_ROWS
-        m = BLOCK_MAPS[map_kind](n)
+    def test_same_report_as_per_sample_loop(self, map_kind, kind, n, n_points, n_directions, small_blocks):
+        assert n_points * n_directions > 2 * core._block_rows(n)
         spec = ConeSpec(kind, n, n / 2 if kind.startswith("quad") else None)
-        got = check_differential_positivity(m, spec, 11, n_points, n_directions)
-        samples, min_margin, violations = reference_positivity(m, spec, 11, n_points, n_directions)
-        assert got.samples_tested == samples
-        assert got.min_output_margin.hex() == float(min_margin).hex()
-        assert len(got.violations) == len(violations)
-        for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
-            assert hexes(sig.entries) == hexes(ref_sig.entries)
-            assert hexes(tan.entries) == hexes(ref_tan.entries)
-            assert tan.base is sig and margin.hex() == ref_margin.hex()
-        # one SpdMatrix per violating point, shared by its tangents across chunks
-        assert len({id(sig) for sig, _, _ in got.violations}) == len({id(sig) for sig, _, _ in violations})
+        assert_same_report(BLOCK_MAPS[map_kind](n), spec, 11, n_points, n_directions)
+
+    @pytest.mark.parametrize("kind", CONE_KINDS)
+    def test_same_report_across_real_blocks(self, kind):
+        # the benchmark's survey cell: 50 points x 20 directions at n = 3 are
+        # two blocks of core._block_rows(3) = 910 rows, 45 points and 5
+        assert core._block_rows(3) // 20 == 45
+        spec = ConeSpec(kind, 3, 1.5 if kind.startswith("quad") else None)
+        assert_same_report(power_map(1.5), spec, 11, 50, 20)
 
     # a shift of -0.2 I takes only a later point's image out of the cone: its
     # smallest eigenvalue is the first one below 0.2 (point 18 of seed 6 at
     # n = 2, in a later block; point 2 of seed 4 at n = 3, whose 300
     # directions take several chunks)
     @pytest.mark.parametrize("n, seed, n_points, n_directions, point", [(2, 6, 30, 20, 18), (3, 4, 3, 300, 2)])
-    def test_later_image_outside_the_cone_raises_as_the_loop_does(self, n, seed, n_points, n_directions, point):
-        assert point >= monotone.BLOCK_ROWS // n_directions or n_directions > monotone.BLOCK_ROWS
+    def test_later_image_outside_the_cone_raises_as_the_loop_does(self, n, seed, n_points, n_directions, point,
+                                                                   small_blocks):
+        assert point >= core._block_rows(n) // n_directions or n_directions > core._block_rows(n)
         lam_min = [np.linalg.eigvalsh(random_spd(n, derive_rng(seed, i), 0.7).entries)[0] for i in range(n_points)]
         assert min(lam_min[:point]) > 0.21 and lam_min[point] < 0.2
         with pytest.warns(UserWarning, match="not positive semidefinite"):
@@ -488,6 +501,24 @@ class TestBlocksMatchLoop:
             tracemalloc.stop()
         assert report.samples_tested == 2000 and report.is_positive
         assert peak < 32 * 10**6
+
+    def test_peak_memory_of_many_blocks_stays_near_one_block(self):
+        # 200 points x 20 directions at n = 3 are five blocks of at most 45
+        # points (910 rows), 45 x 20 one: each block's arrays and generators
+        # go before the next block is drawn
+        m, spec = power_map(0.5), quadratic_affine(1.5, 3)
+        check_differential_positivity(m, spec, 0, 45, 20)  # caches and lazy imports filled before tracing
+
+        def peak(n_points):
+            tracemalloc.start()
+            try:
+                check_differential_positivity(m, spec, 0, n_points, 20)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, five = peak(45), peak(200)
+        assert five <= 1.3 * one
 
 
 class TestOrderLevelMonotonicity:
@@ -668,13 +699,21 @@ SEARCHES = (
 
 class TestSearchMatchesLoop:
     @pytest.mark.parametrize("case", range(len(SEARCHES)))
-    def test_same_result_as_the_restart_loop(self, case):
+    def test_same_result_as_the_restart_loop(self, case, small_blocks):
+        # small_blocks: budgets of 400 cross blocks of 20 (n = 5) to 128 (n = 2) restarts
         build_map, build_cone, seed, budget = SEARCHES[case]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             m, spec = build_map(), build_cone()
         got = search_outcome(lambda: find_order_counterexample(m, spec, seed, budget))
         assert got == search_outcome(lambda: reference_find_order_counterexample(m, spec, seed, budget))
+
+    def test_same_result_across_real_blocks(self):
+        # power 0.5 breaks no order, so all 1,000 restarts at n = 3 run:
+        # restart 0, then blocks of core._block_rows(3) = 910 and 89
+        m, spec = power_map(0.5), quadratic_affine(1.5, 3)
+        got = search_outcome(lambda: find_order_counterexample(m, spec, 5, 1000))
+        assert got is None and got == search_outcome(lambda: reference_find_order_counterexample(m, spec, 5, 1000))
 
     def test_huge_budget_returns_at_the_first_hit(self):
         # this shift's hit comes at restart 1, in the first block after

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spdorders import (
@@ -360,8 +360,16 @@ def unvalidated_point(entries):
     return fake
 
 
+def block_sizes(count, n):
+    """The stack sizes of a block walk over count rows at dimension n: row 0 alone, then
+    core._block_rows(n) rows at a time."""
+    rows = core._block_rows(n)
+    return [1] + [min(rows, count - first) for first in range(1, count, rows)]
+
+
 class TestBatchedOracleMatchesLoop:
-    @settings(max_examples=60, deadline=None)
+    # small_blocks: the sample counts around 128 and 256 cross block boundaries at every n
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         kind=st.sampled_from(["quad-affine", "quad-translate", "loewner", "half-space", "ray"]),
         n=st.integers(2, 4),
@@ -370,7 +378,7 @@ class TestBatchedOracleMatchesLoop:
         seed=st.integers(0, 2**31 - 1),
         samples=st.one_of(st.integers(2, 40), st.integers(BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 3)),
     )
-    def test_same_verdict_as_per_sample_loop(self, kind, n, mu_frac, pair, seed, samples):
+    def test_same_verdict_as_per_sample_loop(self, small_blocks, kind, n, mu_frac, pair, seed, samples):
         mu = mu_frac * n if kind.startswith("quad") else None
         spec = ConeSpec(kind, n, mu)
         if pair == "random":
@@ -388,7 +396,7 @@ class TestBatchedOracleMatchesLoop:
 
     @pytest.mark.parametrize("spec", [quadratic_affine(1.5, 3), half_space_affine(3), ray_affine(3)],
                              ids=lambda s: s.kind)
-    def test_unordered_pair_guards_one_sample(self, spec, monkeypatch):
+    def test_unordered_pair_guards_one_sample(self, spec, monkeypatch, small_blocks):
         # the margin is constant along the geodesic, so sample 0 decides;
         # the endpoints certify both paths, so no block runs the eigen test
         tested, eigen_tested = [], []
@@ -409,7 +417,7 @@ class TestBatchedOracleMatchesLoop:
         assert tested == [1]
         tested.clear()
         assert conal_path_oracle(spec, sigma1, sigma2, 300) is True
-        assert tested == [1, BLOCK_ROWS, BLOCK_ROWS, 300 - 1 - 2 * BLOCK_ROWS]
+        assert tested == [1, 56, 56, 56, 56, 56, 19] == block_sizes(300, 3)
         assert eigen_tested == []
 
     def test_unordered_pair_builds_no_grid(self):
@@ -426,9 +434,12 @@ class TestBatchedOracleMatchesLoop:
             tracemalloc.stop()
         assert peak < 2**20
 
-    # at 50, 99 and 198 samples (n - 1) * (1 / (n - 1)) rounds below 1.0, so the last time needs setting
-    @pytest.mark.parametrize("samples", [2, 3, 50, 99, 100, 128, 129, 130, 198, 257, 1001])
-    def test_sample_times_are_linspace(self, samples, monkeypatch):
+    # at 50, 99 and 198 samples (n - 1) * (1 / (n - 1)) rounds below 1.0, so the last time needs
+    # setting; at n = 3 a block holds 56 samples with BLOCK_ROWS at 8, 910 at 128 (the real size)
+    @pytest.mark.parametrize("block_rows", [8, BLOCK_ROWS])
+    @pytest.mark.parametrize("samples", [2, 3, 50, 57, 58, 99, 100, 113, 128, 129, 130, 198, 257, 911, 912, 1001])
+    def test_sample_times_are_linspace(self, samples, block_rows, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_ROWS", block_rows)
         times = []
         conal_path = orders._conal_path
 
@@ -445,12 +456,13 @@ class TestBatchedOracleMatchesLoop:
         spec = quadratic_affine(1.5, 3)
         assert conal_path_oracle(spec, *random_ordered_pair(spec, 3, 5), samples) is True
         assert hexes(np.concatenate(times)) == hexes(np.linspace(0.0, 1.0, samples))
+        assert [len(t) for t in times] == block_sizes(samples, 3)
 
     @pytest.mark.parametrize("spec", [quadratic_affine(2.5, 5), loewner(5)], ids=lambda s: s.kind)
     def test_memory_is_bounded_by_the_block(self, spec):
         # an ordered pair runs every sample; one stack of 20,000 points
         # holds 4 MB per array (the one-stack oracle peaked at 17-21 MB),
-        # a block of BLOCK_ROWS about 26 KB
+        # a block of core._block_rows(5) = 327 rows about 65 KB
         samples, n = 20_000, spec.n
         sigma1, sigma2 = random_ordered_pair(spec, n, 3)
         tracemalloc.start()
@@ -486,7 +498,7 @@ class TestBatchedOracleMatchesLoop:
         # the velocity is inside: the points past t = 1/1.02, in the last block, fail
         (quadratic_translation(0.3, 2), [4.0, -0.02], NotPositiveDefinite),
     ], ids=["margin", "invalid"])
-    def test_first_failure_decides_across_blocks(self, spec, end, verdict):
+    def test_first_failure_decides_across_blocks(self, spec, end, verdict, small_blocks):
         sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag(end))
         for samples in (BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 300):
             expected = outcome(reference_oracle, spec, sigma1, sigma2, samples)
@@ -998,7 +1010,7 @@ def counting_eigh(monkeypatch):
 
 class TestCertifiedOracleMatchesEighGuard:
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_pairs_of_every_kind(self, n):
+    def test_pairs_of_every_kind(self, n, small_blocks):
         for spec in specs_at(n):
             pairs = []
             for seed in range(6):
@@ -1023,7 +1035,7 @@ class TestCertifiedOracleMatchesEighGuard:
         (quadratic_translation(0.3, 2), [4.0, 0.0]),
         (quadratic_translation(0.3, 2), [4.0, 1e-13]),
     ])
-    def test_paths_leaving_the_spd_set(self, spec, end):
+    def test_paths_leaving_the_spd_set(self, spec, end, small_blocks):
         # the endpoints fail the path certificate, and the last points the eigen test
         sigma1, sigma2 = spd_validate(np.eye(2)), unvalidated_point(np.diag(end))
         for samples in (11, BLOCK_ROWS + 2, 300):
@@ -1032,7 +1044,7 @@ class TestCertifiedOracleMatchesEighGuard:
 
     @pytest.mark.parametrize("e", [-520, 0, 520])
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_endpoints_across_the_certificate_threshold(self, n, e, monkeypatch):
+    def test_endpoints_across_the_certificate_threshold(self, n, e, monkeypatch, small_blocks):
         # for n <= 5 the certificate's threshold kappa lies between 1e6 and
         # 3e7 at every scale: only pairs with an endpoint above it run the
         # eigen test, on each block the oracle builds
@@ -1057,7 +1069,7 @@ class TestCertifiedOracleMatchesEighGuard:
                     if kappa < 1e7:
                         assert eigen_tested == []
                     else:  # every block up to the one that decides
-                        assert eigen_tested and eigen_tested == [1, BLOCK_ROWS, 2][: len(eigen_tested)]
+                        assert eigen_tested and eigen_tested == block_sizes(BLOCK_ROWS + 3, n)[: len(eigen_tested)]
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_ordered_pair_runs_no_stacked_eigh(self, spec, monkeypatch):
