@@ -152,25 +152,21 @@ class SpectralCone:
         return f"SpectralCone(mu={self.mu}, n={self.n})"
 
 
-def _kind_margin(spec: ConeSpec, m, t, tr2, dev):
-    """Each kind's margin rule over the moments of a tangent X: its norm m
-    and, called only by the kinds that read them, its trace t(), squared
-    norm tr2() and axis distance dev(t).  Returns the rule of X, or with
-    reverse set of -X, mapping (reverse, low()), low() the smallest
-    eigenvalue of that tangent, to (own margin, trace margin or inf, own
-    code); the margin is the smaller, ties to the own.  Arrays come from
-    cone_margins, Python floats from orders."""
+def _kind_margin(spec: ConeSpec, m, t, tr2, dev, low):
+    """Each kind's margin rule over the moments of a tangent X: its norm m, trace t, squared norm tr2,
+    axis distance dev and smallest eigenvalue low, of which a kind reads only its own (loewner low,
+    half-space t, ray t and dev, the quadratic kinds t and tr2; the others may be None).  Returns
+    (own margin, trace margin or inf, own code); the margin is the smaller, ties to the own.  The rule
+    of -X reads -t and minus the largest eigenvalue, the same bits as negating X's margins.  Arrays
+    come from cone_margins, Python floats from orders."""
     if spec.kind == LOEWNER:
-        return lambda reverse, low: (low() / m, math.inf, _EIGENVALUE_MIN)
-    trace = t()
-    margin = trace / m  # its negation is exactly the trace margin of -X
+        return low / m, math.inf, _EIGENVALUE_MIN
+    margin = t / m
     if spec.kind == HALF_SPACE:
-        return lambda reverse, low: (-margin if reverse else margin, math.inf, _TRACE_SIGN)
+        return margin, math.inf, _TRACE_SIGN
     if spec.kind == RAY:
-        own, code = -dev(trace) / m, _RAY_DEVIATION
-    else:
-        own, code = (trace * trace - spec.mu * tr2()) / (m * m), _QUADRATIC_FORM
-    return lambda reverse, low: (own, -margin if reverse else margin, code)
+        return -dev / m, margin, _RAY_DEVIATION
+    return (t * t - spec.mu * tr2) / (m * m), margin, _QUADRATIC_FORM
 
 
 def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -217,13 +213,13 @@ def cone_margins(spec: ConeSpec, sigmas, xs) -> tuple[np.ndarray, np.ndarray]:
     if any_zero:
         m = np.where(zero, 1.0, m)
 
-    def dev(t):  # sqrt(tr((W - (t/n) I)^2)), not tr2 - t^2/n, which cancels
+    t, dev, low = w.diagonal(0, 1, 2).sum(axis=1), None, None
+    if spec.kind == RAY:  # sqrt(tr((W - (t/n) I)^2)), not tr2 - t^2/n, which cancels
         gap = w - (t / spec.n)[:, None, None] * _identity(spec.n)
-        return np.sqrt(np.maximum((gap * gap.swapaxes(1, 2)).sum(axis=(1, 2)), 0.0))
-
-    rule = _kind_margin(spec, m, lambda: w.diagonal(0, 1, 2).sum(axis=1), lambda: tr2, dev)
-    # the Loewner cone, a translation kind, reads the eigenvalues of X itself
-    own, trace, code = rule(False, lambda: eigvalsh(xs)[:, 0])
+        dev = np.sqrt(np.maximum((gap * gap.swapaxes(1, 2)).sum(axis=(1, 2)), 0.0))
+    if spec.kind == LOEWNER:  # the Loewner cone, a translation kind, reads the eigenvalues of X itself
+        low = eigvalsh(xs)[:, 0]
+    own, trace, code = _kind_margin(spec, m, t, tr2, dev, low)
     binds = own <= trace
     margin, binding = np.where(binds, own, trace), np.where(binds, code, _TRACE_SIGN)
     if any_zero:

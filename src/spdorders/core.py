@@ -12,8 +12,12 @@ import math
 from functools import cache, cached_property
 
 import numpy as np
-from numpy._core.umath import _extobj_contextvar, _make_extobj
-from numpy.linalg import _umath_linalg
+
+try:  # numpy's private names, which a numpy release may rename
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
 
 from .errors import (
     ConvergenceFailure,
@@ -57,11 +61,15 @@ def _lapack(gufunc, signature: str, message: str):
     return entry
 
 
-# The package's one entry per factorisation (each reads the lower triangle).
-eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
-eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
-cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
-solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
+# The package's one entry per factorisation (each reads the lower triangle).  Without numpy's private
+# names, its public functions: the same gufuncs, bits and LinAlgError messages, at twice the cost or more.
+if _umath_linalg is None:
+    eigh, eigvalsh, cholesky, solve = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.cholesky, np.linalg.solve
+else:
+    eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
+    eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
+    cholesky = _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+    solve = _lapack(_umath_linalg.solve, "dd->d", "Singular matrix")
 
 
 def _block_rows(n: int) -> int:

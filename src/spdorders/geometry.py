@@ -68,23 +68,25 @@ def _canonical_shift(top1: float, top2: float) -> int:
     return -max(math.frexp(top1)[1], math.frexp(top2)[1])
 
 
-def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _relative_eigh(sigma1: SpdMatrix, sigma2: SpdMatrix, shift=None, scaled2=None) -> tuple[np.ndarray, np.ndarray]:
     """eigh of sigma1^{-1/2} sigma2 sigma1^{-1/2}, checked as relative_eigenframe's docstring says, both points
-    (sigma1's cached eigenvalues too) at the pair's _canonical_shift by exact ldexps: one eigh of a one-row
-    stack per pair, read-only and kept by sigma1 for its last sigma2."""
+    (sigma1's cached eigenvalues too) at the pair's _canonical_shift by exact ldexps (order_compare passes shift and
+    scaled2, sigma2 at it): one eigh of a one-row stack per pair, read-only and kept by sigma1 for its last sigma2."""
     if sigma1.n != sigma2.n:
         raise DimensionMismatch(f"points have dimensions {sigma1.n} and {sigma2.n}")
     pair, w, u = sigma1._relative
     if pair() is sigma2:  # a weak reference: the memo keeps no point alive
         return w, u
-    (w1, _), (w2, _) = sigma1._eig, sigma2._eig
+    (w1, v1), (w2, _) = sigma1._eig, sigma2._eig
     low, high = float(w2[0]) / float(w1[-1]), float(w2[-1]) / float(w1[0])  # bounds of the relative spectrum
     if not (2.0**-1022 <= low and high < 2.0**1023):  # at the canonical scale _whitened's sums are <= max(1, high)
         raise InvalidParameters(f"relative spectrum bound [{low:.3e}, {high:.3e}] leaves the normal float range")
-    shift = _canonical_shift(w1[-1], w2[-1])
-    ws, vs = SpdStack.of(sigma1).spectrum()
-    inv = _spectral_apply(np.ldexp(ws, shift), vs, lambda w: 1.0 / np.sqrt(w))
-    w, u = (a[0] for a in eigh(_whitened(inv, np.ldexp(SpdStack.of(sigma2).entries, shift))))
+    if shift is None:
+        shift = _canonical_shift(w1[-1], w2[-1])
+        scaled2 = np.ldexp(sigma2.entries, shift)
+    SpdStack.of(sigma1).spectrum()  # Spectrum's guard on v1, once per point
+    inv = (v1 * (1.0 / np.sqrt(np.ldexp(w1, shift)))).dot(v1.T)  # _spectral_apply's bits: one gemm, v1^T in place
+    w, u = (a[0] for a in eigh(_whitened(inv, scaled2)[None]))
     if not (w[0] > 0 and w[-1] / w[0] <= COND_CAP):  # NaN fails too
         raise IllConditioned(f"relative matrix of the pair condition number exceeds {COND_CAP:.1e}")
     w.setflags(write=False)  # shared by every call on the pair

@@ -17,6 +17,7 @@ import numpy as np
 from .cones import (
     DEFAULT_TOL,
     HALF_SPACE,
+    RAY,
     TRANSLATION_KINDS,
     ConeSpec,
     _kind_margin,
@@ -38,7 +39,7 @@ from .core import (
     eigvalsh,
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
-from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, relative_eigenvalues
+from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, _relative_eigh
 from .seeds import _uniforms, derive_rng, derive_seed_words, seeded_rngs
 
 LESS_EQUAL = "less_equal"
@@ -70,10 +71,11 @@ def _spectral_margins(d: np.ndarray, spec: ConeSpec) -> tuple[float, float]:
     nrm = _norm(d)
     if nrm == 0.0:
         return 1.0, 1.0
-    # np.add.reduce(d) is d.sum() without the method's dispatch
-    rule = _kind_margin(spec, nrm, lambda: float(np.add.reduce(d)), lambda: float(np.add.reduce(d * d)),
-                        lambda t: _norm(d - t / d.shape[0]))
-    (own, trace, _), (rev_own, rev_trace, _) = rule(False, lambda: float(d[0])), rule(True, lambda: -float(d[-1]))
+    t = float(np.add.reduce(d))  # d.sum() without the method's dispatch
+    tr2 = float(np.add.reduce(d * d)) if spec.mu is not None else None  # read by the quadratic kinds alone
+    dev = _norm(d - t / d.shape[0]) if spec.kind == RAY else None
+    own, trace, _ = _kind_margin(spec, nrm, t, tr2, dev, float(d[0]))
+    rev_own, rev_trace, _ = _kind_margin(spec, nrm, -t, tr2, dev, -float(d[-1]))
     return min(own, trace), min(rev_own, rev_trace)
 
 
@@ -100,7 +102,7 @@ def order_compare(spec: ConeSpec, sigma1: SpdMatrix, sigma2: SpdMatrix, tol: flo
         if spec.kind in TRANSLATION_KINDS:
             d = eigvalsh(e2 - e1)
         else:
-            d = np.log(relative_eigenvalues(sigma1, sigma2))
+            d = np.log(_relative_eigh(sigma1, sigma2, shift, e2)[0])
         fwd, rev = _spectral_margins(d, spec)
 
     if fwd >= -tol:
@@ -229,12 +231,12 @@ def order_interval_sample(
     if count <= 0:
         return []
     path, _ = _conal_path(spec, sigma1, sigma2)
-    rngs = seeded_rngs(derive_seed_words(seed, np.arange(count)[:, None]))
-    ts = _uniforms(rngs[1:], 0.05, 0.95)
+    rngs = seeded_rngs(derive_seed_words(seed, np.arange(1, count)[:, None]))  # sample i > 0 reads rngs[i - 1]
+    ts = _uniforms(rngs, 0.05, 0.95)
     # a float t keeps w**0.5 numpy's sqrt
     bases, base_err = _validate_spd_stack(np.concatenate([path(0.5)[0][None], path(ts[:, None, None])[0]]))
     moved = bases[1:]  # the samples that draw a direction
-    directions, tangent_err = _tangent_stack(spec, moved, rngs[1:len(bases)], [False] * len(moved))
+    directions, tangent_err = _tangent_stack(spec, moved, rngs[:len(moved)], [False] * len(moved))
     # every size of every direction, up to the direction's first step that
     # fails a guard; the directions after a failing step run again
     parts, sizes = [bases], []

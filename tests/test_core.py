@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -657,6 +658,34 @@ class TestLapackEntries:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert seen == {"raising": ({"raised"}, True), "succeeding": ({"returned"}, True)}
+
+    def test_public_functions_when_numpy_lacks_the_private_names(self):
+        # a numpy release may rename the private names core imports: the package still imports,
+        # takes the public np.linalg functions, and gives the same bits and the same messages
+        hide = ("import numpy, numpy._core.umath as umath\n"
+                "del umath._make_extobj, umath._extobj_contextvar, numpy.linalg._umath_linalg\n"
+                "sys.modules['numpy.linalg._umath_linalg'] = None\n")
+        run = ("import json, numpy as np\n"
+               "from spdorders import core\n"
+               f"sys.path.insert(0, {str(Path(__file__).resolve().parent.parent / 'scripts')!r})\n"
+               "import fingerprint\n"
+               "try:\n"
+               "    core._eigh(np.where(np.eye(5) > 0, np.nan, 0.1))\n"
+               "except core.ConvergenceFailure as exc:\n"
+               "    failure = str(exc)\n"
+               "print(json.dumps([core.eigh is np.linalg.eigh, failure, fingerprint.run_corpus()]))\n")
+        src = str(Path(spdorders.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        outcomes = []
+        for prelude in ("", hide):
+            done = subprocess.run([sys.executable, "-c", "import sys\n" + prelude + run], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outcomes.append(json.loads(done.stdout))
+        (private, message, groups), (public, fallback_message, fallback_groups) = outcomes
+        assert (private, public) == (False, True)
+        assert message == fallback_message == "Eigenvalues did not converge"
+        assert len(groups) == 9 and fallback_groups == groups
 
 
 def _special_stack(n, k, seed):

@@ -729,6 +729,29 @@ def compare_outcome(compare, spec, a, b):
     return relation, hexes([fwd, rev])
 
 
+def frame_outcome(sigma1, sigma2):
+    """relative_eigenframe (b and w), relative_eigenvalues and distance of the pair, each on a fresh copy
+    of it, so that each works out the pair's scaling itself; or the error they raise."""
+    from spdorders.geometry import distance, relative_eigenvalues
+
+    def fresh():
+        return SpdMatrix(sigma1.entries), SpdMatrix(sigma2.entries)
+
+    try:
+        b, w = relative_eigenframe(*fresh())
+        return hexes(b.ravel()), hexes(w), hexes(relative_eigenvalues(*fresh())), distance(*fresh()).hex()
+    except SpdError as exc:
+        return type(exc), str(exc)
+
+
+def reference_frame_outcome(sigma1, sigma2):
+    try:
+        b, w = reference_relative_eigenframe(sigma1, sigma2)
+    except SpdError as exc:
+        return type(exc), str(exc)
+    return hexes(b.ravel()), hexes(w), hexes(w), float(np.linalg.norm(np.log(w))).hex()
+
+
 def lean_compare(spec, a, b):
     verdict = order_compare(spec, a, b)
     return verdict.relation, verdict.forward_margin, verdict.reverse_margin
@@ -753,6 +776,8 @@ class TestLeanCompareMatchesReference:
                     pairs.append((SpdMatrix(np.ldexp(a.entries, k)), SpdMatrix(np.ldexp(b.entries, k))))
                     pairs.append((SpdMatrix(np.ldexp(lo.entries, k)), SpdMatrix(np.ldexp(hi.entries, k))))
                 for x, y in pairs:
+                    # the standalone path, on fresh copies that no order_compare has seen
+                    assert frame_outcome(x, y) == reference_frame_outcome(x, y)
                     want = compare_outcome(reference_compare, spec, x, y)
                     assert compare_outcome(lean_compare, spec, x, y) == want
                     try:
