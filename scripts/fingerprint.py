@@ -111,6 +111,9 @@ def run_corpus() -> dict:
                sp.check_differential_positivity, sp.power_map(2.0), spec, 8, 110, 40)
         record("find_order_counterexample", f"power:0.5 {spec.kind} n={n} budget 2100",
                sp.find_order_counterexample, sp.power_map(0.5), spec, 8, 2100)
+        count = {2: 2051, 3: 913, 5: 330}[n]  # past the first span of core._block_rows(n) after the midpoint
+        record("order_interval_sample", f"{spec.kind} n={n} count {count}",
+               sp.order_interval_sample, spec, *sp.random_ordered_pair(spec, n, 8), 11, count)
 
     def flow(kind, x0):
         trajectory = sp.integrate_flow(kind, x0, 0.5, 1e-2)

@@ -219,9 +219,10 @@ def order_interval_sample(
     order_compare(spec, sigma1, p), then order_compare(spec, p, sigma2).
     A step that fails a guard ends the sizes; without a valid step the
     sample falls back to the path point if it verifies, else to sigma1.
-    Points, directions and steps run as stacks, then the walk in sample
-    order compares each candidate it reaches (and no other), so the
-    earliest sample's error wins.  count is capped by MAX_SAMPLES.
+    Each of core._blocks' spans hashes its seeds and builds its points,
+    directions and steps as stacks, then the walk in sample order compares
+    each candidate it reaches (and no other), so the earliest sample's
+    error wins and no later span is built.  count is capped by MAX_SAMPLES.
     """
     if count > MAX_SAMPLES:
         raise InvalidParameters(f"{count} interval samples above the cap of {MAX_SAMPLES}")
@@ -231,39 +232,36 @@ def order_interval_sample(
     if count <= 0:
         return []
     path, _ = _conal_path(spec, sigma1, sigma2)
-    rngs = seeded_rngs(derive_seed_words(seed, np.arange(1, count)[:, None]))  # sample i > 0 reads rngs[i - 1]
-    ts = _uniforms(rngs, 0.05, 0.95)
-    # a float t keeps w**0.5 numpy's sqrt
-    bases, base_err = _validate_spd_stack(np.concatenate([path(0.5)[0][None], path(ts[:, None, None])[0]]))
-    moved = bases[1:]  # the samples that draw a direction
-    directions, tangent_err = _tangent_stack(spec, moved, rngs[:len(moved)], [False] * len(moved))
-    # every size of every direction, up to the direction's first step that
-    # fails a guard; the directions after a failing step run again
-    parts, sizes = [bases], []
-    while len(sizes) < len(directions):
-        done = len(sizes)
-        steps, err = _conal_steps(spec, moved[done:len(directions)], directions[done:], np.array(STEP_SIZES))
-        parts.append(steps)
-        rows, kept = divmod(len(steps), len(STEP_SIZES))
-        sizes += [len(STEP_SIZES)] * rows + ([kept] if err is not None else [])
-    candidates = _concat(parts)  # the path points, then the steps
 
-    def verified(j: int) -> SpdMatrix | None:  # candidate j, if it lies in [sigma1, sigma2]
-        p = candidates.point(j)
+    def verified(p: SpdMatrix) -> SpdMatrix | None:  # p, if it lies in [sigma1, sigma2]
         below, above = order_compare(spec, sigma1, p).relation, order_compare(spec, p, sigma2).relation
         return p if below in (LESS_EQUAL, EQUAL) and above in (LESS_EQUAL, EQUAL) else None
 
-    out, first = [], len(bases)
-    for i in range(count):
-        if i == len(bases):
-            raise base_err
-        if i > len(directions):
-            raise tangent_err
-        chosen = None
-        if i > 0:
-            chosen = next(filter(None, map(verified, range(first, first + sizes[i - 1]))), None)
-            first += sizes[i - 1]
-        out.append(chosen or verified(i) or sigma1)
+    out = []
+    for lo, hi in _blocks(count, spec.n):
+        if lo == 0:  # the midpoint: a float t keeps w**0.5 numpy's sqrt
+            out.append(verified(SpdMatrix(path(0.5)[0])) or sigma1)
+            continue
+        rngs = seeded_rngs(derive_seed_words(seed, np.arange(lo, hi)[:, None]))
+        bases, base_err = _validate_spd_stack(path(_uniforms(rngs, 0.05, 0.95)[:, None, None])[0])
+        directions, tangent_err = _tangent_stack(spec, bases, rngs[:len(bases)], [False] * len(bases))
+        # every size of every direction, up to the direction's first step that
+        # fails a guard; the directions after a failing step run again
+        parts, sizes = [bases], []
+        while len(sizes) < len(directions):
+            done = len(sizes)
+            steps, err = _conal_steps(spec, bases[done:len(directions)], directions[done:], np.array(STEP_SIZES))
+            parts.append(steps)
+            rows, kept = divmod(len(steps), len(STEP_SIZES))
+            sizes += [len(STEP_SIZES)] * rows + ([kept] if err is not None else [])
+        candidates, first = _concat(parts), len(bases)  # the path points, then the steps
+        for i in range(hi - lo):
+            if i == len(directions):
+                raise tangent_err or base_err
+            nudged = map(candidates.point, range(first, first + sizes[i]))
+            first += sizes[i]
+            out.append(next(filter(None, map(verified, nudged)), None) or verified(bases.point(i)) or sigma1)
+        del rngs, bases, directions, parts, steps, candidates, nudged  # the span goes before the next is built
     return out
 
 

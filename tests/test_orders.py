@@ -23,7 +23,7 @@ from spdorders import (
     ray_affine,
     spd_validate,
 )
-from spdorders import cones, core, flows, geometry, orders
+from spdorders import cones, core, flows, geometry, orders, seeds
 from spdorders.cones import sample_cone_tangent
 from spdorders.core import BLOCK_ROWS, Spectrum, derive_rng, matrix_function, sym_eig
 from spdorders.errors import (
@@ -598,6 +598,28 @@ class TestIntervalSampling:
         with pytest.raises(TypeError, match="broken step"):
             order_interval_sample(spec, s1, s2, seed=5, count=3)
 
+    def test_transient_memory_stays_near_one_block(self, small_blocks):
+        # small_blocks: 200 samples at n = 3 are 5 spans of at most 56, 760 samples 15; each span's
+        # generators, points, directions and steps go before the next is built.  The returned
+        # points stay held, so the peak above them is what the walk allocates.  Both counts end in
+        # a span of 31 samples, since the points returned after the peak move the figure by up to
+        # 1.4x with the length of the last span
+        spec = quadratic_affine(1.5, 3)
+        s1, s2 = random_ordered_pair(spec, 3, 11)
+        order_interval_sample(spec, s1, s2, seed=0, count=60)  # caches and lazy imports filled before tracing
+
+        def transient(count):
+            tracemalloc.start()
+            try:
+                points = order_interval_sample(spec, s1, s2, seed=0, count=count)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(points) == count
+            return peak - held
+
+        assert transient(200 + 10 * core._block_rows(3)) <= 1.2 * transient(200)
+
 
 # ---------------------------------------------------------------------------
 # The lean order_compare and the stacked interval sampler against the
@@ -933,6 +955,40 @@ class TestIntervalSamplerMatchesLoop:
                     if isinstance(want, tuple):
                         errors.add(want)
         assert len(errors) > 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_same_points_across_blocks(self, n, small_blocks):
+        # past core._blocks' first span of _block_rows(n) samples after the midpoint, by one and two
+        # samples, and into a third span: each span hashes and stacks its own samples
+        rows = core._block_rows(n)
+        for spec in specs_at(n):
+            s1, s2 = random_ordered_pair(spec, n, 7)
+            for count in (rows + 1, rows + 2, 2 * rows + 3):
+                want, _ = reference_outcome(spec, s1, s2, 3, count)
+                assert interval_outcome(order_interval_sample, spec, s1, s2, 3, count) == want
+
+    def test_a_failing_tangent_builds_no_later_block(self, monkeypatch, small_blocks):
+        # the tangents of test_earliest_error_wins fail at sample 4, in the second of core._blocks'
+        # spans: its error is raised, and the seeds of the two spans after it are never hashed
+        real, hashed = cones._tangent_stack, []
+
+        def failing_tangents(spec, points, rngs, boundary):
+            ys, err = real(spec, points, rngs, boundary)
+            high = np.flatnonzero(ys[:, 0, 0] > 0.6)
+            if len(high):
+                return ys[:high[0]], NotSymmetric(f"tangent {ys[high[0], 0, 0]!r}")
+            return ys, err
+
+        spec, count = quadratic_affine(1.0, 2), 2 * core._block_rows(2) + 3
+        s1, s2 = random_ordered_pair(spec, 2, 5)
+        monkeypatch.setattr(cones, "_tangent_stack", failing_tangents)
+        monkeypatch.setattr(orders, "_tangent_stack", failing_tangents)
+        monkeypatch.setattr(orders, "derive_seed_words", lambda *args: hashed.append(args[1]) or
+                            seeds.derive_seed_words(*args))
+        want, _ = reference_outcome(spec, s1, s2, 3, count)
+        assert want == reference_outcome(spec, s1, s2, 3, 5)[0] != reference_outcome(spec, s1, s2, 3, 4)[0]
+        assert interval_outcome(order_interval_sample, spec, s1, s2, 3, count) == want
+        assert [idx.ravel().tolist() for idx in hashed] == [list(range(1, core._block_rows(2) + 1))]
 
 
 class TestOneOrderVerdict:
