@@ -114,6 +114,14 @@ def run_corpus() -> dict:
         count = {2: 2051, 3: 913, 5: 330}[n]  # past the first span of core._block_rows(n) after the midpoint
         record("order_interval_sample", f"{spec.kind} n={n} count {count}",
                sp.order_interval_sample, spec, *sp.random_ordered_pair(spec, n, 8), 11, count)
+    # seeds.seeded_streams draws 96 rows or more by vector passes when n x n is at most 16 raw words,
+    # and by one generator per row otherwise: rows either side of both bounds, so --diff compares
+    # the two draw paths bit for bit (48 x 2 draws 48 points row by row and 96 rays by a vector pass)
+    for n, points, dirs in ((2, 95, 1), (2, 96, 1), (2, 48, 2), (3, 95, 1), (3, 96, 1), (3, 48, 2), (4, 60, 20),
+                            (5, 60, 20)):
+        spec = sp.quadratic_affine(n / 2, n)
+        record("check_differential_positivity", f"power:0.5 {spec.kind} n={n} {points}x{dirs}",
+               sp.check_differential_positivity, sp.power_map(0.5), spec, 9, points, dirs)
 
     def flow(kind, x0):
         trajectory = sp.integrate_flow(kind, x0, 0.5, 1e-2)

@@ -43,7 +43,7 @@ from .core import (
     solve,
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
-from .seeds import _random_syms, _standard_normals, _uniforms
+from .seeds import _random_syms, _standard_normals, _subset, _uniforms
 
 DEFAULT_TOL = 1e-10
 
@@ -314,7 +314,7 @@ def _boundary_rays(mu: float, n: int, rngs, matrix: bool = True) -> np.ndarray:
     y = y.reshape(len(y), *shape)
     if not ok.all():
         redo = np.flatnonzero(~ok)
-        y[redo] = _boundary_rays(mu, n, [rngs[i] for i in redo], matrix)
+        y[redo] = _boundary_rays(mu, n, _subset(rngs, redo), matrix)
     return y
 
 
@@ -345,12 +345,12 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
     n = spec.n
     if spec.n != points.n:
         raise DimensionMismatch(f"cone n={spec.n}, point n={points.n}")
-    rows = list(zip(rngs, boundary, strict=True))
-    rngs = [rng for rng, _ in rows]
-    width = len(rows) // max(len(points), 1)
+    if len(rngs) != len(boundary):
+        raise ValueError(f"{len(rngs)} generators for {len(boundary)} boundary flags")
+    width = len(rngs) // max(len(points), 1)
     degenerate = ()
     if n == 1:  # every 1x1 cone here degenerates to the nonnegative ray
-        ys = np.ones((len(rows), 1, 1))
+        ys = np.ones((len(rngs), 1, 1))
     elif spec.kind == RAY:  # the cone is the single ray spanned by sigma
         scale = _uniforms(rngs, 0.2, 2.0).reshape(len(points), width, 1, 1)
         ys = (scale * points.entries[:, None]).reshape(-1, n, n)
@@ -358,10 +358,10 @@ def _tangent_stack(spec: ConeSpec, points: SpdStack, rngs, boundary) -> tuple[np
         quadratic = spec.kind in (QUAD_AFFINE, QUAD_TRANSLATE)
         ys = _boundary_rays(spec.mu, n, rngs) if quadratic else _random_syms(n, rngs)
         low = 0.1 if spec.kind == LOEWNER else 0.2
-        interior = [row for row, (_, on_boundary) in enumerate(rows) if not on_boundary]
-        shift = np.zeros(len(rows))
-        shift[interior] = _uniforms([rngs[row] for row in interior], low, 1.0)
-        del rows, rngs  # every draw is made: the generators go before the algebra allocates
+        interior = np.flatnonzero(np.logical_not(boundary))
+        shift = np.zeros(len(rngs))
+        shift[interior] = _uniforms(_subset(rngs, interior), low, 1.0)
+        del rngs  # every draw is made: the generators go before the algebra allocates
         if spec.kind == HALF_SPACE:  # the traceless part, shifted by its norm
             trace = ys.reshape(len(ys), n * n)[:, ::n + 1].sum(axis=1)
             ys = ys - (trace / n)[:, None, None] * _identity(n)

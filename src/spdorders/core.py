@@ -567,7 +567,8 @@ def _random_spd_stack(n: int, seeds, scale: float = 1.0) -> tuple[SpdStack, SpdE
     _check_dimension(n)
     if scale < 0:
         raise InvalidParameters("scale must be positive")
-    syms, err = _validate_sym_stack(_random_syms(n, [_rng(seed) for seed in seeds], scale))
+    rngs = seeds if hasattr(seeds, "serve") else [_rng(seed) for seed in seeds]  # a streams.Streams
+    syms, err = _validate_sym_stack(_random_syms(n, rngs, scale))
     points, later = _sym_exp_stack(syms)
     return points, later or err
 

@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, InvalidParameters, SpdError
 from .orders import EQUAL, LESS_EQUAL, _conal_steps, order_compare
-from .seeds import derive_seed_words, seeded_rngs
+from .seeds import derive_seed_words, seeded_streams
 
 POWER = "power"
 INVERSION = "inversion"
@@ -305,7 +305,7 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
             break
         # Each stage runs only on the points before the earliest failure so
         # far, so any error it finds belongs to an earlier point and wins.
-        rngs = seeded_rngs(point_words[start:start + per_block])
+        rngs = seeded_streams(point_words[start:start + per_block], spec.n)
         sigmas, err = _random_spd_stack(spec.n, rngs, 0.7)
         images, later = m._apply_stack(sigmas) if len(sigmas) else (sigmas, None)
         err = later or err
@@ -318,10 +318,10 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
                 break
             span = min(width, n_directions - first)
             if direction_words is not None:
-                rngs = seeded_rngs(direction_words[start:start + drawn, first:first + span].reshape(-1, 4))
+                rngs = seeded_streams(direction_words[start:start + drawn, first:first + span].reshape(-1, 4), spec.n)
             on_boundary = np.tile(boundary[first:first + span], drawn)
             xs, later = _tangent_stack(spec, sigmas[:drawn], rngs[:len(on_boundary)], on_boundary)
-            del rngs  # generators of about 1 KB each, kept only while tangents are drawn
+            del rngs  # the streams and their fallback rows' generators, kept only while tangents are drawn
             if later is not None:
                 err, drawn = later, len(xs) // span
                 tested = min(tested, drawn)

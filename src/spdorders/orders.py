@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import DimensionMismatch, InvalidParameters, NotOrdered, SpdError
 from .geometry import _canonical_shift, _exp_stack, _geodesic_curve, _norm, _relative_eigh
-from .seeds import _uniforms, derive_rng, derive_seed_words, seeded_rngs
+from .seeds import _uniforms, derive_rng, derive_seed_words, seeded_streams
 
 LESS_EQUAL = "less_equal"
 GREATER_EQUAL = "greater_equal"
@@ -242,7 +242,7 @@ def order_interval_sample(
         if lo == 0:  # the midpoint: a float t keeps w**0.5 numpy's sqrt
             out.append(verified(SpdMatrix(path(0.5)[0])) or sigma1)
             continue
-        rngs = seeded_rngs(derive_seed_words(seed, np.arange(lo, hi)[:, None]))
+        rngs = seeded_streams(derive_seed_words(seed, np.arange(lo, hi)[:, None]), spec.n)
         bases, base_err = _validate_spd_stack(path(_uniforms(rngs, 0.05, 0.95)[:, None, None])[0])
         directions, tangent_err = _tangent_stack(spec, bases, rngs[:len(bases)], [False] * len(bases))
         # every size of every direction, up to the direction's first step that

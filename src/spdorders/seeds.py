@@ -1,9 +1,10 @@
 """Deterministic random streams: per-sample generators derived from a
 master seed and sample indices, their seeds hashed for many samples at
-once, and the stacked draws that read one generator per row."""
+once, and the stacked draws that serve every row's stream at once."""
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -140,21 +141,78 @@ def seeded_rngs(words) -> list[np.random.Generator]:
     return [Generator(PCG64(seed_words(words, row))) for row in range(len(words))]
 
 
+MIN_VECTOR_ROWS = 96
+"""The fewest rows of seed words that seeded_streams serves by vector
+passes; fewer draw from one generator each.  timeit on a 2-core x86-64
+VM, numpy 2.4.  Microseconds per stacked draw of n x n normals from new
+streams, vector pass (set-up and fallback rows included; MAX_VECTOR_WORDS
+lifted for n = 5 and 8) / one generator per row, min of 7 interleaved
+repeats:
+
+    rows  n=2          n=3          n=4          n=5          n=8
+       1    59 /    4    58 /    4    57 /    4    63 /    5    65 /    5
+       4    71 /   11    71 /   11    75 /   12    76 /   12    92 /   13
+      16    72 /   40    89 /   42    94 /   43    97 /   42   136 /   45
+      45    81 /   99   185 /  189   222 /  206   154 /  122   236 /  127
+     100    98 /  212   140 /  221   196 /  241   489 /  514   484 /  298
+     910   541 / 2036  1058 / 2064  1772 / 2164  2667 / 2310  6774 / 2756
+
+A pass costs as much as 15-30 generators.  Inside a positivity check of
+p points x 1 direction (two streams of p rows) it pays later: time with
+vector passes / without, paired medians of 9:
+
+    p     32     48     64     96    128    256
+    n=2  1.06   1.04   1.02   0.89   0.79   0.68
+    n=3  1.20   1.05   1.00   0.97   0.89   0.83
+    n=4  1.18   1.09   1.09   0.99   1.00   0.88"""
+
+MAX_VECTOR_WORDS = 16
+"""The most raw words a vector pass draws per row (n x n normals for n <= 4).
+A row stays on the fast path with probability 0.985^words, 79 % at 16 words,
+69 % at 25 (n = 5) and 38 % at 64 (n = 8), and each other row builds its
+generator on top of the pass (MIN_VECTOR_ROWS's figures)."""
+
+
+def seeded_streams(words, n: int):
+    """The streams of seeded_rngs(words), for draws of n x n normals and of
+    uniforms: a streams.Streams, drawn by vector passes, or seeded_rngs
+    itself under MIN_VECTOR_ROWS rows or over MAX_VECTOR_WORDS normals."""
+    if len(words) < MIN_VECTOR_ROWS or n * n > MAX_VECTOR_WORDS:
+        return seeded_rngs(words)
+    from .streams import Streams  # compiled with the first such stack: importing the package skips it
+
+    return Streams(words)
+
+
+def _subset(rngs, index: np.ndarray):
+    """The streams of rngs (a Streams or a sequence of generators) at the rows of an index array."""
+    return rngs[index] if hasattr(rngs, "serve") else [rngs[i] for i in index.tolist()]
+
+
+def _generator_rows(rngs, out: np.ndarray, count: int, normal: bool):
+    """(row, generator) for the rows of out that rngs draw from a generator:
+    every row of a sequence of generators, or those a Streams' pass leaves."""
+    return rngs.serve(out, count, normal) if hasattr(rngs, "serve") else enumerate(rngs)
+
+
 def _uniforms(rngs, low: float, high: float) -> np.ndarray:
-    """rng.uniform(low, high) from each generator, stacked, bit for bit: numpy's own
+    """rng.uniform(low, high) from each stream, stacked, bit for bit: numpy's own
     low + (high - low) * random(), without uniform's per-call argument handling."""
-    return low + (high - low) * np.array([rng.random() for rng in rngs])
+    u = np.empty(len(rngs))
+    for i, rng in _generator_rows(rngs, u, 1, normal=False):
+        u[i] = rng.random()
+    return low + (high - low) * u
 
 
 def _standard_normals(rngs, shape) -> np.ndarray:
-    """A standard normal draw of the given shape from each generator, stacked."""
+    """A standard normal draw of the given shape from each stream, stacked."""
     g = np.empty((len(rngs), *shape))
-    for row, rng in zip(g, rngs):
-        rng.standard_normal(shape, out=row)
+    for i, rng in _generator_rows(rngs, g, math.prod(shape), normal=True):
+        rng.standard_normal(shape, out=g[i])
     return g
 
 
 def _random_syms(n: int, rngs, scale: float = 1.0) -> np.ndarray:
-    """random_sym's draw from each generator, stacked: (k, n, n)."""
+    """random_sym's draw from each stream, stacked: (k, n, n)."""
     g = _standard_normals(rngs, (n, n))
     return scale * 0.5 * (g + g.swapaxes(1, 2))

@@ -42,7 +42,17 @@ from spdorders.errors import (
     NotSymmetric,
     SingularTransform,
 )
-from spdorders.seeds import _uniforms, derive_seed_words, seeded_rngs
+from spdorders.seeds import (
+    MAX_VECTOR_WORDS,
+    MIN_VECTOR_ROWS,
+    _standard_normals,
+    _subset,
+    _uniforms,
+    derive_seed_words,
+    seeded_rngs,
+    seeded_streams,
+)
+from spdorders.streams import Streams
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -860,3 +870,93 @@ class TestSeedWords:
         g = seeded_rngs(derive_seed_words(0, [[1]]))[0]
         with pytest.raises(InvalidParameters):
             g.bit_generator.seed_seq.generate_state(8, np.uint32)
+
+
+def _first_slow_normal(rng, count):
+    """The first of count standard normals of rng that reads more than one raw
+    word (the ziggurat's slow path), told by a twin advanced one word per draw; or None."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    for j in range(count):
+        twin.bit_generator.advance(1)
+        rng.standard_normal()
+        if rng.bit_generator.state != twin.bit_generator.state:
+            return j
+    return None
+
+
+class TestSeededStreams:
+    """seeded_streams reads derive_rng(seed, *row)'s stream bit for bit, whether a
+    draw takes the vector pass, falls back to a row's generator or stays per row."""
+
+    # either side of the vector pass's row threshold, and blocks past it
+    ROWS = [1, 4, MIN_VECTOR_ROWS - 1, MIN_VECTOR_ROWS, 100, 2000]
+
+    @staticmethod
+    def _bytes(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    def _mixed_draws(self, seed, rows, n, make=None):
+        """The draw order of _tangent_stack and _boundary_rays: n x n normals for every
+        row, uniforms for every other row, n normals again for every third; then
+        each row's generator goes on with its stream.  make builds the streams
+        from the seed words, by default seeded_streams."""
+        words = derive_seed_words(seed, np.array(rows)[:, None])
+        streams = seeded_streams(words, n) if make is None else make(words)
+        refs = [derive_rng(seed, row) for row in rows]
+        assert self._bytes(_standard_normals(streams, (n, n))) == self._bytes([g.standard_normal((n, n)) for g in refs])
+        half, third = np.arange(0, len(rows), 2), np.arange(0, len(rows), 3)
+        got = _uniforms(_subset(streams, half), 0.2, 1.0)
+        assert self._bytes(got) == self._bytes([refs[i].uniform(0.2, 1.0) for i in half])
+        got = _standard_normals(_subset(streams, third), (n,))
+        assert self._bytes(got) == self._bytes([refs[i].standard_normal(n) for i in third])
+        for i in {0, len(rows) // 2, len(rows) - 1}:
+            got = _standard_normals(_subset(streams, np.array([i])), (3,))[0]
+            assert got.tobytes() == refs[i].standard_normal(3).tobytes()
+        return streams
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("k", ROWS)
+    def test_mixed_draws_read_the_derive_rng_streams(self, n, k):
+        vector = k >= MIN_VECTOR_ROWS and n * n <= MAX_VECTOR_WORDS
+        assert isinstance(self._mixed_draws(30 + n, list(range(k)), n), Streams) == vector
+        # a Streams of any size reads the same streams, its too long draws row by row
+        self._mixed_draws(30 + n, list(range(k)), n, Streams)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 8])
+    def test_only_draws_past_the_word_bound_leave_the_vector_pass(self, n):
+        # rows the vector pass served keep no generator (their _drawn count is not -1)
+        streams = Streams(derive_seed_words(1, np.arange(100)[:, None]))
+        _standard_normals(streams, (n, n))
+        assert (streams._drawn >= 0).any() == (n * n <= MAX_VECTOR_WORDS)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_falling_back_at_their_first_middle_and_last_normal(self, n):
+        count, found = n * n, {}
+        for row in range(20_000):
+            at = _first_slow_normal(derive_rng(5, row), count)
+            if at in (0, count // 2, count - 1):
+                found.setdefault(at, row)
+            if len(found) == 3:
+                break
+        assert len(found) == 3
+        # among other rows, on both sides of the row threshold: past it, the vector
+        # pass hands the three rows to their generators
+        for others in (MIN_VECTOR_ROWS - 4, MIN_VECTOR_ROWS + 40):
+            rows = sorted(found.values()) + list(range(30_000, 30_000 + others))
+            streams = self._mixed_draws(5, rows, n)
+            assert isinstance(streams, list) or (streams._drawn[:3] < 0).all()
+
+    def test_a_list_of_generators_is_drawn_row_by_row_in_order(self):
+        # one generator for every row reads its stream in row order
+        rng, ref = derive_rng(9), derive_rng(9)
+        got = _standard_normals([rng] * 3, (2, 2))
+        assert self._bytes(got) == self._bytes([ref.standard_normal((2, 2)) for _ in range(3)])
+
+    def test_stream_views_share_their_rows(self):
+        # a draw through a view moves the rows of the streams it was taken from
+        streams = seeded_streams(derive_seed_words(3, np.arange(MIN_VECTOR_ROWS + 1)[:, None]), 2)
+        first = _uniforms(streams[1:], 0.0, 1.0)
+        ref = derive_rng(3, 7)
+        assert first[6] == ref.random() and _uniforms(streams[[7]], 0.0, 1.0)[0] == ref.random()
+        assert _uniforms(streams[[0]], 0.0, 1.0)[0] == derive_rng(3, 0).random()

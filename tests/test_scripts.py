@@ -56,3 +56,11 @@ def test_fingerprint_is_stable(tmp_path):
     assert groups == ["order_compare", "cone_margins", "conal_path_oracle", "order_interval_sample",
                       "check_differential_positivity", "find_order_counterexample", "flows", "viz2", "cli"]
     assert all(len(line.split()[1]) == 64 for line in lines[1:])
+
+
+def test_ziggurat_tables_match_numpy(tmp_path):
+    # streams._ZIGGURAT against the tables read back from this numpy's standard_normal
+    done = run_script("ziggurat_tables.py", "--check", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    printed = run_script("ziggurat_tables.py", cwd=tmp_path)
+    assert printed.returncode == 0 and printed.stdout.startswith("_ZIGGURAT = (\n")
