@@ -142,7 +142,8 @@ def run_corpus() -> dict:
         os.chdir(tmp)  # the commands read and write relative paths
         a, b = sp.random_ordered_pair(sp.quadratic_affine(1.5, 3), 3, 21)
         docs = {"a.json": a.entries, "b.json": b.entries, "tiny.json": np.ldexp(a.entries, -520),
-                "x.json": sp.random_spd(3, 22, 0.5).entries - np.eye(3), "s2.json": sp.random_spd(2, 23, 0.6).entries}
+                "x.json": sp.random_spd(3, 22, 0.5).entries - np.eye(3), "s2.json": sp.random_spd(2, 23, 0.6).entries,
+                "skew.json": np.array([[1.0, 1e308], [-1e308, 1.0]])}
         for name, mat in docs.items():
             docio.write_matrix_file(name, mat)
         for spec in kinds(3, 1.5) + [sp.quadratic_affine(1.0, 2)]:
@@ -153,7 +154,9 @@ def run_corpus() -> dict:
                     "monotone --map power:2 --cone loewner-3.json --seed 4 --points 5 --dirs 4",
                     "flow --kind qr --t-end 0.2 --step 1e-2 --r 2 --out flow.csv a.json",
                     "viz2 section --cone quad-affine-2.json --at s2.json --resolution 16 --outdir out",
-                    "viz2 leaf --c 1.5 --resolution 8 --outdir out"]
+                    "viz2 leaf --c 1.5 --resolution 8 --outdir out",
+                    "monotone --map translate:skew.json --cone quad-affine-2.json --seed 4 --points 3 --dirs 2",
+                    "monotone --map scale:nan --cone quad-affine-2.json --seed 4 --points 3 --dirs 2"]
         commands += [f"order --cone {spec.kind}-3.json {pair}" for spec in kinds(3, 1.5)
                      for pair in ("a.json b.json", "b.json a.json", "tiny.json a.json")]
         for command in commands:

@@ -148,13 +148,6 @@ def _windowed(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
     return a, e, _row_norms(a)
 
 
-def _symmetrized(a: np.ndarray, peak: float) -> np.ndarray:
-    """(a + a^T) / 2 for an a whose largest |entry| is peak: halved first only
-    at peak >= 2^1023, where the sum could overflow (halving rounds subnormals)."""
-    at = a.swapaxes(-1, -2)
-    return 0.5 * a + 0.5 * at if peak >= 2.0**1023 else 0.5 * (a + at)
-
-
 # The stacked guards and kernels below return the rows before the first
 # row that fails, and that row's error (None when every row passes).  A
 # kernel that runs guards in turn ends with `later or err`: each guard sees
@@ -190,9 +183,10 @@ def _validate_sym_stack(a: np.ndarray) -> tuple[np.ndarray, SpdError | None]:
         if not symmetric.all():
             bad = int(symmetric.argmin())
             err = NotSymmetric(f"asymmetry {gap[bad]:.3e} exceeds tolerance {tolerance[bad]:.3e}")
-            a = a[:bad]
+            a, at = a[:bad], at[:bad]
         peak = amax[:len(a)].max(initial=0.0)
-    sym = _symmetrized(a, peak)
+    # (a + a^T) / 2, halved first only at peak >= 2^1023, where the sum could overflow (halving rounds subnormals)
+    sym = 0.5 * a + 0.5 * at if peak >= 2.0**1023 else 0.5 * (a + at)
     sym.flags.writeable = False
     return sym, err
 
@@ -560,14 +554,13 @@ def random_sym(n: int, seed, scale: float = 1.0) -> np.ndarray:
     return _random_syms(n, [_rng(seed)], scale)[0]
 
 
-def _random_spd_stack(n: int, seeds, scale: float = 1.0) -> tuple[SpdStack, SpdError | None]:
-    """random_spd for each seed (an integer or a generator), stacked: the
-    points before the first one that fails a guard, and its error, or
-    None.  Each row reads its own generator as random_spd does."""
+def _random_spd_stack(n: int, rngs, scale: float = 1.0) -> tuple[SpdStack, SpdError | None]:
+    """random_spd from each stream (a seeds.seeded_streams stack or a
+    sequence of generators), stacked: the points before the first one that
+    fails a guard, and its error, or None."""
     _check_dimension(n)
     if scale < 0:
         raise InvalidParameters("scale must be positive")
-    rngs = seeds if hasattr(seeds, "serve") else [_rng(seed) for seed in seeds]  # a streams.Streams
     syms, err = _validate_sym_stack(_random_syms(n, rngs, scale))
     points, later = _sym_exp_stack(syms)
     return points, later or err
@@ -581,4 +574,4 @@ def random_spd(n: int, seed, scale: float = 1.0) -> SpdMatrix:
     ill-conditioned regimes.  Deterministic for a fixed integer seed.
     The one-row view of _random_spd_stack.
     """
-    return _checked(*_random_spd_stack(n, [seed], scale)).point(0)
+    return _checked(*_random_spd_stack(n, [_rng(seed)], scale)).point(0)

@@ -24,13 +24,14 @@ from .core import (
     SpdStack,
     SymTangent,
     _as_finite_square,
+    _as_square,
     _block_rows,
     _blocks,
+    _check_symmetry,
     _checked,
     _congruence_stack,
     _matrix_function_stack,
     _random_spd_stack,
-    _symmetrized,
     _validate_spd_stack,
     _validate_sym_stack,
     as_tangent,
@@ -57,6 +58,15 @@ class SmoothMap:
     exponent: float | None = None
     factor: float | None = None
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind not in _RULES:
+            raise InvalidParameters(f"unknown map kind {self.kind!r}")
+        for name, value in (("exponent", self.exponent), ("factor", self.factor)):
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameters(f"map {name} must be finite, got {value}")
+        if self.factor is not None and self.factor <= 0:
+            raise InvalidParameters("scaling factor must be positive")
 
     @property
     def label(self) -> str:
@@ -95,18 +105,15 @@ def congruence_map(a) -> SmoothMap:
 
 
 def scaling_map(factor: float) -> SmoothMap:
-    if factor <= 0:
-        raise InvalidParameters("scaling factor must be positive")
     return SmoothMap(SCALING, factor=float(factor))
 
 
 def translation_map(c) -> SmoothMap:
-    mat = _as_finite_square(c)
-    mat = _symmetrized(mat, np.abs(mat).max())
+    """X -> X + C, for a shift C that passes core._validate_sym_stack as every symmetric input does."""
+    mat = _check_symmetry(_as_square(c))
     if eigvalsh(mat)[0] < 0:
         warnings.warn("translation shift is not positive semidefinite; "
                       "images of near-singular points may leave the SPD cone")
-    mat.flags.writeable = False
     return SmoothMap(TRANSLATION, matrix=mat)
 
 

@@ -1,9 +1,9 @@
 """Stacked random streams: the streams of seeds.seeded_rngs drawn for many
 rows at once, bit for bit.  numpy's PCG64 runs as 128-bit integer
 arithmetic on uint64 arrays, its raw words feed the fast paths of
-numpy's samplers, and a row that leaves them falls back to numpy's own
-Generator.  seeds.seeded_streams imports the module with the first stack
-that a vector pass serves, so importing the package does not compile it."""
+numpy's samplers, and a row that leaves them falls back to its
+seeded_rngs generator.  seeds.seeded_streams imports the module with the
+first stack that a vector pass serves, so importing the package skips it."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .seeds import _MASK32, MAX_VECTOR_WORDS, _seed_words_type
+from .seeds import _MASK32, MAX_VECTOR_WORDS, seeded_rngs
 
 # numpy's PCG64 (numpy/random/src/pcg64): a 128-bit state s and increment c, stepped
 # s <- MULT s + c before each raw word, which is XSL-RR: hi ^ lo of s rotated right by s >> 122
@@ -113,8 +113,8 @@ def _doubles(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Streams:
     """The streams of seeded_rngs(words), which a draw serves by one vector
     pass of numpy's PCG64 and the fast paths of its samplers, bit for bit.
-    A row that leaves them gets numpy's Generator, advanced past the row's
-    drawn words, for that draw and every later one; so do all rows of a
+    A row that leaves them gets its seeded_rngs generator, advanced past the
+    row's drawn words, for that draw and every later one; so do all rows of a
     draw of more than MAX_VECTOR_WORDS words.  A slice or an index array of
     rows gives a view drawing on the same streams."""
 
@@ -135,13 +135,11 @@ class Streams:
         return view
 
     def _materialise(self, rows: np.ndarray) -> None:
-        """Give these rows numpy's Generator, advanced past the words each has drawn."""
-        from numpy.random import PCG64, Generator
-
-        seed_words = _seed_words_type()
-        for row, drawn in zip(rows.tolist(), self._drawn[rows].tolist()):
-            bits = PCG64(seed_words(self._words, row))
-            self._rngs[row] = Generator(bits.advance(drawn) if drawn else bits)
+        """Give these rows their seeded_rngs generators, advanced past the words each has drawn."""
+        for row, drawn, rng in zip(rows.tolist(), self._drawn[rows].tolist(), seeded_rngs(self._words[rows])):
+            if drawn:
+                rng.bit_generator.advance(drawn)
+            self._rngs[row] = rng
         self._drawn[rows] = -1
 
     def serve(self, out: np.ndarray, count: int, normal: bool) -> list:

@@ -543,6 +543,9 @@ class TestOneLineDiagnostics:
         ("monotone", "--map", "translate:@shift_neg", "--cone", "@loew2", "--points", "20", "--dirs", "2"),
         # a map matrix of the wrong size
         ("monotone", "--map", "translate:@shift_1x1", "--cone", "@loew2", "--points", "3", "--dirs", "2"),
+        # an asymmetric shift, and a scale factor that is not finite
+        ("monotone", "--map", "translate:@huge_skew", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
+        ("monotone", "--map", "scale:nan", "--cone", "@qa2", "--points", "3", "--dirs", "2"),
         # an SPD matrix whose largest eigenvalue lies beyond the float range
         ("validate", "@huge_spectrum"),
         # images 1e-315 S whose spectra lie below the normal float range: 49

@@ -794,7 +794,7 @@ class TestContiguousProducts:
         from spdorders.monotone import _power_differentials, _power_divided_differences
 
         for e in self.SCALES:
-            points, _ = core._random_spd_stack(n, range(k), 0.8)
+            points, _ = core._random_spd_stack(n, [derive_rng(i) for i in range(k)], 0.8)
             points, _ = _validate_spd_stack(np.ldexp(points.entries, e))
             for width in (1, 3):  # each point's eigenbasis broadcast over its run of tangents (4-D)
                 xs = np.ldexp(_special_stack(n, k * width, 7 + width), e)

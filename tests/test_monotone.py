@@ -34,9 +34,9 @@ from spdorders import (
 )
 from spdorders.cones import DEFAULT_TOL, ConeSpec, sample_cone_tangent
 from spdorders.core import MAX_DIM, SpdMatrix, SpdStack, SymTangent, _checked, derive_rng, random_sym
-from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite, SpdError
+from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDefinite, NotSymmetric, SpdError
 from spdorders import core, monotone
-from spdorders.monotone import map_differentials, sylvester_residual
+from spdorders.monotone import SmoothMap, map_differentials, sylvester_residual
 from spdorders.orders import _conal_steps
 
 MAPS = [
@@ -108,6 +108,17 @@ class TestDifferential:
         assert np.array_equal(shift, np.diag([1e308, 1e308]))
         image = translation_map([[1e308, 1.0], [3.0, 1e308]]).apply(SpdMatrix(np.eye(2)))
         assert np.array_equal(image.entries, [[1e308, 2.0], [2.0, 1e308]])
+
+    @pytest.mark.parametrize("m", [power_map(-2.0), inversion_map()], ids=lambda m: m.label)
+    def test_differential_at_an_ill_conditioned_point_is_exactly_symmetric(self, m):
+        # at cond(S) = 1e10, inside COND_CAP, the products V (D o V^T X V) V^T and
+        # S^-1 X S^-1 come out asymmetric by far more than SYM_RTOL; the rules
+        # return their symmetric part, so the guard that follows accepts them
+        q, _ = np.linalg.qr(derive_rng(2).standard_normal((3, 3)))
+        sigma = SpdMatrix((q * [1e-5, 1.0, 1e5]) @ q.T)
+        x = np.outer(q[:, 0], q[:, 2])
+        out = map_differential(m, sigma, x + x.T).entries
+        assert np.array_equal(out, out.T)
 
     def test_near_degenerate_spectrum(self):
         # clustered eigenvalues exercise the divided-difference limit
@@ -597,6 +608,22 @@ class TestOrderLevelMonotonicity:
                 a = spd_validate(3.0 * s1.entries)
                 b = spd_validate(3.0 * s2.entries)
                 assert order_compare(spec, a, b).relation in ("less_equal", "equal")
+
+    def test_translation_shift_must_be_symmetric(self):
+        with pytest.raises(NotSymmetric):
+            translation_map([[1.0, 5.0], [-3.0, 1.0]])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: SmoothMap("bogus"), "kind"),
+        (lambda: power_map(math.nan), "exponent"),
+        (lambda: power_map(-math.inf), "exponent"),
+        (lambda: scaling_map(math.nan), "factor"),
+        (lambda: scaling_map(math.inf), "factor"),
+        (lambda: scaling_map(0.0), "factor"),
+    ])
+    def test_map_parameters_are_checked(self, build, name):
+        with pytest.raises(InvalidParameters, match=name):
+            build()
 
     def test_translation_non_psd_shift_warns(self):
         with pytest.warns(UserWarning):
