@@ -122,6 +122,16 @@ def run_corpus() -> dict:
         spec = sp.quadratic_affine(n / 2, n)
         record("check_differential_positivity", f"power:0.5 {spec.kind} n={n} {points}x{dirs}",
                sp.check_differential_positivity, sp.power_map(0.5), spec, 9, points, dirs)
+    # two-word seeds fill all four pool words of a check's seed rows, and a point with more directions
+    # than a block holds spans several chunks, so --diff compares the seed grid and the walk bit for bit
+    for seed in (9, 2**32 + 7, -1):
+        for n, points, dirs in ((3, 50, 20), (3, 2, 1000), (8, 1, 200)):
+            spec = sp.quadratic_affine(n / 2, n)
+            record("check_differential_positivity", f"power:0.5 {spec.kind} n={n} {points}x{dirs} seed {seed}",
+                   sp.check_differential_positivity, sp.power_map(0.5), spec, seed, points, dirs)
+    for m in (sp.power_map(2.0), sp.power_map(0.5)):
+        record("find_order_counterexample", f"{m.label} loewner n=2 budget 400 seed 2^32+7",
+               sp.find_order_counterexample, m, sp.loewner(2), 2**32 + 7, 400)
 
     def flow(kind, x0):
         trajectory = sp.integrate_flow(kind, x0, 0.5, 1e-2)

@@ -369,8 +369,8 @@ class SpdMatrix:
         return j, float(_log_dets(np.ldexp(self.entries, -j)))
 
     def inv_apply(self, x: np.ndarray) -> np.ndarray:
-        """Solve self @ y = x."""
-        return np.linalg.solve(self.entries, x)
+        """Solve self @ y = x, a vector solved as a one-column matrix."""
+        return solve(self.entries, x) if np.ndim(x) != 1 else solve(self.entries, np.asarray(x)[:, None])[:, 0]
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)

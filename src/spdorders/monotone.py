@@ -62,15 +62,18 @@ class SmoothMap:
     def __post_init__(self):
         if self.kind not in _RULES:
             raise InvalidParameters(f"unknown map kind {self.kind!r}")
-        for name, value in (("exponent", self.exponent), ("factor", self.factor)):
-            if value is not None and not math.isfinite(value):
+        for name in ("exponent", "factor", "matrix"):  # the kind's own parameter, and no other
+            value, own = getattr(self, name), name == _RULES[self.kind][0]
+            if (value is None) == own:
+                raise InvalidParameters(f"{self.kind} map {'needs' if own else 'takes no'} {name}")
+            if own and name != "matrix" and not math.isfinite(value):
                 raise InvalidParameters(f"map {name} must be finite, got {value}")
         if self.factor is not None and self.factor <= 0:
             raise InvalidParameters("scaling factor must be positive")
 
     @property
     def label(self) -> str:
-        return _RULES[self.kind][0].format(self)
+        return _RULES[self.kind][1].format(self)
 
     def _check_size(self, n: int) -> None:
         if self.matrix is not None and self.matrix.shape[0] != n:
@@ -81,7 +84,7 @@ class SmoothMap:
         first row whose image fails SpdMatrix's guards, and that row's
         error, or None."""
         self._check_size(points.n)
-        return _RULES[self.kind][1](self, points)
+        return _RULES[self.kind][2](self, points)
 
     def apply(self, sigma: SpdMatrix) -> SpdMatrix:
         """Evaluate the map; the result is SPD for every kind except
@@ -149,17 +152,18 @@ def _inversion_differentials(m: SmoothMap, points: SpdStack, xs: np.ndarray):
     return 0.5 * (out + out.swapaxes(1, 2))
 
 
-# Per map kind: its label, the map on a stack of points (as _apply_stack),
-# and its differential on a tangent stack before SymTangent's guards (as
-# _differential_stack)
+# Per map kind: its one parameter, its label, the map on a stack of points
+# (as _apply_stack), and its differential on a tangent stack before
+# SymTangent's guards (as _differential_stack)
 _RULES = {
-    POWER: ("power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent), _power_differentials),
-    INVERSION: ("inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
-    CONGRUENCE: (CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
+    POWER: ("exponent", "power:{0.exponent:g}", lambda m, p: _matrix_function_stack(p, "power", m.exponent),
+            _power_differentials),
+    INVERSION: (None, "inv", lambda m, p: _matrix_function_stack(p, "inv"), _inversion_differentials),
+    CONGRUENCE: ("matrix", CONGRUENCE, lambda m, p: _congruence_stack(m.matrix, p),
                  lambda m, p, xs: m.matrix @ xs @ m.matrix.T),
-    SCALING: ("scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
+    SCALING: ("factor", "scale:{0.factor:g}", lambda m, p: _validate_spd_stack(m.factor * p.entries),
               lambda m, p, xs: m.factor * xs),
-    TRANSLATION: (TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: xs),
+    TRANSLATION: ("matrix", TRANSLATION, lambda m, p: _validate_spd_stack(p.entries + m.matrix), lambda m, p, xs: xs),
 }
 
 
@@ -169,7 +173,7 @@ def _differential_stack(m: SmoothMap, points: SpdStack, xs: np.ndarray) -> tuple
     differentials of the rows before the first row whose differential
     fails SymTangent's guards, and that row's error, or None."""
     m._check_size(points.n)
-    return _validate_sym_stack(_RULES[m.kind][2](m, points, xs))
+    return _validate_sym_stack(_RULES[m.kind][3](m, points, xs))
 
 
 def map_differentials(m: SmoothMap, sigma: SpdMatrix, xs) -> np.ndarray:
@@ -254,31 +258,31 @@ def check_differential_positivity(
     differential, and record every landing outside the cone at the image.
 
     Directions alternate between boundary rays (where violations
-    concentrate) and interior rays.  Each sample's random stream is
-    derive_rng(seed, point index, direction index + 1), and each point's
-    derive_rng(seed, point index), so the aggregate is independent of
-    execution order; all their seeds are hashed in one pass.
+    concentrate) and interior rays.  Point i draws from derive_rng(seed, i)
+    and its direction j from derive_rng(seed, i, j + 1), so the aggregate
+    is independent of execution order; all their seeds are hashed as one grid.
 
-    A row is one (point, direction) sample, in point-major order.  Rows
-    are drawn and tested in blocks of whole points, at most
-    core._block_rows(n) rows each, and every stage (base points, images,
-    tangents, differentials, margins) runs once over a block.  A point
-    with more directions is a block of its own, its directions taken
-    that many at a time, so each stacked array of a block holds at most
-    max(128 n^2, 8192) entries.  MAX_SAMPLES caps the total.  A failing
-    guard raises what testing one point after another would: the error
-    of the earliest failing point, at its earliest stage.
+    A row is one (point, direction) sample, in point-major order.  The
+    points are walked in spans of whole points, at most core._block_rows(n)
+    rows each (a point with more directions is a span of its own, its
+    directions taken that many at a time), so each stacked array of a chunk
+    holds at most max(128 n^2, 8192) entries.  MAX_SAMPLES caps the total.
+    A failing guard raises what testing one point after another would: the
+    error of the earliest failing point, at its earliest stage.
     """
     if n_points < 1 or n_directions < 1:
         raise InvalidParameters("need at least one point and one direction")
     if n_points * n_directions > MAX_SAMPLES:
         raise InvalidParameters(f"{n_points} x {n_directions} samples above the cap of {MAX_SAMPLES}")
     report = PositivityReport(map_label=m.label, cone=spec, samples_tested=n_points * n_directions)
-    point_words = derive_seed_words(seed, np.arange(n_points)[:, None])
-    grid = np.stack(np.meshgrid(np.arange(n_points), np.arange(1, n_directions + 1), indexing="ij"), axis=2)
-    direction_words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions, 4)
+    # SeedSequence pads entropy to four 32-bit words with zeros, so (seed, i, 0) hashes as (seed, i)
+    # while a row has at most four words: the seed takes at most two, i and j stay below MAX_SAMPLES < 2^32
+    grid = np.stack(np.meshgrid(np.arange(n_points), np.arange(n_directions + 1), indexing="ij"), axis=2)
+    words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions + 1, 4)
+    per_block = max(1, _block_rows(spec.n) // n_directions)
+    spans = ((lo, words[lo:lo + per_block]) for lo in range(0, n_points, per_block))
     witnesses = {}  # one SpdMatrix per violating point, by its index
-    for start, span, sigmas, _, xs, margins in _positivity_chunks(m, spec, point_words, direction_words):
+    for start, span, sigmas, _, xs, margins in _positivity_chunks(m, spec, spans):
         # fold the chunk in as a row-by-row pass would: the running minimum
         # moves on a strictly smaller margin (never on NaN), and each
         # violation keeps a copy of its tangent and its point's SpdMatrix
@@ -296,23 +300,20 @@ def check_differential_positivity(
     return report
 
 
-def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_words=None):
-    """check_differential_positivity's stages over the points point_words
-    seed, their tangents seeded by direction_words (points, directions, 4)
-    or, without them, one boundary ray per point drawn after it from its
-    stream, in blocks of core._block_rows(spec.n) rows.  Yields (block's first point, directions per
-    point, points, images, tangents, margins) per chunk up to the earliest failing row, then raises its error."""
-    n_directions = 1 if direction_words is None else direction_words.shape[1]
-    boundary = np.arange(n_directions) % 2 == 0
-    rows = _block_rows(spec.n)
-    per_block, width = max(1, rows // n_directions), min(n_directions, rows)
-    err = None
-    for start in range(0, len(point_words), per_block):
-        if err is not None:
-            break
+def _positivity_chunks(m: SmoothMap, spec: ConeSpec, spans):
+    """check_differential_positivity's stages over spans (first point, seed
+    words (points, 1 + directions, 4)): column 0 seeds the points, the rest
+    their tangents; with no more columns each point's one boundary ray is
+    drawn after it from its stream.  Yields (span's first point, directions
+    per point, points, images, tangents, margins) per chunk up to the
+    earliest failing row, then raises its error."""
+    for start, words in spans:
+        n_directions = max(1, words.shape[1] - 1)
+        boundary = np.arange(n_directions) % 2 == 0
+        width = min(n_directions, _block_rows(spec.n))
         # Each stage runs only on the points before the earliest failure so
         # far, so any error it finds belongs to an earlier point and wins.
-        rngs = seeded_streams(point_words[start:start + per_block], spec.n)
+        rngs = seeded_streams(words[:, 0], spec.n)
         sigmas, err = _random_spd_stack(spec.n, rngs, 0.7)
         images, later = m._apply_stack(sigmas) if len(sigmas) else (sigmas, None)
         err = later or err
@@ -324,8 +325,8 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
             if not drawn:
                 break
             span = min(width, n_directions - first)
-            if direction_words is not None:
-                rngs = seeded_streams(direction_words[start:start + drawn, first:first + span].reshape(-1, 4), spec.n)
+            if words.shape[1] > 1:
+                rngs = seeded_streams(words[:drawn, 1 + first:1 + first + span].reshape(-1, 4), spec.n)
             on_boundary = np.tile(boundary[first:first + span], drawn)
             xs, later = _tangent_stack(spec, sigmas[:drawn], rngs[:len(on_boundary)], on_boundary)
             del rngs  # the streams and their fallback rows' generators, kept only while tangents are drawn
@@ -340,8 +341,7 @@ def _positivity_chunks(m: SmoothMap, spec: ConeSpec, point_words, direction_word
             margins, _ = cone_margins(spec, np.repeat(images.entries[:tested], span, axis=0), outs[:tested * span])
             yield start, span, sigmas, images, xs[:tested * span], margins
             del xs, outs  # a chunk's rows go before the next chunk draws its generators
-    if err is not None:
-        raise err
+        _checked(None, err)
 
 
 def find_order_counterexample(m: SmoothMap, spec: ConeSpec, seed: int, budget: int):
@@ -352,22 +352,21 @@ def find_order_counterexample(m: SmoothMap, spec: ConeSpec, seed: int, budget: i
     ordered pair and the images re-compared.  Returns (sigma1, sigma2,
     samples_used) on success, None when the budget is exhausted.
 
-    Restart i draws its point, then its ray, from derive_rng(seed, i);
-    restart 0 runs check_differential_positivity's stages alone, the rest
-    core._block_rows(n) at a time.  Violating restarts walk the step sizes
-    in order: the first hit wins, and the earliest failing restart's error is raised.
+    Restart i draws its point, then its ray, from derive_rng(seed, i); spans of
+    restarts (0 alone, then core._block_rows(n) at a time) are hashed as the walk
+    reaches them.  Violating restarts walk the step sizes in order: the first hit
+    wins, and the earliest failing restart's error is raised.
     """
-    for lo, hi in _blocks(budget, spec.n):
-        restarts = np.arange(lo, hi)[:, None]  # seeds hashed per block
-        for _, _, sigmas, images, xs, margins in _positivity_chunks(m, spec, derive_seed_words(seed, restarts)):
-            for row in np.flatnonzero(~(margins >= -10.0 * DEFAULT_TOL)).tolist():
-                sigma = sigmas.point(row)
-                for size in (1.0, 0.5, 0.2, 0.05):  # a step that fails a guard is rejected
-                    steps, err = _conal_steps(spec, SpdStack.of(sigma), xs[row:row + 1], np.array([size]))
-                    sigma2 = steps.point(0) if err is None else None
-                    if sigma2 is None or order_compare(spec, sigma, sigma2).relation not in (LESS_EQUAL, EQUAL):
-                        continue
-                    verdict = order_compare(spec, images.point(row), m.apply(sigma2))
-                    if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * DEFAULT_TOL:
-                        return sigma, sigma2, int(restarts[row, 0]) + 1
+    spans = ((lo, derive_seed_words(seed, np.arange(lo, hi)[:, None])[:, None]) for lo, hi in _blocks(budget, spec.n))
+    for start, _, sigmas, images, xs, margins in _positivity_chunks(m, spec, spans):
+        for row in np.flatnonzero(~(margins >= -10.0 * DEFAULT_TOL)).tolist():
+            sigma = sigmas.point(row)
+            for size in (1.0, 0.5, 0.2, 0.05):  # a step that fails a guard is rejected
+                steps, err = _conal_steps(spec, SpdStack.of(sigma), xs[row:row + 1], np.array([size]))
+                sigma2 = steps.point(0) if err is None else None
+                if sigma2 is None or order_compare(spec, sigma, sigma2).relation not in (LESS_EQUAL, EQUAL):
+                    continue
+                verdict = order_compare(spec, images.point(row), m.apply(sigma2))
+                if verdict.relation not in (LESS_EQUAL, EQUAL) and verdict.forward_margin < -10.0 * DEFAULT_TOL:
+                    return sigma, sigma2, start + row + 1
     return None

@@ -70,12 +70,12 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def derive_seed_words(seed: int, indices) -> np.ndarray:
     """PCG64 seed words of derive_rng(seed, *row) for each row of a (k, m)
-    integer array, hashed in one pass; returns a (k, 4) uint64 array for
-    seeded_rngs.
+    integer array, hashed in one pass; returns a (k, 4) uint64 array for seeded_rngs.
 
-    Entries wrap to 64 bits as in derive_rng, and each splits into one
-    uint32 word, or two when it is >= 2^32, so rows may differ in length;
-    words past the 4-word pool get SeedSequence's extra mixing rounds.
+    Entries wrap to 64 bits as in derive_rng, and each splits into one uint32 word,
+    or two when it is >= 2^32, so rows may differ in length.  Rows shorter than the
+    4-word pool are padded with zeros, so a trailing zero index seeds the same stream
+    while a row fits the pool; words past it get SeedSequence's extra mixing rounds.
     """
     idx = np.asarray(indices)
     if idx.ndim != 2:

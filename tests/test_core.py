@@ -25,6 +25,7 @@ import spdorders
 from spdorders import core
 from spdorders.core import (
     MAX_DIM,
+    MAX_SAMPLES,
     SYM_RTOL,
     SpdStack,
     Spectrum,
@@ -604,6 +605,9 @@ class TestLapackEntries:
             # one matrix, a stack, and monotone's (k, 1, n, n) against (k, m, n, n) broadcast
             for args in ((stack[0], b[0, 0]), (stack, b[:, 0]), (stack[:, None], b)):
                 assert _linalg_outcome(core.solve, *args) == _linalg_outcome(np.linalg.solve, *args), kind
+            if kind != "indefinite":  # SpdMatrix.inv_apply solves a caller's vector or matrix through core.solve
+                for x in (b[0, 0, 0], b[0, 0]):
+                    assert _linalg_outcome(SpdMatrix(stack[0]).inv_apply, x) == _linalg_outcome(np.linalg.solve, stack[0], x)
 
     def test_failures_raise_numpys_message(self):
         failing = [
@@ -841,6 +845,22 @@ class TestSeedWords:
         rows = np.array([[-1, 3], [0, -(2**40)], [5, 6]])
         for g, row in zip(seeded_rngs(derive_seed_words(-7, rows)), rows.tolist(), strict=True):
             self._same_stream(g, -7, row)
+
+    # SeedSequence pads its entropy to the 4-word pool with zeros, so a trailing zero index changes no
+    # stream while the row fits the pool: check_differential_positivity seeds point i by grid row (i, 0)
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+    @pytest.mark.parametrize("i", [0, 1, MAX_SAMPLES - 1])
+    def test_a_trailing_zero_index_is_the_pool_padding(self, seed, i):
+        assert derive_seed_words(seed, [[i, 0]]).tobytes() == derive_seed_words(seed, [[i]]).tobytes()
+        self._same_stream(derive_rng(seed, i, 0), seed, (i,))
+
+    def test_a_trailing_zero_index_past_the_pool_is_hashed(self):
+        # a two-word seed and a two-word index fill the pool, so the zero is a fifth word: the grid
+        # holds only while indices stay below 2^32, as MAX_SAMPLES keeps them
+        assert MAX_SAMPLES < 2**32
+        seed, i = 2**40 + 3, 2**32
+        assert derive_seed_words(seed, [[i, 0]]).tobytes() != derive_seed_words(seed, [[i]]).tobytes()
+        assert derive_rng(seed, i, 0).bit_generator.state != derive_rng(seed, i).bit_generator.state
 
     def test_empty_batch(self):
         assert derive_seed_words(3, np.zeros((0, 2), dtype=np.int64)).shape == (0, 4)

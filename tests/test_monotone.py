@@ -38,6 +38,7 @@ from spdorders.errors import DimensionMismatch, InvalidParameters, NotPositiveDe
 from spdorders import core, monotone
 from spdorders.monotone import SmoothMap, map_differentials, sylvester_residual
 from spdorders.orders import _conal_steps
+from spdorders.seeds import derive_seed_words
 
 MAPS = [
     power_map(0.5),
@@ -522,6 +523,18 @@ class TestBlocksMatchLoop:
             check_differential_positivity(m, spec, seed, n_points, n_directions)
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
+    def test_one_hash_pass_seeds_every_span(self, monkeypatch, small_blocks):
+        # 30 x 20 at n = 3 walks 15 spans of 2 points: one grid seeds them all
+        calls = []
+
+        def counting(seed, indices):
+            calls.append(np.shape(indices))
+            return derive_seed_words(seed, indices)
+
+        monkeypatch.setattr(monotone, "derive_seed_words", counting)
+        check_differential_positivity(power_map(1.5), quadratic_affine(1.5, 3), 11, 30, 20)
+        assert calls == [(30 * 21, 2)]
+
     def test_peak_memory_grows_with_the_block(self):
         # 2000 directions of one point at n = 32: a stack of them all would
         # take 16 MB per array, a chunk of BLOCK_ROWS = 128 about 1 MB
@@ -620,6 +633,12 @@ class TestOrderLevelMonotonicity:
         (lambda: scaling_map(math.nan), "factor"),
         (lambda: scaling_map(math.inf), "factor"),
         (lambda: scaling_map(0.0), "factor"),
+        (lambda: SmoothMap("power"), "exponent"),
+        (lambda: SmoothMap("scaling"), "factor"),
+        (lambda: SmoothMap("translation"), "matrix"),
+        (lambda: SmoothMap("power", exponent=2.0, factor=3.0), "factor"),
+        (lambda: SmoothMap("inversion", matrix=np.eye(3)), "matrix"),
+        (lambda: SmoothMap("congruence", matrix=np.eye(2), exponent=1.0), "exponent"),
     ])
     def test_map_parameters_are_checked(self, build, name):
         with pytest.raises(InvalidParameters, match=name):
@@ -755,6 +774,24 @@ class TestSearchMatchesLoop:
             m, spec = build_map(), build_cone()
         got = search_outcome(lambda: find_order_counterexample(m, spec, seed, budget))
         assert got == search_outcome(lambda: reference_find_order_counterexample(m, spec, seed, budget))
+
+    def test_no_span_is_hashed_after_the_failing_restart(self, monkeypatch, small_blocks):
+        # a shift of -0.1 I takes restart 76's image (smallest eigenvalue 0.078, every earlier one above
+        # 0.107) out of the SPD set; small_blocks cuts spans [0, 1), [1, 57), [57, 113), ... at n = 3
+        spans = []
+
+        def recording(seed, indices):
+            spans.append((int(indices[0, 0]), len(indices)))
+            return derive_seed_words(seed, indices)
+
+        monkeypatch.setattr(monotone, "derive_seed_words", recording)
+        with pytest.warns(UserWarning, match="not positive semidefinite"):
+            m = translation_map(-0.1 * np.eye(3))
+        with pytest.raises(NotPositiveDefinite):
+            find_order_counterexample(m, loewner(3), 0, 400)
+        assert spans == [(0, 1), (1, 56), (57, 56)]
+        with pytest.raises(NotPositiveDefinite):
+            reference_find_order_counterexample(m, loewner(3), 0, 400)
 
     def test_same_result_across_real_blocks(self):
         # power 0.5 breaks no order, so all 1,000 restarts at n = 3 run:
