@@ -64,6 +64,9 @@ def run_corpus() -> dict:
             text = f"{type(exc).__name__}: {exc}"
         groups[group].append((label, hashlib.sha256(text.encode()).hexdigest()))
 
+    def positivity(*args):  # the fields a PositivityReport promises: the exact count and its witnesses
+        return sp.check_differential_positivity(*args).to_dict()
+
     def scaled(sigma, e):
         return sp.SpdMatrix(np.ldexp(sigma.entries, e))
 
@@ -103,12 +106,12 @@ def run_corpus() -> dict:
         for spec in kinds(n, n / 2):
             for name, m in maps.items():
                 label = f"{name} {spec.kind} n={n}"
-                record("check_differential_positivity", label, sp.check_differential_positivity, m, spec, 5, 6, 5)
+                record("check_differential_positivity", label, positivity, m, spec, 5, 6, 5)
                 record("find_order_counterexample", label, sp.find_order_counterexample, m, spec, 3, 140)
         # more rows than one block holds at n <= 5, so --diff compares block splits bit for bit
         spec = sp.quadratic_affine(n / 2, n)
         record("check_differential_positivity", f"power:2 {spec.kind} n={n} 110x40",
-               sp.check_differential_positivity, sp.power_map(2.0), spec, 8, 110, 40)
+               positivity, sp.power_map(2.0), spec, 8, 110, 40)
         record("find_order_counterexample", f"power:0.5 {spec.kind} n={n} budget 2100",
                sp.find_order_counterexample, sp.power_map(0.5), spec, 8, 2100)
         count = {2: 2051, 3: 913, 5: 330}[n]  # past the first span of core._block_rows(n) after the midpoint
@@ -121,14 +124,14 @@ def run_corpus() -> dict:
                             (5, 60, 20)):
         spec = sp.quadratic_affine(n / 2, n)
         record("check_differential_positivity", f"power:0.5 {spec.kind} n={n} {points}x{dirs}",
-               sp.check_differential_positivity, sp.power_map(0.5), spec, 9, points, dirs)
+               positivity, sp.power_map(0.5), spec, 9, points, dirs)
     # two-word seeds fill all four pool words of a check's seed rows, and a point with more directions
     # than a block holds spans several chunks, so --diff compares the seed grid and the walk bit for bit
     for seed in (9, 2**32 + 7, -1):
         for n, points, dirs in ((3, 50, 20), (3, 2, 1000), (8, 1, 200)):
             spec = sp.quadratic_affine(n / 2, n)
             record("check_differential_positivity", f"power:0.5 {spec.kind} n={n} {points}x{dirs} seed {seed}",
-                   sp.check_differential_positivity, sp.power_map(0.5), spec, seed, points, dirs)
+                   positivity, sp.power_map(0.5), spec, seed, points, dirs)
     for m in (sp.power_map(2.0), sp.power_map(0.5)):
         record("find_order_counterexample", f"{m.label} loewner n=2 budget 400 seed 2^32+7",
                sp.find_order_counterexample, m, sp.loewner(2), 2**32 + 7, 400)

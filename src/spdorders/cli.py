@@ -114,7 +114,7 @@ def _cmd_monotone(args) -> int:
         smap, spec, seed=args.seed, n_points=args.points, n_directions=args.dirs, tol=tol
     )
     _emit(report.to_dict())
-    return 1 if report.violations else 0
+    return 1 if report.violation_count else 0
 
 
 def _cmd_flow(args) -> int:

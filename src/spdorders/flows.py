@@ -165,7 +165,7 @@ def integrate_flow(kind: str, x0, t_end: float, step: float) -> FlowTrajectory:
     t = 0.0
     # An overflowing step ends in SpectrumDrift, so numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < t_end - 1e-12 * max(t_end, 1.0):
+        while t < t_end - 1e-12 * t_end:
             h = min(step, t_end - t)
             try:
                 k1 = lax_field(x)

@@ -49,6 +49,8 @@ CONGRUENCE = "congruence"
 SCALING = "scaling"
 TRANSLATION = "translation"
 
+WITNESSES = 5  # the violations a PositivityReport keeps: the first, in sample order
+
 
 @dataclass(frozen=True)
 class SmoothMap:
@@ -215,25 +217,26 @@ def sylvester_residual(p: int, sigma: SpdMatrix, x) -> float:
 
 @dataclass
 class PositivityReport:
-    """Outcome of sampling the differential against a cone field."""
+    """Outcome of sampling the differential against a cone field; violation_count is exact."""
 
     map_label: str
     cone: ConeSpec
     samples_tested: int
-    violations: list = field(default_factory=list)  # (SpdMatrix, SymTangent, margin)
+    violations: list = field(default_factory=list)  # the first WITNESSES (SpdMatrix, SymTangent, margin)
     min_output_margin: float = math.inf
+    violation_count: int = 0
 
     @property
     def is_positive(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
     def to_dict(self) -> dict:
-        """JSON-ready summary; violation_count is exact, witnesses lists the first five."""
+        """JSON-ready summary of the count and the kept witnesses."""
         return {
             "map": self.map_label,
             "cone": self.cone.to_dict(),
             "samples_tested": self.samples_tested,
-            "violation_count": len(self.violations),
+            "violation_count": self.violation_count,
             "min_output_margin": self.min_output_margin,
             "witnesses": [
                 {
@@ -241,7 +244,7 @@ class PositivityReport:
                     "direction": tan.entries.tolist(),
                     "output_margin": margin,
                 }
-                for sig, tan, margin in self.violations[:5]
+                for sig, tan, margin in self.violations
             ],
         }
 
@@ -255,7 +258,7 @@ def check_differential_positivity(
     tol: float = DEFAULT_TOL,
 ) -> PositivityReport:
     """Sample base points and cone rays, push the rays through the map
-    differential, and record every landing outside the cone at the image.
+    differential, and count every landing outside the cone at the image.
 
     Directions alternate between boundary rays (where violations
     concentrate) and interior rays.  Point i draws from derive_rng(seed, i)
@@ -281,22 +284,22 @@ def check_differential_positivity(
     words = derive_seed_words(seed, grid.reshape(-1, 2)).reshape(n_points, n_directions + 1, 4)
     per_block = max(1, _block_rows(spec.n) // n_directions)
     spans = ((lo, words[lo:lo + per_block]) for lo in range(0, n_points, per_block))
-    witnesses = {}  # one SpdMatrix per violating point, by its index
+    bases = {}  # one SpdMatrix per point that has a witness, by its index
     for start, span, sigmas, _, xs, margins in _positivity_chunks(m, spec, spans):
         # fold the chunk in as a row-by-row pass would: the running minimum
-        # moves on a strictly smaller margin (never on NaN), and each
-        # violation keeps a copy of its tangent and its point's SpdMatrix
+        # moves on a strictly smaller margin (never on NaN), every violation
+        # is counted, and the first WITNESSES keep a copy of their tangent
         below = np.flatnonzero(margins < report.min_output_margin)
         if below.size:
             report.min_output_margin = float(margins[below[np.argmin(margins[below])]])
         rows = np.flatnonzero(margins < -tol)
-        kept = xs[rows]
+        report.violation_count += rows.size
+        kept = xs[rows[:WITNESSES - len(report.violations)]]
         kept.flags.writeable = False
-        for point, x, margin in zip((start + rows // span).tolist(), kept, margins[rows].tolist()):
-            if point not in witnesses:
-                witnesses[point] = sigmas.point(point - start)
-            report.violations.append((witnesses[point], SymTangent(x, base=witnesses[point], checked=True), margin))
-        del xs  # kept holds copies: the chunk's rows go before the next chunk is drawn
+        for row, x in zip(rows[:len(kept)].tolist(), kept):
+            sigma = bases.setdefault(start + row // span, sigmas.point(row // span))
+            report.violations.append((sigma, SymTangent(x, base=sigma, checked=True), float(margins[row])))
+        del xs  # witnesses hold copies: the chunk's rows go before the next chunk is drawn
     return report
 
 

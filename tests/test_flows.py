@@ -23,6 +23,7 @@ from spdorders.errors import (
 )
 from spdorders.flows import (
     MAX_STATE_ENTRIES,
+    FlowTrajectory,
     SCALAR_FUNCTIONS,
     _check_state_budget,
     _lax_field,
@@ -192,10 +193,13 @@ class TestIntegration:
         assert traj.spectrum_drift().hex() == drift.hex()
         assert drift > 0.0
 
-    def test_drift_without_steps_is_zero(self):
-        traj = integrate_flow("toda", random_sym(3, 1), t_end=1e-13, step=1e-3)
-        assert len(traj.times) == 1
-        assert traj.spectrum_drift() == 0.0
+    @pytest.mark.parametrize("t_end, step, steps", [(1e-13, 1e-3, 1), (1e-13, 1e-14, 10), (5e-12, 1e-12, 5)])
+    def test_tiny_horizons_reach_t_end(self, t_end, step, steps):
+        # the loop stops within 1e-12 t_end of t_end, whatever the scale of t_end
+        traj = integrate_flow("toda", random_sym(3, 1), t_end=t_end, step=step)
+        assert len(traj.times) == 1 + steps
+        assert abs(traj.times[-1] - t_end) <= 1e-12 * t_end
+        assert traj.spectrum_drift() <= 1e-12
 
     def test_oversized_step_raises_drift(self):
         x0 = 10.0 * random_sym(4, 2)
@@ -444,11 +448,13 @@ class TestPreorderMonitor:
                 assert np.min(np.diff(curve)) >= -1e-8
 
     def test_single_state_trajectories(self):
-        # t_end below the loop's slack: no step is taken
+        # the initial state alone, stored as integrate_flow stores it
+        def single_state(x):
+            spectrum = np.linalg.eigvalsh(x)
+            return FlowTrajectory(np.zeros(1), x[None], "toda", 1e-3, spectrum, _spectra=spectrum[None])
+
         x0 = random_sym(3, 4)
-        one = integrate_flow("toda", x0, t_end=1e-13, step=1e-3)
-        up = integrate_flow("toda", x0 + np.eye(3), t_end=1e-13, step=1e-3)
-        assert len(one.times) == 1
+        one, up = single_state(x0), single_state(x0 + np.eye(3))
         assert projected_monotonicity(one, 2) == (True, 0.0)
         assert preorder_monitor(one, one, "exp", 2)
         # tr(up - one) = 3 at t = 0, but the leading 2 x 2 traces differ by 2

@@ -271,13 +271,27 @@ class TestDifferentialPositivity:
                 check_differential_positivity(inversion_map(), loewner(2), seed=0, n_points=points, n_directions=dirs)
 
     def test_report_serialization_caps_witnesses(self):
-        report = check_differential_positivity(
-            power_map(2.0), loewner(2), seed=1, n_points=30, n_directions=10
-        )
+        m, spec = power_map(2.0), loewner(2)
+        report = check_differential_positivity(m, spec, seed=1, n_points=30, n_directions=10)
+        assert_matches_reference(report, *reference_positivity(m, spec, 1, 30, 10))
         doc = report.to_dict()
-        assert doc["violation_count"] == len(report.violations) > 5
-        assert len(doc["witnesses"]) == 5
+        assert doc["violation_count"] == report.violation_count > monotone.WITNESSES == len(doc["witnesses"])
+        assert [w["direction"] for w in doc["witnesses"]] == [tan.entries.tolist() for _, tan, _ in report.violations]
         assert doc["min_output_margin"] == report.min_output_margin
+
+    def test_an_all_violating_check_holds_five_witnesses(self):
+        # the inverse reverses every cone ray, so each of the 100,000 samples violates;
+        # the report keeps the exact count and five witnesses, not one tuple per violation
+        m, spec = power_map(-1.0), quadratic_affine(1.5, 3)
+        check_differential_positivity(m, spec, 0, 5, 2)  # caches and lazy imports filled before tracing
+        tracemalloc.start()
+        try:
+            report = check_differential_positivity(m, spec, 0, 5000, 20)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 10**6
+        assert report.violation_count == 100_000 and len(report.violations) == monotone.WITNESSES
 
     def test_a_check_leaves_the_cyclic_collector_idle(self):
         # the streams of 4,200 rows draw in vector passes, and only the rows that leave the
@@ -390,6 +404,22 @@ def reference_positivity(m, spec, seed, n_points, n_directions, tol=DEFAULT_TOL)
     return n_points * n_directions, min_margin, violations
 
 
+def assert_matches_reference(got, samples, min_margin, violations):
+    """The report against reference_positivity's: the exact count, and the
+    reference's first WITNESSES violations, bit for bit."""
+    assert got.samples_tested == samples
+    assert got.min_output_margin.hex() == float(min_margin).hex()
+    assert got.violation_count == len(violations)
+    kept = violations[:monotone.WITNESSES]
+    assert len(got.violations) == len(kept)
+    for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, kept):
+        assert hexes(sig.entries) == hexes(ref_sig.entries)
+        assert hexes(tan.entries) == hexes(ref_tan.entries)
+        assert tan.base is sig and margin.hex() == ref_margin.hex()
+    # one SpdMatrix per violating point, shared by its kept tangents across chunks
+    assert len({id(sig) for sig, _, _ in got.violations}) == len({id(sig) for sig, _, _ in kept})
+
+
 def outcome(fn):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # non-psd translation shifts warn
@@ -430,15 +460,8 @@ class TestBatchedPositivityMatchesLoop:
             event(f"raises {getattr(want, '__name__', want)}")
             assert got is want
             return
-        samples, min_margin, violations = want
-        event("violations" if violations else "clean")
-        assert got.samples_tested == samples
-        assert got.min_output_margin.hex() == float(min_margin).hex()
-        assert len(got.violations) == len(violations)
-        for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
-            assert hexes(sig.entries) == hexes(ref_sig.entries)
-            assert hexes(tan.entries) == hexes(ref_tan.entries)
-            assert tan.base is sig and margin.hex() == ref_margin.hex()
+        event("violations" if want[2] else "clean")
+        assert_matches_reference(got, *want)
 
     @pytest.mark.parametrize("m", MAPS + [congruence_map(np.diag([1.0, -2.0, 0.5])), translation_map(np.eye(3))],
                              ids=lambda m: m.label)
@@ -471,16 +494,7 @@ CONE_KINDS = ["quad-affine", "quad-translate", "loewner", "half-space", "ray"]
 
 def assert_same_report(m, spec, seed, n_points, n_directions):
     got = check_differential_positivity(m, spec, seed, n_points, n_directions)
-    samples, min_margin, violations = reference_positivity(m, spec, seed, n_points, n_directions)
-    assert got.samples_tested == samples
-    assert got.min_output_margin.hex() == float(min_margin).hex()
-    assert len(got.violations) == len(violations)
-    for (sig, tan, margin), (ref_sig, ref_tan, ref_margin) in zip(got.violations, violations):
-        assert hexes(sig.entries) == hexes(ref_sig.entries)
-        assert hexes(tan.entries) == hexes(ref_tan.entries)
-        assert tan.base is sig and margin.hex() == ref_margin.hex()
-    # one SpdMatrix per violating point, shared by its tangents across chunks
-    assert len({id(sig) for sig, _, _ in got.violations}) == len({id(sig) for sig, _, _ in violations})
+    assert_matches_reference(got, *reference_positivity(m, spec, seed, n_points, n_directions))
 
 
 class TestBlocksMatchLoop:
@@ -495,6 +509,15 @@ class TestBlocksMatchLoop:
         assert n_points * n_directions > 2 * core._block_rows(n)
         spec = ConeSpec(kind, n, n / 2 if kind.startswith("quad") else None)
         assert_same_report(BLOCK_MAPS[map_kind](n), spec, 11, n_points, n_directions)
+
+    def test_witnesses_of_one_point_share_its_base_across_chunks(self, small_blocks):
+        # 1 point x 120 directions at n = 3 is chunks of 56, 56 and 8 rows; at this tol the
+        # first chunk holds two violations, so the five witnesses come from more than one chunk
+        m, spec, tol = power_map(1.5), quadratic_affine(1.5, 3), 0.15
+        assert 0 < check_differential_positivity(m, spec, 5, 1, 56, tol=tol).violation_count < monotone.WITNESSES
+        got = check_differential_positivity(m, spec, 5, 1, 120, tol=tol)
+        assert_matches_reference(got, *reference_positivity(m, spec, 5, 1, 120, tol=tol))
+        assert len(got.violations) == monotone.WITNESSES and len({id(sig) for sig, _, _ in got.violations}) == 1
 
     @pytest.mark.parametrize("kind", CONE_KINDS)
     def test_same_report_across_real_blocks(self, kind):

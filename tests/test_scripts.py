@@ -38,12 +38,16 @@ def test_monotonicity_survey(tmp_path):
     table = lines[2:6]
     assert [row[:14].strip() for row in table] == ["quad mu=0.75", "quad mu=1.5", "quad mu=2.25", "loewner"]
     for row in table:
-        cells = row[15:].split()
-        assert len(cells) == 7
-        # r in {0.25, 0.5, 0.75, 1} is clean, r in {1.5, 2, 3} is not
-        assert [cell.endswith("*") for cell in cells] == [False] * 4 + [True] * 3
-        assert all(float(cell.rstrip("*")) < 0 for cell in cells[4:])
-    assert lines[6:] == ["", "(*) violations found: the differential pushed a cone ray outside."]
+        # each cell: the minimum margin (9 wide), its mark, and the count of violating samples (5 wide)
+        assert len(row) == 14 + 7 * 16
+        cells = [row[15 + 16 * i:30 + 16 * i] for i in range(7)]
+        # r in {0.25, 0.5, 0.75, 1} is clean, r in {1.5, 2, 3} is not, in at most 4 x 2 samples
+        assert [cell[9] for cell in cells] == [" "] * 4 + ["*"] * 3
+        counts = [int(cell[10:]) for cell in cells]
+        assert counts[:4] == [0] * 4 and all(0 < c <= 8 for c in counts[4:])
+        assert all(float(cell[:9]) < 0 for cell in cells[4:])
+    assert lines[6:] == ["", "(*) violations found; the number after each margin counts the samples whose ray the"
+                             " differential pushed outside."]
 
 
 def test_fingerprint_is_stable(tmp_path):
